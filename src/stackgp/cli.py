@@ -91,11 +91,12 @@ def _learner_specs(config: dict) -> list:
 def _gp_options(config: dict) -> dict:
     body = config.get("gp", {})
     out = {}
-    for key in ("restarts", "max_iter", "seed"):
+    for key, low, kind in (("restarts", 1, "positive"), ("max_iter", 1, "positive"),
+                           ("seed", 0, "non-negative")):
         if key in body:
             v = body[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < (0 if key == "seed" else 1):
-                raise ConfigError(f"gp.{key} must be a positive integer, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ConfigError(f"gp.{key} must be a {kind} integer, got {v!r}")
             out[key] = v
     if "fixed" in body:
         fixed = body["fixed"]

@@ -160,13 +160,27 @@ def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
     return pts[:, :2], np.rint(pts[:, 2]).astype(int)
 
 
-def cov_block(points_a, points_b, params: GpHyperParams, ref_lat: float) -> np.ndarray:
-    """Cross-covariance block between two point sets (shared reference latitude)."""
+def _geometry(points_a, points_b, ref_lat: float) -> tuple[np.ndarray, np.ndarray]:
+    """Planar distances and month lags |t_a - t_b| between two point sets."""
     sa, ta = _split_points(points_a)
     sb, tb = _split_points(points_b)
-    D = pairwise_planar_dist(sa, sb, ref_lat)
-    K = matern1_matrix(D, params.kappa, params.tau)
-    return K * np.power(params.phi, np.abs(ta[:, None] - tb[None, :]))
+    return pairwise_planar_dist(sa, sb, ref_lat), np.abs(ta[:, None] - tb[None, :])
+
+
+def _train_geometry(points) -> tuple[np.ndarray, np.ndarray]:
+    """_geometry of the training points with themselves, at their mean latitude."""
+    lonlat, _ = _split_points(points)
+    return _geometry(points, points, float(lonlat[:, 1].mean()))
+
+
+def _kernel(D: np.ndarray, dT: np.ndarray, params: GpHyperParams) -> np.ndarray:
+    """Separable covariance: Matern over distances D times phi^dT over month lags."""
+    return matern1_matrix(D, params.kappa, params.tau) * np.power(params.phi, dT)
+
+
+def cov_block(points_a, points_b, params: GpHyperParams, ref_lat: float) -> np.ndarray:
+    """Cross-covariance block between two point sets (shared reference latitude)."""
+    return _kernel(*_geometry(points_a, points_b, ref_lat), params)
 
 
 def _chol_with_jitter(S: np.ndarray, context: str):
@@ -476,17 +490,35 @@ def default_init(y, mean_basis, points) -> GpHyperParams:
                          sigma_e2=0.5 * var, phi=0.3, beta=beta)
 
 
+def _optimize(objective, x0: np.ndarray, context: str, *, restarts: int, max_iter: int,
+              seed: int) -> np.ndarray:
+    """Nelder-Mead from x0, then from restarts - 1 jittered starts; best raw point.
+
+    The objective must be finite at x0; an empty x0 is returned unoptimised.
+    """
+    f0 = objective(x0)
+    if not np.isfinite(f0) or f0 >= 1e30:
+        raise NumericalError(f"{context}: objective non-finite at the initial point; "
+                             "rescale the response or check the mean")
+    rng = np.random.default_rng(seed)
+    best_raw, best_val = x0, f0
+    for attempt in range(max(restarts, 1) if x0.size else 0):
+        start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
+        res = minimize(objective, start, method="Nelder-Mead",
+                       options={"maxiter": max_iter, "xatol": 1e-4, "fatol": 1e-6})
+        if res.fun < best_val:
+            best_raw, best_val = res.x, float(res.fun)
+    return best_raw
+
+
 def fit_hyperparams(y, mean_basis, points, init: GpHyperParams | None = None, *,
                     fixed: dict | None = None, restarts: int = 2,
-                    max_iter: int = 400, seed: int = 0,
-                    trace: list | None = None) -> GpHyperParams:
+                    max_iter: int = 400, seed: int = 0) -> GpHyperParams:
     """Maximise the log marginal likelihood over the raw coordinates.
 
     mean_basis is the n x L matrix whose simplex-weighted combination is the
     GP mean (level-0 predictions for stacking; a single column pins beta to
     [1]). `fixed` holds natural-scale overrides excluded from optimisation.
-    `trace`, when given, collects the best objective value so far per
-    evaluation (useful for monotonicity checks).
     """
     y = np.asarray(y, dtype=float)
     basis = np.asarray(mean_basis, dtype=float)
@@ -495,51 +527,27 @@ def fit_hyperparams(y, mean_basis, points, init: GpHyperParams | None = None, *,
     if len(y) < 5:
         raise DataError("fit_hyperparams needs at least 5 observations")
     pts = np.asarray(points, dtype=float)
-    lonlat, months = _split_points(pts)
-    ref_lat = float(lonlat[:, 1].mean())
-    D = pairwise_planar_dist(lonlat, lonlat, ref_lat)
-    dT = np.abs(months[:, None] - months[None, :])
-    L_cols = basis.shape[1]
-    codec = _RawCodec(L_cols, fixed)
+    D, dT = _train_geometry(pts)
+    codec = _RawCodec(basis.shape[1], fixed)
     if init is None:
         init = default_init(y, basis, pts)
     if "beta" in codec.fixed:
         codec.fixed["beta"] = np.asarray(codec.fixed["beta"], dtype=float)
 
-    best_obj = [np.inf]
-
     def objective(raw: np.ndarray) -> float:
         try:
             params = codec.unpack(raw)
-            K = matern1_matrix(D, params.kappa, params.tau) * np.power(params.phi, dT)
-            ll = log_marginal_likelihood(y, basis @ params.beta, K, params.sigma_e2)
+            ll = log_marginal_likelihood(y, basis @ params.beta, _kernel(D, dT, params),
+                                         params.sigma_e2)
         except (NumericalError, DataError, FloatingPointError, OverflowError):
             return 1e30
-        if not np.isfinite(ll):
-            return 1e30
-        val = -ll
-        if trace is not None:
-            best_obj[0] = min(best_obj[0], val)
-            trace.append(best_obj[0])
-        return val
+        return -ll if np.isfinite(ll) else 1e30
 
     x0 = codec.pack(init)
     if codec.size() == 0:
         return codec.unpack(x0)
-    f0 = objective(x0)
-    if not np.isfinite(f0) or f0 >= 1e30:
-        raise NumericalError("fit_hyperparams: objective non-finite at the initial point; "
-                             "rescale the response or check the mean basis")
-
-    rng = np.random.default_rng(seed)
-    best_raw, best_val = x0, f0
-    for attempt in range(max(restarts, 1)):
-        start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-4, "fatol": 1e-6})
-        if res.fun < best_val:
-            best_raw, best_val = res.x, float(res.fun)
-    return codec.unpack(best_raw)
+    return codec.unpack(_optimize(objective, x0, "fit_hyperparams", restarts=restarts,
+                                  max_iter=max_iter, seed=seed))
 
 
 def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
@@ -554,10 +562,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     pts = np.asarray(points, dtype=float)
-    lonlat, months = _split_points(pts)
-    ref_lat = float(lonlat[:, 1].mean())
-    D = pairwise_planar_dist(lonlat, lonlat, ref_lat)
-    dT = np.abs(months[:, None] - months[None, :])
+    D, dT = _train_geometry(pts)
     n = len(y)
 
     mu_x = X.mean(axis=0)
@@ -571,8 +576,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     init = default_init(y, np.zeros((n, 1)), pts)
 
     def gls_coef(params: GpHyperParams):
-        K = matern1_matrix(D, params.kappa, params.tau) * np.power(params.phi, dT)
-        S = K + params.sigma_e2 * np.eye(n)
+        S = _kernel(D, dT, params) + params.sigma_e2 * np.eye(n)
         L, _ = _chol_with_jitter(S, "fit_gp_linear_mean")
         W = solve_triangular(L, M, lower=True)
         z = solve_triangular(L, y, lower=True)
@@ -590,19 +594,8 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
             return 1e30
         return -ll if np.isfinite(ll) else 1e30
 
-    x0 = codec.pack(init)
-    f0 = objective(x0)
-    if not np.isfinite(f0) or f0 >= 1e30:
-        raise NumericalError("fit_gp_linear_mean: objective non-finite at the initial point")
-    rng = np.random.default_rng(seed)
-    best_raw, best_val = x0, f0
-    for attempt in range(max(restarts, 1) if codec.size() else 0):
-        start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-4, "fatol": 1e-6})
-        if res.fun < best_val:
-            best_raw, best_val = res.x, float(res.fun)
-    params = codec.unpack(best_raw)
+    params = codec.unpack(_optimize(objective, codec.pack(init), "fit_gp_linear_mean",
+                                    restarts=restarts, max_iter=max_iter, seed=seed))
     coef, *_ = gls_coef(params)
     mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
     return params, mean_state
@@ -613,6 +606,21 @@ def linear_mean(mean_state: dict, X) -> np.ndarray:
     Z = (X - mean_state["x_mean"]) / mean_state["x_sd"]
     coef = mean_state["coef"]
     return coef[0] + Z @ coef[1:]
+
+
+def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior:
+    """Condition a fitted GP on its training data; marginal mean and variance at pred_points.
+
+    Every point's prior variance is k(0) * phi^0 = 1/tau, so no p x p prior
+    block is built and memory grows linearly with the number of points.
+    """
+    prm = model.params
+    K_train = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
+    K_cross = cov_block(model.train_points, pred_points, prm, model.ref_lat)
+    post = gp_condition_dense(model.y, mean_train, mean_pred, K_train, K_cross,
+                              np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
+    post.hyperparams = prm
+    return post
 
 
 @dataclass
@@ -646,8 +654,7 @@ class StackedGpModel:
                    ref_lat=float(d["ref_lat"]))
 
 
-def gp_stacked_predict(model: StackedGpModel, P_pred, pred_points, *,
-                       full_cov: bool = False) -> GpPosterior:
+def gp_stacked_predict(model: StackedGpModel, P_pred, pred_points) -> GpPosterior:
     """Predict at new points given their level-0 predictions P_pred."""
     P_pred = np.asarray(P_pred, dtype=float)
     L = model.params.beta.size
@@ -657,14 +664,8 @@ def gp_stacked_predict(model: StackedGpModel, P_pred, pred_points, *,
     pred_points = np.asarray(pred_points, dtype=float)
     if P_pred.shape[0] != pred_points.shape[0]:
         raise DataError("P_pred rows must match pred_points rows")
-    K_train = cov_block(model.train_points, model.train_points, model.params, model.ref_lat)
-    K_cross = cov_block(model.train_points, pred_points, model.params, model.ref_lat)
-    K_pred = cov_block(pred_points, pred_points, model.params, model.ref_lat)
-    post = gp_condition_dense(
-        model.y, model.P_train @ model.params.beta, P_pred @ model.params.beta,
-        K_train, K_cross, K_pred, model.params.sigma_e2, full_cov=full_cov)
-    post.hyperparams = model.params
-    return post
+    return _predict_marginals(model, model.P_train @ model.params.beta,
+                              P_pred @ model.params.beta, pred_points)
 
 
 @dataclass
@@ -710,8 +711,7 @@ def fit_plain_gp(y, X, points, *, fixed: dict | None = None, restarts: int = 2,
                         ref_lat=float(pts[:, 1].mean()))
 
 
-def plain_gp_predict(model: PlainGpModel, X_pred, pred_points, *,
-                     full_cov: bool = False) -> GpPosterior:
+def plain_gp_predict(model: PlainGpModel, X_pred, pred_points) -> GpPosterior:
     """Predict the plain-GP baseline at new points with their covariates."""
     X_pred = np.asarray(X_pred, dtype=float)
     if X_pred.ndim != 2 or X_pred.shape[1] != model.X_train.shape[1]:
@@ -720,12 +720,5 @@ def plain_gp_predict(model: PlainGpModel, X_pred, pred_points, *,
     pred_points = np.asarray(pred_points, dtype=float)
     if X_pred.shape[0] != pred_points.shape[0]:
         raise DataError("X_pred rows must match pred_points rows")
-    K_train = cov_block(model.train_points, model.train_points, model.params, model.ref_lat)
-    K_cross = cov_block(model.train_points, pred_points, model.params, model.ref_lat)
-    K_pred = cov_block(pred_points, pred_points, model.params, model.ref_lat)
-    post = gp_condition_dense(
-        model.y, linear_mean(model.mean_state, model.X_train),
-        linear_mean(model.mean_state, X_pred),
-        K_train, K_cross, K_pred, model.params.sigma_e2, full_cov=full_cov)
-    post.hyperparams = model.params
-    return post
+    return _predict_marginals(model, linear_mean(model.mean_state, model.X_train),
+                              linear_mean(model.mean_state, X_pred), pred_points)

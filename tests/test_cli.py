@@ -131,6 +131,11 @@ class TestConfigFailures:
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "range" in capsys.readouterr().err
 
+    def test_negative_gp_seed_exits_2(self, scenario, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "fit.yaml", fit_config(scenario, tmp_path / "out"))
+        assert main(["fit", "--config", str(cfg), "--set", "gp.seed=-1"]) == 2
+        assert "gp.seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_duplicate_learner_names_exit_2(self, scenario, tmp_path, capsys):
         cfg_dict = fit_config(scenario, tmp_path / "out",
                               learners=[{"kind": "enet"}, {"kind": "enet"}])

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -565,13 +567,6 @@ class TestFitHyperparams:
         params = fit_hyperparams(y, basis[:, :1], pts, restarts=1, max_iter=60)
         np.testing.assert_array_equal(params.beta, [1.0])
 
-    def test_trace_is_monotone_best_so_far(self):
-        y, basis, pts = self.make_data()
-        trace = []
-        fit_hyperparams(y, basis, pts, restarts=1, max_iter=50, trace=trace)
-        assert len(trace) > 5
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-
     def test_fixed_values_pinned_exactly(self):
         y, basis, pts = self.make_data()
         params = fit_hyperparams(y, basis, pts, restarts=1, max_iter=40,
@@ -698,16 +693,17 @@ class TestStackedGpModel:
 
     def test_composition_matches_hand_assembled_conditioning(self):
         model, rng = self.make_model()
+        # tau != 1 so that the constant prior variance 1/tau is not trivially 1
+        model.params = replace(model.params, log_tau=math.log(0.7))
         pts_new = random_points(rng, 5)
         P_new = rng.normal(size=(5, 2))
-        post = gp_stacked_predict(model, P_new, pts_new, full_cov=True)
+        post = gp_stacked_predict(model, P_new, pts_new)
         prm = model.params
         K_t = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
         K_c = cov_block(model.train_points, pts_new, prm, model.ref_lat)
         K_p = cov_block(pts_new, pts_new, prm, model.ref_lat)
         direct = gp_condition_dense(model.y, model.P_train @ prm.beta,
-                                    P_new @ prm.beta, K_t, K_c, K_p,
-                                    prm.sigma_e2, full_cov=True)
+                                    P_new @ prm.beta, K_t, K_c, K_p, prm.sigma_e2)
         np.testing.assert_array_equal(post.mu_star, direct.mu_star)
         np.testing.assert_array_equal(post.sigma_star, direct.sigma_star)
 
@@ -740,3 +736,44 @@ class TestPlainGpModel:
             plain_gp_predict(model, np.ones((3, 5)), random_points(rng, 3))
         with pytest.raises(DataError):
             plain_gp_predict(model, np.ones((3, 2)), random_points(rng, 4))
+
+
+class TestPredictMemory:
+    """Prediction memory grows linearly with the number of cells, not with its square."""
+
+    N_TRAIN = 30
+    N_CELLS = 4000
+
+    def stacked(self, rng):
+        pts = random_points(rng, self.N_TRAIN)
+        P = rng.normal(size=(self.N_TRAIN, 2))
+        model = StackedGpModel(params=params_of(kappa=2.0, phi=0.4, beta=(0.5, 0.5)),
+                               train_points=pts, P_train=P, y=P.mean(axis=1),
+                               ref_lat=float(pts[:, 1].mean()))
+        return gp_stacked_predict, model, rng.normal(size=(self.N_CELLS, 2))
+
+    def plain(self, rng):
+        pts = random_points(rng, self.N_TRAIN)
+        X = rng.normal(size=(self.N_TRAIN, 2))
+        model = PlainGpModel(params=params_of(kappa=2.0, phi=0.4),
+                             mean_state={"x_mean": np.zeros(2), "x_sd": np.ones(2),
+                                         "coef": np.array([0.1, 1.0, -0.5])},
+                             train_points=pts, X_train=X, y=X[:, 0],
+                             ref_lat=float(pts[:, 1].mean()))
+        return plain_gp_predict, model, rng.normal(size=(self.N_CELLS, 2))
+
+    @pytest.mark.parametrize("build", ["stacked", "plain"])
+    def test_peak_memory_linear_in_cells(self, build):
+        rng = np.random.default_rng(31)
+        predict, model, inputs = getattr(self, build)(rng)
+        pts_new = random_points(rng, self.N_CELLS)
+        # a few n x p float64 blocks; a p x p block alone would be 128 MB
+        bound = 16 * self.N_TRAIN * self.N_CELLS * 8
+        tracemalloc.start()
+        try:
+            post = predict(model, inputs, pts_new)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.sd.shape == (self.N_CELLS,)
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
