@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -30,8 +31,8 @@ from .learners import LearnerSpec
 from .metrics import ambiguity_decomposition
 from .model_io import load_model, save_model
 from .stacking import (CV_METHOD_CWM, CV_METHOD_GP, CV_METHOD_PLAIN, StackState,
-                       fit_design1, fit_design2, fit_design3, make_folds,
-                       repeat_cv_evaluate)
+                       fit_design1, fit_design2, fit_design3, level2_mean_sd,
+                       make_folds, repeat_cv_evaluate)
 from .synth import ScenarioConfig, generate, write_scenario
 
 CV_METHODS = ("level0", CV_METHOD_CWM, CV_METHOD_GP, CV_METHOD_PLAIN)
@@ -88,7 +89,49 @@ def _learner_specs(config: dict) -> list:
     return specs
 
 
-def _gp_options(config: dict) -> dict:
+def _fold_count(config: dict) -> int:
+    v = config.get("stacking", {}).get("v", 5)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 2:
+        raise ConfigError(f"stacking.v must be an integer >= 2, got {v!r}")
+    return v
+
+
+def _finite_real(value) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
+def _fixed_overrides(fixed, where: str, width: int) -> dict:
+    """Checked copy of pinned GP parameters (gp.fixed or one gp_variant).
+
+    width is the number of mean-basis columns a pinned beta weights.
+    """
+    if not isinstance(fixed, dict):
+        raise ConfigError(f"{where} must be a mapping of parameter overrides, got {fixed!r}")
+    bad = sorted(set(fixed) - set(FIXABLE))
+    if bad:
+        raise ConfigError(f"{where}: unknown parameter(s) {bad}; allowed {list(FIXABLE)}")
+    for key, value in fixed.items():
+        if key == "beta":
+            ok = (isinstance(value, list) and len(value) == width
+                  and all(_finite_real(b) and b >= 0 for b in value) and sum(value) > 0)
+            want = f"a list of {width} non-negative finite numbers with a positive sum"
+        else:
+            ok = (_finite_real(value) and (key != "sigma_e2" or value > 0)
+                  and (key != "phi" or abs(value) < 1))
+            want = {"sigma_e2": "a finite real > 0",
+                    "phi": "a finite real in (-1, 1)"}.get(key, "a finite real")
+        if not ok:
+            raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
+    return dict(fixed)
+
+
+def _gp_options(config: dict, width: int) -> dict:
+    """Checked gp section; width is the column count of the GP mean basis."""
     body = config.get("gp", {})
     out = {}
     for key, low, kind in (("restarts", 1, "positive"), ("max_iter", 1, "positive"),
@@ -99,13 +142,7 @@ def _gp_options(config: dict) -> dict:
                 raise ConfigError(f"gp.{key} must be a {kind} integer, got {v!r}")
             out[key] = v
     if "fixed" in body:
-        fixed = body["fixed"]
-        if not isinstance(fixed, dict):
-            raise ConfigError("gp.fixed must be a mapping of parameter overrides")
-        bad = sorted(set(fixed) - set(FIXABLE))
-        if bad:
-            raise ConfigError(f"gp.fixed: unknown parameter(s) {bad}; allowed {list(FIXABLE)}")
-        out["fixed"] = dict(fixed)
+        out["fixed"] = _fixed_overrides(body["fixed"], "gp.fixed", width)
     return out
 
 
@@ -136,37 +173,31 @@ def cmd_fit(config: dict, args) -> int:
     _, _, X, y, points = _load_training(config)
     stacking = config.get("stacking", {})
     design = stacking.get("design", 1)
-    v = stacking.get("v", 5)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-        raise ConfigError(f"stacking.v must be an integer >= 2, got {v!r}")
-    gp_options = _gp_options(config)
+    v = _fold_count(config)
 
     if design == "plain-gp":
-        model = fit_plain_gp(y, X.values, points, **gp_options)
+        model = fit_plain_gp(y, X.values, points, **_gp_options(config, 1))
     elif design in (1, 2, 3):
+        specs = _learner_specs(config)
+        # design 1's GP weights every learner column; designs 2 and 3 fit
+        # single-column GPs
+        gp_options = _gp_options(config, len(specs) if design == 1 else 1) or None
         plan = make_folds(len(y), v, seed)
         if design == 1:
             level1 = stacking.get("level1", "gp")
-            model = fit_design1(X, y, points, _learner_specs(config), level1, plan,
-                                gp_options or None)
+            model = fit_design1(X, y, points, specs, level1, plan, gp_options)
         elif design == 2:
-            model = fit_design2(X, y, points, _learner_specs(config), plan,
-                                gp_options or None)
+            model = fit_design2(X, y, points, specs, plan, gp_options)
         else:
-            specs = _learner_specs(config)
             if len(specs) != 1:
                 raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
             variants = stacking.get("gp_variants")
             if not isinstance(variants, list) or not variants:
                 raise ConfigError("design 3 needs stacking.gp_variants, a non-empty list "
                                   "of fixed-parameter mappings")
-            for variant in variants:
-                if not isinstance(variant, dict):
-                    raise ConfigError(f"each gp_variant must be a mapping, got {variant!r}")
-                bad = sorted(set(variant) - set(FIXABLE))
-                if bad:
-                    raise ConfigError(f"gp_variant keys {bad} unknown; allowed {list(FIXABLE)}")
-            model = fit_design3(X, y, points, specs[0], variants, plan, gp_options or None)
+            variants = [_fixed_overrides(variant, f"stacking.gp_variants[{i}]", 1)
+                        for i, variant in enumerate(variants)]
+            model = fit_design3(X, y, points, specs[0], variants, plan, gp_options)
     else:
         raise ConfigError(f"stacking.design must be 1, 2, 3 or 'plain-gp', got {design!r}")
 
@@ -180,10 +211,7 @@ def cmd_fit(config: dict, args) -> int:
 def _stack_mean_sd(state: StackState, P_pred: np.ndarray, points) -> tuple:
     """Predictive mean and sd for any fitted stack.
 
-    The CWM has no predictive distribution, so its sd is 0. For the two-level
-    designs the per-member GP sds are combined with the same simplex weights
-    as the means (exact if members were perfectly correlated, conservative
-    otherwise).
+    The CWM has no predictive distribution, so its sd is 0.
     """
     if state.level1_kind == "cwm":
         mean = cwm_predict(state.level1, P_pred)
@@ -191,15 +219,7 @@ def _stack_mean_sd(state: StackState, P_pred: np.ndarray, points) -> tuple:
     if state.level1_kind == "gp":
         post = gp_stacked_predict(state.level1, P_pred, points)
         return post.mu_star, post.sd
-    mean = np.zeros(P_pred.shape[0])
-    sd = np.zeros(P_pred.shape[0])
-    stack = state.level1
-    for w, member, col in zip(stack.weights.beta, stack.members, stack.member_columns):
-        cols = P_pred if member.params.beta.size == P_pred.shape[1] else P_pred[:, [col]]
-        post = gp_stacked_predict(member, cols, points)
-        mean += w * post.mu_star
-        sd += w * post.sd
-    return mean, sd
+    return level2_mean_sd(state.level1, P_pred, points)
 
 
 def cmd_predict(config: dict, args) -> int:
@@ -241,8 +261,7 @@ def cmd_cv(config: dict, args) -> int:
     outdir = _output_dir(config, args)
     _, _, X, y, points = _load_training(config)
     specs = _learner_specs(config)
-    stacking = config.get("stacking", {})
-    v = stacking.get("v", 5)
+    v = _fold_count(config)
     body = config.get("cv", {})
     repeats = body.get("repeats", 5)
     region = body.get("region", "region")
@@ -258,7 +277,7 @@ def cmd_cv(config: dict, args) -> int:
         raise ConfigError(f"cv.region must be a non-empty string, got {region!r}")
 
     result = repeat_cv_evaluate(X, y, points, specs, v=v, repeats=repeats, seed=seed,
-                                region=region, gp_options=_gp_options(config) or None,
+                                region=region, gp_options=_gp_options(config, len(specs)) or None,
                                 methods=tuple(methods))
 
     metrics_path = outdir / "metrics.csv"

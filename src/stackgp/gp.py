@@ -360,13 +360,12 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
 
 
 def gp_condition_precision(spre: SparsePrecision, y, mean_latent, sigma_e2: float,
-                           A_pred: sp.spmatrix | None = None, *,
-                           full_cov: bool = False) -> GpPosterior:
+                           A_pred: sp.spmatrix | None = None) -> GpPosterior:
     """Predictive conditioning in precision form via sparse LU.
 
     Posterior precision Q' = Q + A^T A / sigma_e2; the latent posterior mean
     is mu + Q'^{-1} A^T (y - A mu) / sigma_e2, then mapped through A_pred
-    (default: every latent site).
+    (default: every latent site); sigma_star holds the marginal variances.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mean_latent, dtype=float)
@@ -385,13 +384,9 @@ def gp_condition_precision(spre: SparsePrecision, y, mean_latent, sigma_e2: floa
     A_p = A_pred.tocsr() if A_pred is not None else sp.identity(len(mu), format="csr")
     mu_star = A_p @ latent_mean
     cov_cols = solver.solve(np.asarray(A_p.T.todense(), dtype=float))
-    sigma_full = np.asarray(A_p @ cov_cols)
-    if full_cov:
-        sigma_star = 0.5 * (sigma_full + sigma_full.T)
-    else:
-        sigma_star = np.diag(sigma_full).copy()
+    sigma_star = np.diag(np.asarray(A_p @ cov_cols)).copy()
     return GpPosterior(mu_star=np.asarray(mu_star).ravel(), sigma_star=sigma_star,
-                       diag_only=not full_cov, train={"latent_mean": latent_mean})
+                       train={"latent_mean": latent_mean})
 
 
 def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float) -> float:

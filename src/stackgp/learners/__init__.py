@@ -2,7 +2,7 @@
 
 from .base import LEARNER_KINDS, PARAM_SCHEMAS, LearnerModel, LearnerSpec, fit_learner
 from .boosting import GbtModel, fit_gbt
-from .elastic_net import EnetModel, cross_validate_enet, fit_enet
+from .elastic_net import EnetModel, fit_enet
 from .forest import ForestModel, fit_rf
 from .gam import GamModel, fit_gam
 from .linear import LinearModel, fit_linear
@@ -11,7 +11,7 @@ from .trees import RegressionTree, grow_tree
 
 __all__ = [
     "LEARNER_KINDS", "PARAM_SCHEMAS", "LearnerModel", "LearnerSpec", "fit_learner",
-    "GbtModel", "fit_gbt", "EnetModel", "cross_validate_enet", "fit_enet",
+    "GbtModel", "fit_gbt", "EnetModel", "fit_enet",
     "ForestModel", "fit_rf", "GamModel", "fit_gam", "LinearModel", "fit_linear",
     "MarsModel", "fit_mars", "RegressionTree", "grow_tree",
 ]

@@ -123,30 +123,3 @@ def fit_enet(X, y, params: dict, rng=None) -> EnetModel:
     intercept = y_bar - float(coef @ mu)
     return EnetModel(coef=coef, intercept=intercept, lambda1=lam1, lambda2=lam2,
                      meta={"n_iter": n_iter, "converged": converged, "kkt_violation": viol})
-
-
-def cross_validate_enet(X, y, lambda1_grid, lambda2_grid, n_folds: int,
-                        rng: np.random.Generator, base_params: dict) -> tuple[float, float, list]:
-    """Grid-search (lambda1, lambda2) by out-of-fold MSE.
-
-    Ties go to the sparser corner: larger lambda1, then larger lambda2.
-    Returns the winning pair and the full (lambda1, lambda2, mse) table.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    order = rng.permutation(n)
-    folds = np.array_split(order, n_folds)
-    table = []
-    for lam1 in lambda1_grid:
-        for lam2 in lambda2_grid:
-            params = dict(base_params, lambda1=float(lam1), lambda2=float(lam2))
-            sse = 0.0
-            for hold in folds:
-                train = np.setdiff1d(order, hold)
-                model = fit_enet(X[train], y[train], params)
-                err = model.predict(X[hold]) - y[hold]
-                sse += float(err @ err)
-            table.append((float(lam1), float(lam2), sse / n))
-    best = min(table, key=lambda row: (row[2], -row[0], -row[1]))
-    return best[0], best[1], table

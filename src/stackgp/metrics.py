@@ -5,10 +5,6 @@ into the weighted average of member errors minus the weighted spread of the
 members around the ensemble (the ambiguity):
 
     e(x) = eps_bar(x) - a_bar(x)        pointwise, for any simplex weights.
-
-``verify_gp_inequality`` checks the testable consequences of the companion
-inequality for GP-combined ensembles: the equality case (zero covariance
-contribution) and the empirical error ordering.
 """
 
 from __future__ import annotations
@@ -56,11 +52,6 @@ def pearson_flagged(yhat, y) -> tuple[float, bool]:
     return float(np.clip(r, -1.0, 1.0)), False
 
 
-def pearson(yhat, y) -> float:
-    r, _ = pearson_flagged(yhat, y)
-    return r
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Aggregate ambiguity decomposition over the evaluation points.
@@ -104,40 +95,4 @@ def ambiguity_decomposition(predictions, beta, f) -> DecompositionReport:
         ensemble_error=float(e.mean()),
         residual=residual,
         pointwise={"weighted_error": eps_bar, "ambiguity": a_bar, "ensemble_error": e},
-    )
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Per-point and mean squared errors of the two stacked ensembles."""
-
-    mean_e_gp: float
-    mean_e_cwm: float
-    frac_gp_not_worse: float
-    e_gp: np.ndarray = field(repr=False)
-    e_cwm: np.ndarray = field(repr=False)
-
-
-def verify_gp_inequality(predictions, beta, gp_predictions, f) -> InequalityReport:
-    """Compare the GP-combined ensemble against the constrained weighted mean.
-
-    predictions    : (n, L) level-0 predictions at the evaluation points
-    beta           : simplex weights shared by both ensembles
-    gp_predictions : GP-combined predictions at the same points
-    f              : known target values
-    """
-    P = np.asarray(predictions, dtype=float)
-    b = np.asarray(getattr(beta, "beta", beta), dtype=float)
-    g = np.asarray(gp_predictions, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if P.shape != (f.size, b.size) or g.shape != f.shape:
-        raise DataError("verify_gp_inequality: conformal shapes required")
-    e_cwm = (f - P @ b) ** 2
-    e_gp = (f - g) ** 2
-    return InequalityReport(
-        mean_e_gp=float(e_gp.mean()),
-        mean_e_cwm=float(e_cwm.mean()),
-        frac_gp_not_worse=float(np.mean(e_gp <= e_cwm + 1e-12)),
-        e_gp=e_gp,
-        e_cwm=e_cwm,
     )

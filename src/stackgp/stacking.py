@@ -210,8 +210,29 @@ def fit_design1(X, y, locations, specs, level1: str, plan: FoldPlan,
     return state
 
 
-def _single_column_gp(y, column, points, gp_options) -> GpHyperParams:
-    return fit_hyperparams(y, column[:, None], points, **(gp_options or {}))
+def _fit_level2(state: StackState, y, locations, plan: FoldPlan, members,
+                gp_options: dict | None) -> StackState:
+    """One GP level-1 per (H column, fixed overrides) member, CWM level-2 on top.
+
+    A member's overrides win over gp_options["fixed"]; the level-2 weights
+    are fitted on the members' leave-one-fold-out predictions.
+    """
+    y = np.asarray(y, dtype=float)
+    opts = dict(gp_options or {})
+    fixed = opts.pop("fixed", None) or {}
+    points = _points_array(locations)
+    ref_lat = float(points[:, 1].mean())
+    models, oof_cols = [], []
+    for col, variant in members:
+        params = fit_hyperparams(y, state.H[:, [col]], points,
+                                 fixed={**fixed, **variant}, **opts)
+        models.append(StackedGpModel(params=params, train_points=points,
+                                     P_train=state.P[:, [col]], y=y, ref_lat=ref_lat))
+        oof_cols.append(fold_oof_gp(y, state.H[:, col], params, points, plan))
+    state.level1_kind = "gp+cwm"
+    state.level1 = Level2Stack(members=models, weights=fit_cwm(np.column_stack(oof_cols), y),
+                               member_columns=[col for col, _ in members])
+    return state
 
 
 def fit_design2(X, y, locations, specs, plan: FoldPlan,
@@ -219,20 +240,8 @@ def fit_design2(X, y, locations, specs, plan: FoldPlan,
     """Each learner gets its own GP level-1; a CWM level-2 combines them."""
     state = run_level0(X, y, specs, plan)
     state.design = 2
-    state.level1_kind = "gp+cwm"
-    y = np.asarray(y, dtype=float)
-    points = _points_array(locations)
-    ref_lat = float(points[:, 1].mean())
-    members, oof_cols = [], []
-    for i in range(state.H.shape[1]):
-        params = _single_column_gp(y, state.H[:, i], points, gp_options)
-        members.append(StackedGpModel(params=params, train_points=points,
-                                      P_train=state.P[:, [i]], y=y, ref_lat=ref_lat))
-        oof_cols.append(fold_oof_gp(y, state.H[:, i], params, points, plan))
-    G = np.column_stack(oof_cols)
-    state.level1 = Level2Stack(members=members, weights=fit_cwm(G, y),
-                               member_columns=list(range(state.H.shape[1])))
-    return state
+    return _fit_level2(state, y, locations, plan, [(i, {}) for i in range(len(specs))],
+                       gp_options)
 
 
 def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
@@ -240,28 +249,15 @@ def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
     """One learner feeding several GP level-1 variants, CWM level-2 on top.
 
     Each variant is a dict of fixed natural-scale kernel overrides (e.g.
-    {"log_kappa": ...} for a pinned range, {"phi": 0.0} for no dynamics).
+    {"log_kappa": ...} for a pinned range, {"phi": 0.0} for no dynamics);
+    its keys win over the same keys in gp_options["fixed"].
     """
     if not gp_variants:
         raise ConfigError("fit_design3 needs at least one GP variant")
     state = run_level0(X, y, [spec], plan)
     state.design = 3
-    state.level1_kind = "gp+cwm"
-    y = np.asarray(y, dtype=float)
-    points = _points_array(locations)
-    ref_lat = float(points[:, 1].mean())
-    opts = dict(gp_options or {})
-    members, oof_cols = [], []
-    for variant in gp_variants:
-        params = fit_hyperparams(y, state.H, points,
-                                 fixed=dict(variant), **opts)
-        members.append(StackedGpModel(params=params, train_points=points,
-                                      P_train=state.P, y=y, ref_lat=ref_lat))
-        oof_cols.append(fold_oof_gp(y, state.H @ params.beta, params, points, plan))
-    G = np.column_stack(oof_cols)
-    state.level1 = Level2Stack(members=members, weights=fit_cwm(G, y),
-                               member_columns=[0] * len(members))
-    return state
+    return _fit_level2(state, y, locations, plan, [(0, variant) for variant in gp_variants],
+                       gp_options)
 
 
 def predict_stack(state: StackState, P_pred, pred_points=None) -> np.ndarray:
@@ -275,12 +271,24 @@ def predict_stack(state: StackState, P_pred, pred_points=None) -> np.ndarray:
         raise DataError("GP level-1 prediction needs the prediction points")
     if state.level1_kind == "gp":
         return gp_stacked_predict(state.level1, P_pred, pred_points).mu_star
-    stack: Level2Stack = state.level1
-    combined = np.zeros(P_pred.shape[0])
+    return level2_mean_sd(state.level1, P_pred, pred_points)[0]
+
+
+def level2_mean_sd(stack: Level2Stack, P_pred, pred_points) -> tuple:
+    """Simplex-weighted mean and sd of the level-2 members' GP predictions.
+
+    Member k sees only column member_columns[k] of P_pred. Weighting the sds
+    like the means is exact if the members were perfectly correlated and
+    conservative otherwise.
+    """
+    P_pred = np.asarray(P_pred, dtype=float)
+    mean = np.zeros(P_pred.shape[0])
+    sd = np.zeros(P_pred.shape[0])
     for w, member, col in zip(stack.weights.beta, stack.members, stack.member_columns):
-        cols = P_pred if member.params.beta.size == P_pred.shape[1] else P_pred[:, [col]]
-        combined += w * gp_stacked_predict(member, cols, pred_points).mu_star
-    return combined
+        post = gp_stacked_predict(member, P_pred[:, [col]], pred_points)
+        mean += w * post.mu_star
+        sd += w * post.sd
+    return mean, sd
 
 
 CV_METHOD_CWM = "cwm-stack"

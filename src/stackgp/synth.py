@@ -36,7 +36,7 @@ from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
                       SurveyRecord, assemble_at, assemble_design, save_grid_csv,
                       save_surveys)
 from .errors import ConfigError
-from .gp import GpHyperParams, _chol_with_jitter, matern1_matrix, pairwise_planar_dist
+from .gp import _chol_with_jitter, matern1_matrix, pairwise_planar_dist
 
 REGIME_SHARES = {
     "covariate-heavy": (0.8, 0.2),
@@ -303,15 +303,6 @@ def truth_grid(bundle: SynthBundle) -> tuple[list, dict]:
     prevalence = 1.0 / (1.0 + np.exp(-latent))
     return points, {"g": g, "gp": gp_vals, "latent": latent,
                     "prevalence": prevalence}
-
-
-def true_params(config: ScenarioConfig, bundle: SynthBundle) -> GpHyperParams:
-    """Effective GP parameters after the regime rescaling (for oracle checks)."""
-    marginal = (bundle.meta["gp_scale"] ** 2) / config.tau
-    tau_eff = 1.0 / marginal if marginal > 0 else 1e300
-    return GpHyperParams(log_kappa=math.log(config.kappa), log_tau=math.log(tau_eff),
-                         sigma_e2=max(config.noise_sd**2, 1e-12), phi=config.phi,
-                         beta=np.ones(1))
 
 
 def write_scenario(bundle: SynthBundle, outdir) -> dict:

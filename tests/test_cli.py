@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from stackgp.cli import main
+from stackgp.model_io import load_model
 
 
 def write_yaml(path, payload):
@@ -29,6 +30,9 @@ def scenario(tmp_path_factory):
     })
     assert main(["synth", "--config", str(cfg), "--seed", "7"]) == 0
     return data_dir
+
+
+DESIGN3 = {"design": 3, "learners": [{"kind": "enet"}], "gp_variants": [{}]}
 
 
 def fit_config(scenario, out, **stacking):
@@ -136,12 +140,48 @@ class TestConfigFailures:
         assert main(["fit", "--config", str(cfg), "--set", "gp.seed=-1"]) == 2
         assert "gp.seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stacking, override, key", [
+        ({}, "gp.fixed.phi=2", "gp.fixed.phi"),
+        ({}, "gp.fixed.phi=abc", "gp.fixed.phi"),
+        ({}, "gp.fixed.sigma_e2=-1", "gp.fixed.sigma_e2"),
+        ({}, "gp.fixed.log_tau=.nan", "gp.fixed.log_tau"),
+        ({}, "gp.fixed.log_kappa=true", "gp.fixed.log_kappa"),
+        ({}, "gp.fixed.beta=[1.0]", "gp.fixed.beta"),          # two learners feed it
+        ({}, "gp.fixed.beta=[-1, 2]", "gp.fixed.beta"),
+        ({}, "gp.fixed.beta=[0, 0]", "gp.fixed.beta"),
+        (DESIGN3, "gp.fixed.beta=[0.5, 0.5]", "gp.fixed.beta"),  # single-column members
+        (DESIGN3, "stacking.gp_variants=[{phi: 1.5}]", "stacking.gp_variants[0].phi"),
+    ])
+    def test_bad_fixed_value_exits_2_naming_key(self, scenario, tmp_path, capsys,
+                                                stacking, override, key):
+        cfg = write_yaml(tmp_path / "fit.yaml",
+                         fit_config(scenario, tmp_path / "out", **stacking))
+        assert main(["fit", "--config", str(cfg), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err
+        assert f"{key} must be" in err
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_duplicate_learner_names_exit_2(self, scenario, tmp_path, capsys):
         cfg_dict = fit_config(scenario, tmp_path / "out",
                               learners=[{"kind": "enet"}, {"kind": "enet"}])
         cfg = write_yaml(tmp_path / "fit.yaml", cfg_dict)
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "unique" in capsys.readouterr().err
+
+
+class TestDesign3:
+    def test_gp_fixed_applies_to_every_variant(self, scenario, tmp_path):
+        out = tmp_path / "d3"
+        cfg = write_yaml(tmp_path / "fit.yaml", fit_config(
+            scenario, out, design=3, learners=[{"kind": "enet"}],
+            gp_variants=[{}, {"phi": 0.0}]))
+        assert main(["fit", "--config", str(cfg), "--set", "gp.fixed.log_kappa=1.0",
+                     "--set", "gp.fixed.phi=0.5"]) == 0
+        members = load_model(out / "model.json").level1.members
+        assert [m.params.log_kappa for m in members] == [1.0, 1.0]
+        # the variant's own key wins over gp.fixed
+        assert [m.params.phi for m in members] == [0.5, 0.0]
 
 
 class TestFitAndPredict:
@@ -248,6 +288,18 @@ class TestCv:
         })
         assert main(["cv", "--config", str(cfg)]) == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v", ["abc", "2.5"])
+    def test_bad_fold_count_exits_2(self, scenario, tmp_path, capsys, v):
+        cfg = write_yaml(tmp_path / "cv.yaml", {
+            "data": {"surveys": str(scenario / "surveys.csv"),
+                     "stack": str(scenario / "stack.yaml")},
+            "stacking": {"learners": [{"kind": "enet"}]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["cv", "--config", str(cfg), "--seed", "1",
+                     "--set", f"stacking.v={v}"]) == 2
+        assert "stacking.v must be an integer >= 2" in capsys.readouterr().err
 
     def test_unknown_method_rejected(self, scenario, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "cv.yaml", {

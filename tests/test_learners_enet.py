@@ -3,7 +3,7 @@ import pytest
 
 from stackgp.errors import DataError
 from stackgp.learners import LearnerSpec, fit_learner
-from stackgp.learners.elastic_net import EnetModel, cross_validate_enet, fit_enet
+from stackgp.learners.elastic_net import EnetModel, fit_enet
 
 
 def make_problem(seed, n=60, m=4, noise=0.3):
@@ -139,32 +139,3 @@ class TestEdgeCases:
         p1 = fit_learner(spec, X, y).predict(X)
         p2 = fit_learner(spec, X, y).predict(X)
         np.testing.assert_array_equal(p1, p2)
-
-
-class TestCrossValidation:
-    def test_grid_selection_prefers_informative_penalty(self):
-        rng = np.random.default_rng(11)
-        n, m = 80, 10
-        X = rng.normal(size=(n, m))
-        y = 2.0 * X[:, 0] - 1.0 * X[:, 1] + rng.normal(size=n) * 0.5
-        base = LearnerSpec(kind="enet").params
-        lam1, lam2, table = cross_validate_enet(
-            X, y, [0.0, 1.0, 10.0, 1e4], [0.0, 1.0], 5,
-            np.random.default_rng(0), base)
-        assert lam1 < 1e4
-        assert len(table) == 8
-        held_out = {(l1, l2): m for l1, l2, m in table}
-        assert held_out[(lam1, lam2)] == min(held_out.values())
-
-    def test_tie_breaks_toward_sparser_corner(self):
-        # two penalties so heavy both zero every slope: held-out MSE ties
-        # exactly and the larger lambda1 must win
-        rng = np.random.default_rng(12)
-        X = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
-        base = LearnerSpec(kind="enet").params
-        lam1, lam2, table = cross_validate_enet(
-            X, y, [1e8, 1e9], [1.0], 3, np.random.default_rng(1), base)
-        assert lam1 == 1e9
-        mses = {l1: m for l1, _, m in table}
-        assert mses[1e8] == mses[1e9]

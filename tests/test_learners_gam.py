@@ -8,7 +8,7 @@ from stackgp.learners.gam import (
     _curvature_penalty,
     fit_gam,
 )
-from stackgp.metrics import pearson
+from stackgp.metrics import pearson_flagged
 
 
 class TestExactRecovery:
@@ -25,7 +25,8 @@ class TestExactRecovery:
         y = np.sin(x)
         model = fit_gam(x[:, None], y, LearnerSpec(kind="gam", params={
             "n_splines": 10}).params)
-        assert pearson(model.predict(x[:, None]), y) > 0.99
+        r, degenerate = pearson_flagged(model.predict(x[:, None]), y)
+        assert r > 0.99 and not degenerate
 
     def test_huge_lambda_degenerates_to_linear_trend(self):
         # the curvature penalty's nullspace is the affine functions, so a very

@@ -9,9 +9,7 @@ from stackgp.metrics import (
     ambiguity_decomposition,
     mae,
     mse,
-    pearson,
     pearson_flagged,
-    verify_gp_inequality,
 )
 
 
@@ -25,16 +23,17 @@ class TestBasicMetrics:
         y = np.array([1.0, 2.0, 3.0])
         assert mse(y, y) == 0.0
         assert mae(y, y) == 0.0
-        assert pearson(y, y) == pytest.approx(1.0, abs=1e-12)
+        assert pearson_flagged(y, y) == (pytest.approx(1.0, abs=1e-12), False)
 
     def test_unit_shift(self):
         y = np.array([1.0, 2.0, 3.0])
         assert mse(y + 1, y) == pytest.approx(1.0, abs=1e-12)
         assert mae(y + 1, y) == pytest.approx(1.0, abs=1e-12)
-        assert pearson(y + 1, y) == pytest.approx(1.0, abs=1e-12)
+        assert pearson_flagged(y + 1, y) == (pytest.approx(1.0, abs=1e-12), False)
 
     def test_anticorrelated_pair(self):
-        assert pearson(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(-1.0, abs=1e-12)
+        assert pearson_flagged(np.array([0.0, 1.0]), np.array([1.0, 0.0])) \
+            == (pytest.approx(-1.0, abs=1e-12), False)
 
     def test_degenerate_flag_constant_vector(self):
         r, flag = pearson_flagged(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
@@ -49,7 +48,7 @@ class TestBasicMetrics:
 
     def test_pearson_needs_two_points(self):
         with pytest.raises(DataError):
-            pearson(np.ones(1), np.ones(1))
+            pearson_flagged(np.ones(1), np.ones(1))
 
     @given(hnp.arrays(np.float64, st.integers(2, 30),
                       elements=st.floats(-100, 100)),
@@ -135,36 +134,6 @@ class TestAmbiguityDecomposition:
         f = rng.normal(size=n) * rng.uniform(0.05, 20)
         rep = ambiguity_decomposition(preds, random_simplex(rng, L), f)
         assert rep.residual <= 1e-10 * max(1.0, rep.weighted_error)
-
-
-class TestInequalityReport:
-    def test_identical_ensembles_equal_errors(self):
-        # gp predictions equal to the weighted mean: every pointwise error ties
-        rng = np.random.default_rng(5)
-        f = rng.normal(size=30)
-        P = np.column_stack([f + rng.normal(size=30) * s for s in (0.2, 0.6)])
-        beta = np.array([0.7, 0.3])
-        rep = verify_gp_inequality(P, beta, P @ beta, f)
-        assert rep.mean_e_gp == rep.mean_e_cwm
-        assert rep.frac_gp_not_worse == 1.0
-
-    def test_interpolating_gp_never_worse(self):
-        rng = np.random.default_rng(6)
-        f = rng.normal(size=25)
-        P = np.column_stack([f + rng.normal(size=25), f - rng.normal(size=25)])
-        rep = verify_gp_inequality(P, np.array([0.5, 0.5]), f.copy(), f)
-        assert rep.mean_e_gp == 0.0
-        assert rep.mean_e_gp <= rep.mean_e_cwm
-        assert rep.frac_gp_not_worse == 1.0
-
-    def test_fraction_counts_pointwise(self):
-        f = np.zeros(4)
-        P = np.array([[1.0], [1.0], [0.0], [1.0]])
-        gp_pred = np.array([0.0, 0.0, 1.0, 0.0])
-        rep = verify_gp_inequality(P, np.array([1.0]), gp_pred, f)
-        assert rep.frac_gp_not_worse == pytest.approx(0.75)
-        assert rep.mean_e_gp == pytest.approx(0.25)
-        assert rep.mean_e_cwm == pytest.approx(0.75)
 
 
 class TestCwmDecompositionIntegration:

@@ -3,7 +3,7 @@ import pytest
 
 from stackgp.cwm import SimplexWeights
 from stackgp.errors import ConfigError, DataError
-from stackgp.gp import GpHyperParams, cov_block, gp_condition_dense
+from stackgp.gp import GpHyperParams, cov_block, gp_condition_dense, gp_stacked_predict
 from stackgp.learners import LearnerSpec
 from stackgp.stacking import (
     CvResult,
@@ -14,6 +14,7 @@ from stackgp.stacking import (
     fit_design2,
     fit_design3,
     fold_oof_gp,
+    level2_mean_sd,
     make_folds,
     predict_stack,
     repeat_cv_evaluate,
@@ -294,6 +295,35 @@ class TestPredictStack:
                             gp_options=FAST_GP)
         with pytest.raises(DataError, match="points"):
             predict_stack(state, np.ones((4, 1)))
+
+
+class TestLevel2Prediction:
+    @pytest.mark.parametrize("design", [2, 3])
+    def test_weighted_sum_of_member_predictions(self, design):
+        X, y, loc = make_problem(seed=25, n=20)
+        plan = make_folds(20, 4, seed=21)
+        if design == 2:
+            state = fit_design2(X, y, loc, [mean_spec(), linear_spec()], plan,
+                                gp_options=FAST_GP)
+        else:
+            state = fit_design3(X, y, loc, linear_spec(),
+                                [{"log_kappa": 2.0}, {"log_kappa": -1.0}], plan,
+                                gp_options=FAST_GP)
+        stack = state.level1
+        assert len(stack.members) == 2 and np.all(stack.weights.beta > 0)
+        rng = np.random.default_rng(4)
+        P_new = rng.normal(size=(6, state.P.shape[1]))
+        pts_new = np.column_stack([rng.uniform(30, 31, 6), rng.uniform(-2, -1, 6),
+                                   rng.integers(0, 5, 6).astype(float)])
+        posts = [gp_stacked_predict(member, P_new[:, [col]], pts_new)
+                 for member, col in zip(stack.members, stack.member_columns)]
+        mean = sum(w * post.mu_star for w, post in zip(stack.weights.beta, posts))
+        sd = sum(w * post.sd for w, post in zip(stack.weights.beta, posts))
+        np.testing.assert_array_equal(predict_stack(state, P_new, pts_new), mean)
+        got_mean, got_sd = level2_mean_sd(stack, P_new, pts_new)
+        np.testing.assert_array_equal(got_mean, mean)
+        np.testing.assert_array_equal(got_sd, sd)
+        assert np.all(sd > 0)
 
 
 class TestFoldOofGp:

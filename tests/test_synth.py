@@ -4,8 +4,7 @@ import pytest
 from stackgp.dataset import (assemble_design, empirical_logit,
                              load_stack_manifest, load_surveys)
 from stackgp.errors import ConfigError
-from stackgp.synth import (REGIME_SHARES, ScenarioConfig, generate,
-                           true_params, write_scenario)
+from stackgp.synth import REGIME_SHARES, ScenarioConfig, generate, write_scenario
 
 SMALL = dict(n_surveys=60, n_lon=8, n_lat=8, n_months=8, seed=11)
 
@@ -177,15 +176,3 @@ class TestPersistence:
         assert float(first[0]) == bundle.records[0].lon
         assert int(first[2]) == bundle.records[0].t
         assert float(first[6]) == bundle.truth["latent"][0]
-
-
-class TestTrueParams:
-    def test_effective_precision_matches_rescaling(self):
-        cfg = ScenarioConfig(**SMALL)
-        bundle = generate(cfg)
-        params = true_params(cfg, bundle)
-        marginal = bundle.meta["gp_scale"] ** 2 / cfg.tau
-        assert 1.0 / params.tau == pytest.approx(marginal, rel=1e-12)
-        assert params.phi == cfg.phi
-        assert params.kappa == pytest.approx(cfg.kappa, rel=1e-12)
-        assert params.sigma_e2 == pytest.approx(cfg.noise_sd**2, rel=1e-12)
