@@ -237,16 +237,15 @@ def cmd_predict(config: dict, args) -> int:
     rows = []
     for t in months:
         grid = build_prediction_grid(geometry, t, covariates)
-        points = np.array(grid.cell_points())
         if isinstance(model, StackState):
             P_pred = np.column_stack([m.predict(grid.design) for m in model.level0])
-            mean, sd = _stack_mean_sd(model, P_pred, points)
+            mean, sd = _stack_mean_sd(model, P_pred, grid.points)
         elif isinstance(model, PlainGpModel):
-            post = plain_gp_predict(model, grid.design.values, points)
+            post = plain_gp_predict(model, grid.design.values, grid.points)
             mean, sd = post.mu_star, post.sd
         else:
             raise DataError(f"cannot predict with model type {type(model).__name__}")
-        for (lon, lat, _), m, s in zip(grid.cell_points(), mean, sd):
+        for (lon, lat, _), m, s in zip(grid.points, mean, sd):
             rows.append([_fmt(lon), _fmt(lat), t, _fmt(m), _fmt(s)])
 
     out_path = outdir / "predictions.csv"

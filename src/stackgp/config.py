@@ -13,6 +13,7 @@ writes the fully resolved config next to its outputs as provenance.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import yaml
@@ -29,6 +30,15 @@ SECTION_KEYS = {
     "eval": {"predictions", "truth", "prediction_field", "truth_field"},
 }
 TOP_KEYS = {"output_dir", "seed", "synth"} | set(SECTION_KEYS)
+
+
+class YamlLoader(yaml.SafeLoader):
+    """SafeLoader with YAML 1.2 floats: ``1e-3`` is a float, where YAML 1.1 reads a string."""
+
+
+YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"""^[-+]?(?:
+    (?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?
+    |[0-9]+[eE][-+]?[0-9]+)$""", re.X), list("-+0123456789."))
 
 
 def validate_config(config: dict) -> dict:
@@ -72,7 +82,7 @@ def apply_overrides(config: dict, overrides) -> dict:
         if not keys:
             raise ConfigError(f"override '{item}' has an empty key path")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=YamlLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override '{item}': cannot parse value: {exc}") from exc
         node = config
@@ -93,7 +103,7 @@ def load_config(path, overrides=None) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        config = yaml.safe_load(path.read_text(encoding="utf-8"))
+        config = yaml.load(path.read_text(encoding="utf-8"), Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: cannot parse config: {exc}") from exc
     if config is None:

@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .config import YamlLoader
 from .errors import DataError, SchemaError
 
 EMPIRICAL_LOGIT_C = 0.5
@@ -120,6 +121,14 @@ def save_surveys(records, path) -> None:
             writer.writerow([repr(r.lon), repr(r.lat), r.t, r.n_tested, r.n_positive])
 
 
+class PointError(DataError):
+    """A DataError about one of an array of points; index is its position."""
+
+    def __init__(self, index, message: str):
+        super().__init__(message)
+        self.index = int(index)
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Regular lon/lat lattice; (lon0, lat0) is the north-west cell centre."""
@@ -135,13 +144,15 @@ class GridGeometry:
         if self.n_lon < 1 or self.n_lat < 1 or self.d_lon <= 0 or self.d_lat <= 0:
             raise DataError(f"invalid grid geometry {self}")
 
-    def cell_index(self, lon: float, lat: float) -> tuple[int, int]:
-        """Nearest cell as (row, col); raises when outside the extent."""
-        col = int(np.rint((lon - self.lon0) / self.d_lon))
-        row = int(np.rint((self.lat0 - lat) / self.d_lat))
-        if not (0 <= col < self.n_lon and 0 <= row < self.n_lat):
-            raise DataError(f"point ({lon}, {lat}) outside grid extent")
-        return row, col
+    def cell_index(self, lon, lat):
+        """Nearest cell (row, col) of each point; raises PointError for the first outside the extent."""
+        col = np.rint((np.asarray(lon, dtype=float) - self.lon0) / self.d_lon)
+        row = np.rint((self.lat0 - np.asarray(lat, dtype=float)) / self.d_lat)
+        outside = np.flatnonzero(~((0 <= col) & (col < self.n_lon) & (0 <= row) & (row < self.n_lat)))
+        if outside.size:
+            i = outside[0]
+            raise PointError(i, f"point ({np.ravel(lon)[i]}, {np.ravel(lat)[i]}) outside grid extent")
+        return row.astype(np.intp), col.astype(np.intp)
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return self.lon0 + col * self.d_lon, self.lat0 - row * self.d_lat
@@ -177,29 +188,34 @@ class Covariate:
     name: str
     kind: str
     geometry: GridGeometry
-    slices: dict = field(repr=False)   # slice index -> (n_lat, n_lon) array; static uses {0: ...}
+    slices: np.ndarray = field(repr=False)   # (n_slices, n_lat, n_lon); static has one slice
     t_start: int = 0
     t_end: int = 0
 
-    def slice_for_month(self, t: int) -> np.ndarray:
-        if self.kind in ("static", "synoptic"):
-            return self.slices[0]
-        if t < self.t_start or t > self.t_end:
-            raise DataError(f"covariate '{self.name}': month {t} outside [{self.t_start}, {self.t_end}]")
-        if self.kind == "dynamic-monthly":
-            return self.slices[t - self.t_start]
-        return self.slices[(t - self.t_start) // 12]   # dynamic-annual
+    def values_at(self, lon, lat, t) -> np.ndarray:
+        """Nearest-cell values at points (lon[i], lat[i]) in months t[i].
 
-    def value_at(self, lon: float, lat: float, t: int) -> float:
+        Raises PointError for the first point outside the extent, else for the
+        first month outside [t_start, t_end].
+        """
         row, col = self.geometry.cell_index(lon, lat)
-        return float(self.slice_for_month(t)[row, col])
+        if self.kind in ("static", "synoptic"):
+            return self.slices[0, row, col]
+        t = np.asarray(t)
+        outside = np.flatnonzero((t < self.t_start) | (t > self.t_end))
+        if outside.size:
+            i = outside[0]
+            raise PointError(i, f"covariate '{self.name}': month {t[i]} outside "
+                                f"[{self.t_start}, {self.t_end}]")
+        months_per_slice = 1 if self.kind == "dynamic-monthly" else 12
+        return self.slices[(t - self.t_start) // months_per_slice, row, col]
 
 
 def load_stack_manifest(path) -> list[Covariate]:
     """Load every covariate referenced by a stack manifest; fails loudly on gaps."""
     path = Path(path)
     try:
-        spec = yaml.safe_load(path.read_text(encoding="utf-8"))
+        spec = yaml.load(path.read_text(encoding="utf-8"), Loader=YamlLoader)
     except yaml.YAMLError as exc:
         raise DataError(f"{path}: cannot parse manifest: {exc}") from exc
     if not isinstance(spec, dict) or "covariates" not in spec:
@@ -220,17 +236,16 @@ def load_stack_manifest(path) -> list[Covariate]:
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{path}: covariate '{name}': bad grid geometry: {exc}") from exc
         if kind in ("static", "synoptic"):
-            values = load_grid_csv(base / entry["path"], geometry)
-            covariates.append(Covariate(name, kind, geometry, {0: values}))
+            slices = load_grid_csv(base / entry["path"], geometry)[None]
+            covariates.append(Covariate(name, kind, geometry, slices))
             continue
         t_start, t_end = int(entry["t_start"]), int(entry["t_end"])
         if t_end < t_start:
             raise SchemaError(f"{path}: covariate '{name}': t_end < t_start")
         template = entry["path_template"]
         n_slices = (t_end - t_start + 1) if kind == "dynamic-monthly" else (t_end - t_start) // 12 + 1
-        slices = {}
-        for s in range(n_slices):
-            slices[s] = load_grid_csv(base / template.format(t=s), geometry)
+        slices = np.stack([load_grid_csv(base / template.format(t=s), geometry)
+                           for s in range(n_slices)])
         covariates.append(Covariate(name, kind, geometry, slices, t_start, t_end))
     if not covariates:
         raise SchemaError(f"{path}: manifest lists no covariates")
@@ -290,61 +305,47 @@ class CovariateMatrix:
 
 
 def design_columns(covariates) -> list[tuple[ColumnInfo, "Covariate"]]:
-    cols = []
-    for cov in covariates:
-        if cov.kind == "dynamic-monthly":
-            for lag in MONTHLY_LAGS:
-                cols.append((ColumnInfo(cov.name, lag, cov.kind), cov))
-        else:
-            cols.append((ColumnInfo(cov.name, 0, cov.kind), cov))
-    return cols
+    return [(ColumnInfo(cov.name, lag, cov.kind), cov) for cov in covariates
+            for lag in (MONTHLY_LAGS if cov.kind == "dynamic-monthly" else (0,))]
 
 
 def assemble_at(points, covariates) -> CovariateMatrix:
-    """Assemble the design at arbitrary (lon, lat, t) points.
+    """Assemble the design at points, an (n, 3) array or a sequence of (lon, lat, t).
 
-    points: iterable of (lon, lat, t) triples.
+    Each column checks months >= 0, the extent, then the covariate's months;
+    an error names the column and the first row failing the check.
     """
+    points = np.asarray(points, dtype=float).reshape(len(points), 3)
+    lon, lat, t = points[:, 0], points[:, 1], points[:, 2].astype(int)
     cols = design_columns(covariates)
-    points = list(points)
     values = np.empty((len(points), len(cols)))
     for j, (info, cov) in enumerate(cols):
-        for i, (lon, lat, t) in enumerate(points):
-            t_eff = int(t) - info.lag_months
-            if t_eff < 0:
-                raise DataError(f"row {i}: covariate '{info.label}' needs month {t_eff} < 0")
-            try:
-                values[i, j] = cov.value_at(lon, lat, t_eff)
-            except DataError as exc:
-                raise DataError(f"row {i}: covariate '{info.label}': {exc}") from exc
+        t_eff = t - info.lag_months
+        early = np.flatnonzero(t_eff < 0)
+        if early.size:
+            i = early[0]
+            raise DataError(f"row {i}: covariate '{info.label}' needs month {t_eff[i]} < 0")
+        try:
+            values[:, j] = cov.values_at(lon, lat, t_eff)
+        except PointError as exc:
+            raise DataError(f"row {exc.index}: covariate '{info.label}': {exc}") from exc
     return CovariateMatrix(values=values, columns=tuple(info for info, _ in cols))
 
 
-def assemble_design(surveys, stack) -> CovariateMatrix:
-    """Assemble the survey design matrix from a manifest path or loaded stack."""
-    covariates = load_stack_manifest(stack) if isinstance(stack, (str, Path)) else list(stack)
+def assemble_design(surveys, covariates) -> CovariateMatrix:
+    """Assemble the survey design matrix, one row per survey."""
     return assemble_at([(r.lon, r.lat, r.t) for r in surveys], covariates)
 
 
 @dataclass(frozen=True)
 class PredictionGrid:
-    """Prediction lattice at one month with per-cell covariate vectors."""
+    """Prediction lattice at one month: (lon, lat, t) cell points, row-major, and their design."""
 
-    geometry: GridGeometry
-    t: int
+    points: np.ndarray
     design: CovariateMatrix
 
-    @property
-    def n_cells(self) -> int:
-        return self.geometry.n_lon * self.geometry.n_lat
 
-    def cell_points(self) -> list[tuple[float, float, int]]:
-        lons, lats = self.geometry.cell_centers()
-        return [(float(lo), float(la), self.t) for lo, la in zip(lons, lats)]
-
-
-def build_prediction_grid(geometry: GridGeometry, t: int, stack) -> PredictionGrid:
-    covariates = load_stack_manifest(stack) if isinstance(stack, (str, Path)) else list(stack)
+def build_prediction_grid(geometry: GridGeometry, t: int, covariates) -> PredictionGrid:
     lons, lats = geometry.cell_centers()
-    design = assemble_at([(float(lo), float(la), t) for lo, la in zip(lons, lats)], covariates)
-    return PredictionGrid(geometry=geometry, t=t, design=design)
+    points = np.column_stack([lons, lats, np.full(lons.size, t)])
+    return PredictionGrid(points=points, design=assemble_at(points, covariates))

@@ -94,7 +94,6 @@ class GpPosterior:
     mu_star: np.ndarray
     sigma_star: np.ndarray
     diag_only: bool = True
-    hyperparams: GpHyperParams | None = None
     train: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -612,10 +611,8 @@ def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior
     prm = model.params
     K_train = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
     K_cross = cov_block(model.train_points, pred_points, prm, model.ref_lat)
-    post = gp_condition_dense(model.y, mean_train, mean_pred, K_train, K_cross,
+    return gp_condition_dense(model.y, mean_train, mean_pred, K_train, K_cross,
                               np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
-    post.hyperparams = prm
-    return post
 
 
 @dataclass

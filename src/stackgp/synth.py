@@ -33,8 +33,7 @@ import numpy as np
 import yaml
 
 from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
-                      SurveyRecord, assemble_at, assemble_design, save_grid_csv,
-                      save_surveys)
+                      SurveyRecord, assemble_at, save_grid_csv, save_surveys)
 from .errors import ConfigError
 from .gp import _chol_with_jitter, matern1_matrix, pairwise_planar_dist
 
@@ -151,14 +150,13 @@ def _make_covariates(config: ScenarioConfig, rng: np.random.Generator) -> list:
         name = f"cov{j:02d}"
         if j < n_static:
             covariates.append(Covariate(name, "static", geometry,
-                                        {0: _smooth_surface(rng, config.n_lat, config.n_lon)}))
+                                        _smooth_surface(rng, config.n_lat, config.n_lon)[None]))
             continue
         base = _smooth_surface(rng, config.n_lat, config.n_lon)
         amplitude = 0.5 + 0.5 * np.abs(_smooth_surface(rng, config.n_lat, config.n_lon))
         phase = math.pi * _smooth_surface(rng, config.n_lat, config.n_lon)
-        slices = {}
-        for t in range(config.n_months):
-            slices[t] = base + amplitude * np.sin(2.0 * math.pi * t / 12.0 + phase)
+        slices = np.stack([base + amplitude * np.sin(2.0 * math.pi * t / 12.0 + phase)
+                           for t in range(config.n_months)])
         covariates.append(Covariate(name, "dynamic-monthly", geometry, slices,
                                     t_start=0, t_end=config.n_months - 1))
     return covariates
@@ -234,13 +232,10 @@ def generate(config: ScenarioConfig) -> SynthBundle:
     months = rng_sample.integers(MAX_LAG, config.n_months, size=n)
 
     # snap every survey to its nearest cell so truth and design agree exactly
-    cells = np.array([geometry.cell_index(lo, la) for lo, la in zip(lons, lats)])
-    cell_flat = cells[:, 0] * config.n_lon + cells[:, 1]
+    rows, cols = geometry.cell_index(lons, lats)
+    cell_flat = rows * config.n_lon + cols
 
-    points = [(lo, la, int(t)) for lo, la, t in zip(lons, lats, months)]
-    proto = [SurveyRecord(lon=lo, lat=la, t=int(t), n_tested=1, n_positive=0, y=0.0)
-             for lo, la, t in points]
-    design = assemble_design(proto, covariates)
+    design = assemble_at(np.column_stack([lons, lats, months]), covariates)
 
     col_mean = design.values.mean(axis=0)
     col_sd = design.values.std(axis=0)
@@ -265,7 +260,7 @@ def generate(config: ScenarioConfig) -> SynthBundle:
     n_tested = rng_obs.integers(lo, hi + 1, size=n)
     n_positive = rng_obs.binomial(n_tested, prevalence)
     records = [SurveyRecord.from_counts(lo_, la_, int(t_), int(nt), int(npos))
-               for (lo_, la_, t_), nt, npos in zip(points, n_tested, n_positive)]
+               for lo_, la_, t_, nt, npos in zip(lons, lats, months, n_tested, n_positive)]
 
     truth = {"g": g_vals, "gp": gp_vals, "noise": noise,
              "latent": latent, "prevalence": prevalence}
@@ -277,11 +272,11 @@ def generate(config: ScenarioConfig) -> SynthBundle:
                        design=design, truth=truth, gp_field=gp_field, meta=meta)
 
 
-def truth_grid(bundle: SynthBundle) -> tuple[list, dict]:
+def truth_grid(bundle: SynthBundle) -> tuple[np.ndarray, dict]:
     """Noise-free truth at every cell centre for months >= MAX_LAG.
 
-    Returns (points, columns): points as (lon, lat, t) triples in row-major
-    cell order per month, columns g / gp / latent / prevalence. Months below
+    Returns (points, columns): points as an (n, 3) array of (lon, lat, t),
+    row-major cell order per month, columns g / gp / latent / prevalence. Months below
     MAX_LAG are excluded because lagged design columns are undefined there.
     Values reuse the survey-sample centring and regime scaling, so a survey's
     snapped cell reproduces that survey's latent value minus its noise draw.
@@ -290,19 +285,28 @@ def truth_grid(bundle: SynthBundle) -> tuple[list, dict]:
     geometry = config.geometry
     lons, lats = geometry.cell_centers()
     months = np.arange(MAX_LAG, config.n_months)
-    points = [(float(lo), float(la), int(t)) for t in months
-              for lo, la in zip(lons, lats)]
+    t_col = np.repeat(months, len(lons))
+    cell = np.tile(np.arange(len(lons)), len(months))
+    points = np.column_stack([lons[cell], lats[cell], t_col])
     design = assemble_at(points, bundle.covariates)
     Z = (design.values - bundle.meta["col_mean"]) / bundle.meta["col_sd"]
     g = (_apply_menu(bundle.meta["menu"], Z)
          - bundle.meta["g_center"]) * bundle.meta["g_scale"]
-    t_col = np.repeat(months, len(lons))
-    cell = np.tile(np.arange(len(lons)), len(months))
     gp_vals = bundle.gp_field[t_col, cell]
     latent = config.intercept + g + gp_vals
     prevalence = 1.0 / (1.0 + np.exp(-latent))
     return points, {"g": g, "gp": gp_vals, "latent": latent,
                     "prevalence": prevalence}
+
+
+def _write_truth_csv(path: Path, points, columns: dict) -> None:
+    """One line per (lon, lat, t) point with its truth columns, floats exact."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(["lon", "lat", "t", *columns]) + "\n")
+        for i, (lon, lat, t) in enumerate(points):
+            parts = [repr(float(lon)), repr(float(lat)), str(int(t))]
+            parts += [repr(float(values[i])) for values in columns.values()]
+            fh.write(",".join(parts) + "\n")
 
 
 def write_scenario(bundle: SynthBundle, outdir) -> dict:
@@ -330,7 +334,7 @@ def write_scenario(bundle: SynthBundle, outdir) -> dict:
             entry["t_start"] = cov.t_start
             entry["t_end"] = cov.t_end
             entry["path_template"] = f"grids/{cov.name}_{{t}}.csv"
-            for s, values in cov.slices.items():
+            for s, values in enumerate(cov.slices):
                 save_grid_csv(values, outdir / f"grids/{cov.name}_{s}.csv")
         entries.append(entry)
     manifest_path = outdir / "stack.yaml"
@@ -338,23 +342,9 @@ def write_scenario(bundle: SynthBundle, outdir) -> dict:
                              encoding="utf-8")
 
     truth_path = outdir / "truth.csv"
-    with truth_path.open("w", encoding="utf-8") as fh:
-        fh.write("lon,lat,t,g,gp,noise,latent,prevalence\n")
-        for i, rec in enumerate(bundle.records):
-            parts = [repr(rec.lon), repr(rec.lat), str(rec.t)]
-            parts += [repr(float(bundle.truth[k][i]))
-                      for k in ("g", "gp", "noise", "latent", "prevalence")]
-            fh.write(",".join(parts) + "\n")
-
-    grid_points, grid_cols = truth_grid(bundle)
+    _write_truth_csv(truth_path, [(r.lon, r.lat, r.t) for r in bundle.records], bundle.truth)
     truth_grid_path = outdir / "truth-grid.csv"
-    with truth_grid_path.open("w", encoding="utf-8") as fh:
-        fh.write("lon,lat,t,g,gp,latent,prevalence\n")
-        for i, (lon, lat, t) in enumerate(grid_points):
-            parts = [repr(lon), repr(lat), str(t)]
-            parts += [repr(float(grid_cols[k][i]))
-                      for k in ("g", "gp", "latent", "prevalence")]
-            fh.write(",".join(parts) + "\n")
+    _write_truth_csv(truth_grid_path, *truth_grid(bundle))
 
     return {"surveys": surveys_path, "manifest": manifest_path,
             "truth": truth_path, "truth_grid": truth_grid_path}

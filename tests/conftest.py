@@ -19,10 +19,9 @@ def make_stack(geometry=None, n_months=10, seed=5):
     rng = np.random.default_rng(seed)
     shape = (geometry.n_lat, geometry.n_lon)
     covs = [
-        Covariate("elev", "static", geometry, {0: rng.normal(size=shape)}),
-        Covariate("soil", "static", geometry, {0: rng.normal(size=shape)}),
-        Covariate("rain", "dynamic-monthly", geometry,
-                  {t: rng.normal(size=shape) for t in range(n_months)},
+        Covariate("elev", "static", geometry, rng.normal(size=(1, *shape))),
+        Covariate("soil", "static", geometry, rng.normal(size=(1, *shape))),
+        Covariate("rain", "dynamic-monthly", geometry, rng.normal(size=(n_months, *shape)),
                   t_start=0, t_end=n_months - 1),
     ]
     return covs

@@ -51,6 +51,14 @@ class TestOverrides:
         assert cfg["predict"]["months"] == [6, 7]
         assert cfg["gp"]["fixed"]["phi"] == 0.5
 
+    @pytest.mark.parametrize("raw, value", [
+        ("1e-3", 1e-3), ("2E5", 2e5), ("1.5e3", 1.5e3), ("-.5", -0.5), ("+.5e-1", 0.05)])
+    def test_floats_parse_as_yaml_1_2(self, raw, value):
+        cfg = apply_overrides({}, [f"gp.fixed.sigma_e2={raw}", "stacking.v=10", "cv.region=1e"])
+        assert cfg["gp"]["fixed"]["sigma_e2"] == value
+        assert isinstance(cfg["gp"]["fixed"]["sigma_e2"], float)
+        assert cfg["stacking"]["v"] == 10 and cfg["cv"]["region"] == "1e"
+
     def test_nested_paths_created_on_demand(self):
         cfg = apply_overrides({}, ["a.b.c=1"])
         assert cfg == {"a": {"b": {"c": 1}}}
@@ -79,6 +87,14 @@ class TestLoadConfig:
         path.write_text(yaml.safe_dump({"cv": {"repeats": 3}}))
         cfg = load_config(path, ["cv.repeats=8"])
         assert cfg["cv"]["repeats"] == 8
+
+    def test_exponent_floats_in_file(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("gp:\n  fixed: {sigma_e2: 1e-3}\nstacking:\n  learners:\n"
+                        "  - {kind: gbt, params: {learning_rate: 1e-2, n_rounds: 10}}\n")
+        cfg = load_config(path)
+        assert cfg["gp"]["fixed"]["sigma_e2"] == 1e-3
+        assert cfg["stacking"]["learners"][0]["params"] == {"learning_rate": 1e-2, "n_rounds": 10}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from stackgp.dataset import (
     Covariate,
     GridGeometry,
+    PointError,
     SurveyRecord,
     assemble_at,
     assemble_design,
@@ -108,10 +109,26 @@ class TestGridGeometry:
                 lon, lat = geo.cell_center(row, col)
                 assert geo.cell_index(lon, lat) == (row, col)
 
+    def test_cell_index_of_arrays_matches_scalars(self):
+        geo = make_geometry()
+        lons, lats = geo.cell_centers()
+        rows, cols = geo.cell_index(lons + 0.3 * geo.d_lon, lats - 0.4 * geo.d_lat)
+        expected = [geo.cell_index(lo + 0.3 * geo.d_lon, la - 0.4 * geo.d_lat)
+                    for lo, la in zip(lons, lats)]
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
+        assert rows.tolist() == np.repeat(np.arange(geo.n_lat), geo.n_lon).tolist()
+
     def test_outside_extent_raises(self):
         geo = make_geometry()
         with pytest.raises(DataError):
             geo.cell_index(geo.lon0 - 1.0, geo.lat0)
+
+    def test_outside_extent_names_first_point(self):
+        geo = make_geometry()
+        lons = np.array([geo.lon0, geo.lon0 - 1.0, geo.lon0 - 2.0])
+        with pytest.raises(PointError, match=r"point \(29\.0, -1\.0\)") as info:
+            geo.cell_index(lons, np.full(3, geo.lat0))
+        assert info.value.index == 1
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(DataError):
@@ -185,6 +202,30 @@ class TestAssembly:
         covs = make_stack()
         with pytest.raises(DataError, match=r"row 0.*elev"):
             assemble_at([(0.0, 0.0, 8)], covs)
+
+    @pytest.mark.parametrize("outside, t_bad, message", [
+        (True, 8, r"^row 2: covariate 'elev': point \(0\.0, 0\.0\) outside grid extent$"),
+        (False, 12, r"^row 2: covariate 'rain': covariate 'rain': month 12 outside \[0, 9\]$"),
+        (False, 1, r"^row 2: covariate 'rain_lag2' needs month -1 < 0$"),
+    ])
+    def test_several_bad_rows_name_the_first(self, outside, t_bad, message):
+        covs = make_stack()
+        lon, lat = covs[0].geometry.cell_center(1, 1)
+        bad = (0.0, 0.0, t_bad) if outside else (lon, lat, t_bad)
+        points = [(lon, lat, 9), (lon, lat, 8), bad, (lon, lat, 9), bad, bad]
+        with pytest.raises(DataError, match=message):
+            assemble_at(np.array(points), covs)
+
+    def test_list_of_triples_and_array_give_the_same_matrix(self):
+        covs = make_stack()
+        triples = [(r.lon, r.lat, r.t) for r in make_surveys(n=12)]
+        from_list = assemble_at(triples, covs)
+        from_array = assemble_at(np.array(triples), covs)
+        assert from_list.columns == from_array.columns
+        np.testing.assert_array_equal(from_list.values, from_array.values)
+        assert assemble_at(np.empty((0, 3)), covs).values.shape == (0, 6)
+        with pytest.raises(ValueError):
+            assemble_at(np.zeros((3, 2)), covs)
 
     def test_layout_check_reports_missing_and_extra(self):
         covs = make_stack()
@@ -260,7 +301,7 @@ class TestManifest:
         manifest, _, geo = self._write_scenario(tmp_path, rng)
         lon, lat = geo.cell_center(1, 1)
         surveys = [SurveyRecord.from_counts(lon, lat, 6, 20, 5)]
-        X = assemble_design(surveys, manifest)
+        X = assemble_design(surveys, load_stack_manifest(manifest))
         assert X.labels() == ["elev", "rain", "rain_lag2", "rain_lag4", "rain_lag6"]
 
     def test_dynamic_annual_slices(self, tmp_path, rng):
@@ -281,10 +322,18 @@ class TestManifest:
             "  t_end: 23\n"
             "  path_template: grids/pop_{t}.csv\n")
         covs = load_stack_manifest(manifest)
-        cov = covs[0]
-        assert np.array_equal(cov.slice_for_month(5), blocks[0])
-        assert np.array_equal(cov.slice_for_month(12), blocks[1])
-        assert np.array_equal(cov.slice_for_month(23), blocks[1])
+        for t, block in [(5, 0), (11, 0), (12, 1), (23, 1)]:
+            grid = build_prediction_grid(geo, t, covs)
+            assert np.array_equal(grid.design.values[:, 0].reshape(3, 3), blocks[block])
+        with pytest.raises(DataError, match=r"row 0: covariate 'pop'.*month 24 outside \[0, 23\]"):
+            build_prediction_grid(geo, 24, covs)
+
+    def test_exponent_floats_in_grid(self, tmp_path, rng):
+        manifest, _, geo = self._write_scenario(tmp_path, rng)
+        manifest.write_text(manifest.read_text().replace(f"d_lon: {geo.d_lon}", "d_lon: 1e-1"))
+        covs = load_stack_manifest(manifest)
+        assert covs[0].geometry.d_lon == 0.1
+        assert covs[1].geometry.d_lon == 0.1
 
 
 class TestAssembleFromManifestTime:
@@ -301,12 +350,9 @@ class TestPredictionGrid:
         covs = make_stack()
         geo = covs[0].geometry
         grid = build_prediction_grid(geo, 8, covs)
-        assert grid.n_cells == geo.n_lon * geo.n_lat
-        assert grid.design.n_rows == grid.n_cells
-        pts = grid.cell_points()
         lons, lats = geo.cell_centers()
-        assert pts[0] == (float(lons[0]), float(lats[0]), 8)
-        assert pts[-1] == (float(lons[-1]), float(lats[-1]), 8)
+        np.testing.assert_array_equal(grid.points, np.column_stack([lons, lats, np.full(lons.size, 8)]))
+        assert grid.design.n_rows == geo.n_lon * geo.n_lat
 
     def test_grid_design_matches_direct_lookup(self):
         covs = make_stack()
@@ -315,3 +361,21 @@ class TestPredictionGrid:
         flat = geo.cell_index(*geo.cell_center(2, 4))
         k = flat[0] * geo.n_lon + flat[1]
         assert grid.design.values[k, 0] == covs[0].slices[0][2, 4]
+
+    @pytest.mark.parametrize("t", [6, 9, 12, 17])
+    def test_every_column_is_its_raw_slice(self, t):
+        """Oracle over the whole lattice: column (cov, lag) is cov's slice for month t - lag."""
+        geo = make_geometry()
+        shape = (geo.n_lat, geo.n_lon)
+        rng = np.random.default_rng(7)
+        covs = make_stack(geo, n_months=18) + [
+            Covariate("pop", "dynamic-annual", geo, rng.normal(size=(2, *shape)),
+                      t_start=2, t_end=25)]
+        grid = build_prediction_grid(geo, t, covs)
+        assert grid.design.labels() == ["elev", "soil", "rain", "rain_lag2", "rain_lag4",
+                                        "rain_lag6", "pop"]
+        expected = [covs[0].slices[0], covs[1].slices[0]]
+        expected += [covs[2].slices[t - lag] for lag in (0, 2, 4, 6)]
+        expected += [covs[3].slices[(t - 2) // 12]]
+        for j, raw in enumerate(expected):
+            np.testing.assert_array_equal(grid.design.values[:, j].reshape(shape), raw)
