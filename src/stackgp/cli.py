@@ -1,11 +1,12 @@
 """Command-line pipelines: synth, fit, predict, cv, decompose, eval.
 
-Every command takes ``--config`` (YAML, strictly validated), optional
-``--set key.path=value`` overrides, and ``--seed`` (mandatory for synth and
-cv, which are sampling commands). Outputs land under the output directory
-together with a ``resolved-config.yaml`` provenance copy. All floating-point
-CSV output uses 17 significant digits, so identical configs and inputs give
-byte-identical files.
+Every command takes ``--config`` (YAML, strictly validated when it loads,
+before any input file is read), optional ``--set key.path=value`` overrides,
+and ``--seed`` (mandatory for synth and cv, which are sampling commands).
+``main`` resolves the seed, creates the output directory, runs the command's
+pipeline and then writes a ``resolved-config.yaml`` provenance copy next to
+its outputs. All floating-point CSV output uses 17 significant digits, so
+identical configs and inputs give byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure, 1 anything unexpected. Failures print a single machine-parsable
@@ -16,26 +17,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import load_config, require, write_resolved
+from .config import finite_real, load_config, require, write_resolved
 from .cwm import cwm_predict
 from .dataset import assemble_design, build_prediction_grid, load_stack_manifest, load_surveys
 from .errors import ConfigError, DataError, StackGpError
 from .gp import FIXABLE, fit_plain_gp, gp_stacked_predict, plain_gp_predict, PlainGpModel
 from .learners import LearnerSpec
-from .metrics import ambiguity_decomposition
+from .metrics import ambiguity_decomposition, mae, mse, pearson_flagged
 from .model_io import load_model, save_model
-from .stacking import (CV_METHOD_CWM, CV_METHOD_GP, CV_METHOD_PLAIN, StackState,
-                       fit_design1, fit_design2, fit_design3, level2_mean_sd,
+from .stacking import (StackState, fit_design1, fit_design2, fit_design3, level2_mean_sd,
                        make_folds, repeat_cv_evaluate)
 from .synth import ScenarioConfig, generate, write_scenario
-
-CV_METHODS = ("level0", CV_METHOD_CWM, CV_METHOD_GP, CV_METHOD_PLAIN)
 
 
 def _fmt(x) -> str:
@@ -50,7 +47,7 @@ def _resolve_seed(config: dict, args, required: bool) -> int:
         return args.seed
     if required:
         raise ConfigError(f"--seed is required for '{args.command}'")
-    return int(config.get("seed", 0))
+    return config.get("seed", 0)
 
 
 def _output_dir(config: dict, args) -> Path:
@@ -67,11 +64,10 @@ def _load_training(config: dict):
     records = load_surveys(surveys_path)
     if not records:
         raise DataError(f"{surveys_path}: no survey records")
-    covariates = load_stack_manifest(stack_path)
-    X = assemble_design(records, covariates)
+    X = assemble_design(records, load_stack_manifest(stack_path))
     y = np.array([r.y for r in records])
     points = np.array([[r.lon, r.lat, r.t] for r in records])
-    return records, covariates, X, y, points
+    return X, y, points
 
 
 def _learner_specs(config: dict) -> list:
@@ -89,22 +85,6 @@ def _learner_specs(config: dict) -> list:
     return specs
 
 
-def _fold_count(config: dict) -> int:
-    v = config.get("stacking", {}).get("v", 5)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-        raise ConfigError(f"stacking.v must be an integer >= 2, got {v!r}")
-    return v
-
-
-def _finite_real(value) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int too large for a float
-        return False
-
-
 def _fixed_overrides(fixed, where: str, width: int) -> dict:
     """Checked copy of pinned GP parameters (gp.fixed or one gp_variant).
 
@@ -118,10 +98,10 @@ def _fixed_overrides(fixed, where: str, width: int) -> dict:
     for key, value in fixed.items():
         if key == "beta":
             ok = (isinstance(value, list) and len(value) == width
-                  and all(_finite_real(b) and b >= 0 for b in value) and sum(value) > 0)
+                  and all(finite_real(b) and b >= 0 for b in value) and sum(value) > 0)
             want = f"a list of {width} non-negative finite numbers with a positive sum"
         else:
-            ok = (_finite_real(value) and (key != "sigma_e2" or value > 0)
+            ok = (finite_real(value) and (key != "sigma_e2" or value > 0)
                   and (key != "phi" or abs(value) < 1))
             want = {"sigma_e2": "a finite real > 0",
                     "phi": "a finite real in (-1, 1)"}.get(key, "a finite real")
@@ -131,19 +111,11 @@ def _fixed_overrides(fixed, where: str, width: int) -> dict:
 
 
 def _gp_options(config: dict, width: int) -> dict:
-    """Checked gp section; width is the column count of the GP mean basis."""
-    body = config.get("gp", {})
-    out = {}
-    for key, low, kind in (("restarts", 1, "positive"), ("max_iter", 1, "positive"),
-                           ("seed", 0, "non-negative")):
-        if key in body:
-            v = body[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < low:
-                raise ConfigError(f"gp.{key} must be a {kind} integer, got {v!r}")
-            out[key] = v
-    if "fixed" in body:
-        out["fixed"] = _fixed_overrides(body["fixed"], "gp.fixed", width)
-    return out
+    """The gp section with gp.fixed checked; width is the GP mean basis's column count."""
+    options = dict(config.get("gp", {}))
+    if "fixed" in options:
+        options["fixed"] = _fixed_overrides(options["fixed"], "gp.fixed", width)
+    return options
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -153,27 +125,19 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_synth(config: dict, args) -> int:
-    seed = _resolve_seed(config, args, required=True)
+def cmd_synth(config: dict, seed: int, outdir: Path) -> None:
     if "synth" not in config:
         raise ConfigError("command needs a 'synth' section in the config")
     scenario = ScenarioConfig.from_dict({**config["synth"], "seed": seed})
-    outdir = _output_dir(config, args)
-    bundle = generate(scenario)
-    files = write_scenario(bundle, outdir)
-    write_resolved({**config, "seed": seed}, outdir)
+    files = write_scenario(generate(scenario), outdir)
     for label, path in files.items():
         print(f"{label}: {path}")
-    return 0
 
 
-def cmd_fit(config: dict, args) -> int:
-    seed = _resolve_seed(config, args, required=False)
-    outdir = _output_dir(config, args)
-    _, _, X, y, points = _load_training(config)
+def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
+    X, y, points = _load_training(config)
     stacking = config.get("stacking", {})
     design = stacking.get("design", 1)
-    v = _fold_count(config)
 
     if design == "plain-gp":
         model = fit_plain_gp(y, X.values, points, **_gp_options(config, 1))
@@ -181,8 +145,8 @@ def cmd_fit(config: dict, args) -> int:
         specs = _learner_specs(config)
         # design 1's GP weights every learner column; designs 2 and 3 fit
         # single-column GPs
-        gp_options = _gp_options(config, len(specs) if design == 1 else 1) or None
-        plan = make_folds(len(y), v, seed)
+        gp_options = _gp_options(config, len(specs) if design == 1 else 1)
+        plan = make_folds(len(y), stacking.get("v", 5), seed)
         if design == 1:
             level1 = stacking.get("level1", "gp")
             model = fit_design1(X, y, points, specs, level1, plan, gp_options)
@@ -203,81 +167,52 @@ def cmd_fit(config: dict, args) -> int:
 
     model_path = outdir / "model.json"
     save_model(model, model_path)
-    write_resolved({**config, "seed": seed}, outdir)
     print(f"model: {model_path}")
-    return 0
 
 
-def _stack_mean_sd(state: StackState, P_pred: np.ndarray, points) -> tuple:
-    """Predictive mean and sd for any fitted stack.
+def _mean_sd(model, design, points) -> tuple:
+    """Predictive mean and sd of a fitted stack or plain GP at the design rows.
 
     The CWM has no predictive distribution, so its sd is 0.
     """
-    if state.level1_kind == "cwm":
-        mean = cwm_predict(state.level1, P_pred)
-        return mean, np.zeros_like(mean)
-    if state.level1_kind == "gp":
-        post = gp_stacked_predict(state.level1, P_pred, points)
+    if isinstance(model, PlainGpModel):
+        post = plain_gp_predict(model, design.values, points)
         return post.mu_star, post.sd
-    return level2_mean_sd(state.level1, P_pred, points)
+    P_pred = np.column_stack([m.predict(design) for m in model.level0])
+    if model.level1_kind == "cwm":
+        mean = cwm_predict(model.level1, P_pred)
+        return mean, np.zeros_like(mean)
+    if model.level1_kind == "gp":
+        post = gp_stacked_predict(model.level1, P_pred, points)
+        return post.mu_star, post.sd
+    return level2_mean_sd(model.level1, P_pred, points)
 
 
-def cmd_predict(config: dict, args) -> int:
-    seed = _resolve_seed(config, args, required=False)
-    outdir = _output_dir(config, args)
+def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
     model_path, months = require(config, "predict", "model", "months")
-    if not isinstance(months, list) or not months or \
-            not all(isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in months):
-        raise ConfigError(f"predict.months must be a non-empty list of month indices, got {months!r}")
-    stack_path = require(config, "data", "stack")
-    covariates = load_stack_manifest(stack_path)
+    covariates = load_stack_manifest(require(config, "data", "stack"))
     geometry = covariates[0].geometry
     model = load_model(model_path)
 
     rows = []
     for t in months:
         grid = build_prediction_grid(geometry, t, covariates)
-        if isinstance(model, StackState):
-            P_pred = np.column_stack([m.predict(grid.design) for m in model.level0])
-            mean, sd = _stack_mean_sd(model, P_pred, grid.points)
-        elif isinstance(model, PlainGpModel):
-            post = plain_gp_predict(model, grid.design.values, grid.points)
-            mean, sd = post.mu_star, post.sd
-        else:
-            raise DataError(f"cannot predict with model type {type(model).__name__}")
+        mean, sd = _mean_sd(model, grid.design, grid.points)
         for (lon, lat, _), m, s in zip(grid.points, mean, sd):
             rows.append([_fmt(lon), _fmt(lat), t, _fmt(m), _fmt(s)])
 
     out_path = outdir / "predictions.csv"
     _write_csv(out_path, ["lon", "lat", "t", "mean", "sd"], rows)
-    write_resolved({**config, "seed": seed}, outdir)
     print(f"predictions: {out_path} ({len(rows)} rows)")
-    return 0
 
 
-def cmd_cv(config: dict, args) -> int:
-    seed = _resolve_seed(config, args, required=True)
-    outdir = _output_dir(config, args)
-    _, _, X, y, points = _load_training(config)
+def cmd_cv(config: dict, seed: int, outdir: Path) -> None:
+    X, y, points = _load_training(config)
     specs = _learner_specs(config)
-    v = _fold_count(config)
-    body = config.get("cv", {})
-    repeats = body.get("repeats", 5)
-    region = body.get("region", "region")
-    methods = body.get("methods", list(CV_METHODS))
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("cv.methods must be a non-empty list")
-    bad = sorted(set(methods) - set(CV_METHODS))
-    if bad:
-        raise ConfigError(f"cv.methods {bad} unknown; valid methods are {list(CV_METHODS)}")
-    if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
-        raise ConfigError(f"cv.repeats must be an integer >= 1, got {repeats!r}")
-    if not isinstance(region, str) or not region:
-        raise ConfigError(f"cv.region must be a non-empty string, got {region!r}")
-
-    result = repeat_cv_evaluate(X, y, points, specs, v=v, repeats=repeats, seed=seed,
-                                region=region, gp_options=_gp_options(config, len(specs)) or None,
-                                methods=tuple(methods))
+    # the cv keys (repeats, region, methods) are repeat_cv_evaluate's arguments
+    result = repeat_cv_evaluate(X, y, points, specs, v=config.get("stacking", {}).get("v", 5),
+                                seed=seed, gp_options=_gp_options(config, len(specs)),
+                                **config.get("cv", {}))
 
     metrics_path = outdir / "metrics.csv"
     _write_csv(metrics_path, ["method", "region", "repeat", "mse", "mae", "correlation"],
@@ -289,15 +224,11 @@ def cmd_cv(config: dict, args) -> int:
                [[s["method"], s["region"], _fmt(s["mse"]), _fmt(s["mae"]),
                  _fmt(s["correlation"]), s["n_degenerate_correlation"]]
                 for s in result.summary])
-    write_resolved({**config, "seed": seed}, outdir)
     print(f"metrics: {metrics_path}")
     print(f"summary: {summary_path}")
-    return 0
 
 
-def cmd_decompose(config: dict, args) -> int:
-    seed = _resolve_seed(config, args, required=False)
-    outdir = _output_dir(config, args)
+def cmd_decompose(config: dict, seed: int, outdir: Path) -> None:
     model_path = require(config, "decompose", "model")
     surveys_path = require(config, "data", "surveys")
     model = load_model(model_path)
@@ -319,10 +250,8 @@ def cmd_decompose(config: dict, args) -> int:
     _write_csv(summary_path, ["weighted_error", "ambiguity", "ensemble_error", "residual"],
                [[_fmt(report.weighted_error), _fmt(report.ambiguity),
                  _fmt(report.ensemble_error), _fmt(report.residual)]])
-    write_resolved({**config, "seed": seed}, outdir)
     print(f"decomposition: {point_path}")
     print(f"summary: {summary_path}")
-    return 0
 
 
 def _read_table(path) -> dict:
@@ -346,13 +275,9 @@ def _read_table(path) -> dict:
     return out
 
 
-def cmd_eval(config: dict, args) -> int:
-    from .metrics import mae as mae_fn, mse as mse_fn, pearson_flagged
-
-    seed = _resolve_seed(config, args, required=False)
-    outdir = _output_dir(config, args)
+def cmd_eval(config: dict, seed: int, outdir: Path) -> None:
     pred_path, truth_path = require(config, "eval", "predictions", "truth")
-    body = config.get("eval", {})
+    body = config["eval"]
     pred_field = body.get("prediction_field", "mean")
     truth_field = body.get("truth_field", "latent")
 
@@ -378,20 +303,19 @@ def cmd_eval(config: dict, args) -> int:
     _write_csv(summary_path,
                ["n", "mse", "mae", "correlation", "degenerate_correlation",
                 "unmatched_predictions", "unmatched_truth"],
-               [[len(keys), _fmt(mse_fn(yhat, ytrue)), _fmt(mae_fn(yhat, ytrue)),
+               [[len(keys), _fmt(mse(yhat, ytrue)), _fmt(mae(yhat, ytrue)),
                  _fmt(corr), int(degenerate), missing[0], missing[1]]])
-    write_resolved({**config, "seed": seed}, outdir)
-    print(f"eval: {summary_path} (n={len(keys)}, mse={_fmt(mse_fn(yhat, ytrue))})")
-    return 0
+    print(f"eval: {summary_path} (n={len(keys)}, mse={_fmt(mse(yhat, ytrue))})")
 
 
+# command -> (pipeline, whether --seed is mandatory, help text)
 COMMANDS = {
-    "synth": cmd_synth,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "cv": cmd_cv,
-    "decompose": cmd_decompose,
-    "eval": cmd_eval,
+    "synth": (cmd_synth, True, "generate a synthetic scenario with known truth"),
+    "fit": (cmd_fit, False, "fit a stacked model (or the plain-GP baseline) and save it"),
+    "predict": (cmd_predict, False, "predict a lattice from a saved model (mean and sd per cell)"),
+    "cv": (cmd_cv, True, "repeated v-fold cross-validated comparison of all methods"),
+    "decompose": (cmd_decompose, False, "ambiguity decomposition of a fitted CWM stack"),
+    "eval": (cmd_eval, False, "score a prediction table against a truth table"),
 }
 
 
@@ -408,16 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stackgp",
         description="Stacked geostatistical prevalence modelling pipelines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "synth": "generate a synthetic scenario with known truth",
-        "fit": "fit a stacked model (or the plain-GP baseline) and save it",
-        "predict": "predict a lattice from a saved model (mean and sd per cell)",
-        "cv": "repeated v-fold cross-validated comparison of all methods",
-        "decompose": "ambiguity decomposition of a fitted CWM stack",
-        "eval": "score a prediction table against a truth table",
-    }
-    for name, fn in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, _, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -425,7 +341,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
-        return COMMANDS[args.command](config, args)
+        run, seed_required, _ = COMMANDS[args.command]
+        seed = _resolve_seed(config, args, seed_required)
+        outdir = _output_dir(config, args)
+        run(config, seed, outdir)
+        write_resolved({**config, "seed": seed}, outdir)
+        return 0
     except StackGpError as exc:
         print(f"stackgp: error category={exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,10 +1,12 @@
 """Run configuration: strict YAML schema plus dotted-path overrides.
 
 A config is a plain mapping with per-command sections. Validation is strict
-at every level it owns: unknown top-level keys and unknown keys inside any
-known section are configuration errors, raised before any compute starts.
-Keys whose values are domain objects (learner specs, scenario fields) are
-re-validated by their own constructors, so a typo anywhere fails fast.
+at every level it owns: unknown top-level keys, unknown keys inside any known
+section and every plain value that fails its check in KEYS are configuration
+errors, raised when the config loads, before any input file is read. Keys
+whose values are domain objects (learner specs, GP overrides, scenario
+fields) or dispatch names are checked by the code that uses them. The value
+predicates here are shared with the learner and scenario schemas.
 
 ``--set a.b.c=value`` overrides parse the value as YAML, so ``v=10`` is an
 int, ``months=[6,7]`` a list, and ``region=north`` a string. Every command
@@ -13,6 +15,7 @@ writes the fully resolved config next to its outputs as provenance.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -20,16 +23,87 @@ import yaml
 
 from .errors import ConfigError
 
-SECTION_KEYS = {
-    "data": {"surveys", "stack"},
-    "stacking": {"design", "level1", "v", "learners", "gp_variants"},
-    "gp": {"restarts", "max_iter", "seed", "fixed"},
-    "cv": {"repeats", "region", "methods"},
-    "predict": {"model", "months"},
-    "decompose": {"model"},
-    "eval": {"predictions", "truth", "prediction_field", "truth_field"},
+
+def integer(v) -> bool:
+    """An int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def int_at_least(lo):
+    """Predicate: an integer >= lo."""
+    return lambda v: integer(v) and v >= lo
+
+
+def real(v) -> bool:
+    """An int or float that is not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def finite_real(v) -> bool:
+    """A real that is neither infinite nor NaN."""
+    if not real(v):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
+def positive_real(v) -> bool:
+    return real(v) and v > 0
+
+
+def non_negative_real(v) -> bool:
+    return real(v) and v >= 0
+
+
+def fraction(v) -> bool:
+    return real(v) and 0 < v <= 1
+
+
+def optional(check):
+    return lambda v: v is None or check(v)
+
+
+def text(v) -> bool:
+    """A non-empty string."""
+    return isinstance(v, str) and v != ""
+
+
+# Every config key -> (check, description), or None for a key whose value
+# the code that uses it checks (named in the comment): a domain object or a
+# dispatch name.
+KEYS = {
+    "output_dir": (text, "a path string"),
+    "seed": (int_at_least(0), "a non-negative integer"),
+    "synth": (lambda v: isinstance(v, dict), "a mapping of scenario fields"),
+    "data.surveys": (text, "a path string"),
+    "data.stack": (text, "a path string"),
+    "stacking.design": None,        # cli.cmd_fit
+    "stacking.level1": None,        # stacking.fit_design1
+    "stacking.v": (int_at_least(2), "an integer >= 2"),
+    "stacking.learners": None,      # cli._learner_specs, LearnerSpec
+    "stacking.gp_variants": None,   # cli.cmd_fit, cli._fixed_overrides
+    "gp.restarts": (int_at_least(1), "a positive integer"),
+    "gp.max_iter": (int_at_least(1), "a positive integer"),
+    "gp.seed": (int_at_least(0), "a non-negative integer"),
+    "gp.fixed": None,               # cli._fixed_overrides
+    "cv.repeats": (int_at_least(1), "an integer >= 1"),
+    "cv.region": (text, "a non-empty string"),
+    "cv.methods": (lambda v: isinstance(v, list) and v != [] and all(map(text, v)),
+                   "a non-empty list of method names"),   # names: stacking.repeat_cv_evaluate
+    "predict.model": (text, "a path string"),
+    "predict.months": (lambda v: isinstance(v, list) and v != [] and all(map(int_at_least(0), v)),
+                       "a non-empty list of month indices"),
+    "decompose.model": (text, "a path string"),
+    "eval.predictions": (text, "a path string"),
+    "eval.truth": (text, "a path string"),
+    "eval.prediction_field": (text, "a column name"),
+    "eval.truth_field": (text, "a column name"),
 }
-TOP_KEYS = {"output_dir", "seed", "synth"} | set(SECTION_KEYS)
+TOP_KEYS = {key.partition(".")[0] for key in KEYS}
+_SECTIONED = [key.split(".") for key in KEYS if "." in key]
+SECTION_KEYS = {section: {k for s, k in _SECTIONED if s == section} for section, _ in _SECTIONED}
 
 
 class YamlLoader(yaml.SafeLoader):
@@ -42,7 +116,7 @@ YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"""^[-+]
 
 
 def validate_config(config: dict) -> dict:
-    """Reject unknown keys and malformed section shapes; returns the config."""
+    """Reject unknown keys, malformed sections and values failing KEYS; returns the config."""
     if not isinstance(config, dict):
         raise ConfigError(f"config must be a mapping, got {type(config).__name__}")
     unknown = sorted(set(config) - TOP_KEYS)
@@ -58,17 +132,13 @@ def validate_config(config: dict) -> dict:
         if bad:
             raise ConfigError(f"section '{section}': unknown key(s) {bad}; "
                               f"valid keys are {sorted(allowed)}")
-    if "synth" in config:
-        if not isinstance(config["synth"], dict):
-            raise ConfigError("section 'synth' must be a mapping")
-        if "seed" in config["synth"]:
-            raise ConfigError("section 'synth' must not set 'seed'; pass --seed instead")
-    if "seed" in config:
-        seed = config["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"seed must be an unsigned integer, got {seed!r}")
-    if "output_dir" in config and not isinstance(config["output_dir"], str):
-        raise ConfigError("output_dir must be a string path")
+    for key, entry in KEYS.items():
+        section, _, name = key.rpartition(".")
+        body = config.get(section, {}) if section else config
+        if entry is not None and name in body and not entry[0](body[name]):
+            raise ConfigError(f"{key} must be {entry[1]}, got {body[name]!r}")
+    if "seed" in config.get("synth", {}):
+        raise ConfigError("section 'synth' must not set 'seed'; pass --seed instead")
     return config
 
 

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import YamlLoader
+from .config import YamlLoader, int_at_least, text
 from .errors import DataError, SchemaError
 
 EMPIRICAL_LOGIT_C = 0.5
@@ -211,6 +211,14 @@ class Covariate:
         return self.slices[(t - self.t_start) // months_per_slice, row, col]
 
 
+def _manifest_field(path, name, entry, key, check, description):
+    """entry[key] if it passes check, else a SchemaError naming the file, covariate and key."""
+    value = entry.get(key)
+    if not check(value):
+        raise SchemaError(f"{path}: covariate '{name}': '{key}' must be {description}, got {value!r}")
+    return value
+
+
 def load_stack_manifest(path) -> list[Covariate]:
     """Load every covariate referenced by a stack manifest; fails loudly on gaps."""
     path = Path(path)
@@ -220,13 +228,17 @@ def load_stack_manifest(path) -> list[Covariate]:
         raise DataError(f"{path}: cannot parse manifest: {exc}") from exc
     if not isinstance(spec, dict) or "covariates" not in spec:
         raise SchemaError(f"{path}: manifest must be a mapping with a 'covariates' list")
+    if not isinstance(spec["covariates"], list):
+        raise SchemaError(f"{path}: 'covariates' must be a list, got {spec['covariates']!r}")
     base = path.parent
     covariates = []
     seen = set()
-    for entry in spec["covariates"]:
+    for i, entry in enumerate(spec["covariates"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: covariate entry {i} must be a mapping, got {entry!r}")
         name = entry.get("name")
         kind = entry.get("kind")
-        if not name or kind not in KINDS:
+        if not text(name) or kind not in KINDS:
             raise SchemaError(f"{path}: covariate entry needs a name and kind in {KINDS}, got {entry!r}")
         if name in seen:
             raise SchemaError(f"{path}: duplicate covariate name '{name}'")
@@ -236,13 +248,15 @@ def load_stack_manifest(path) -> list[Covariate]:
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{path}: covariate '{name}': bad grid geometry: {exc}") from exc
         if kind in ("static", "synoptic"):
-            slices = load_grid_csv(base / entry["path"], geometry)[None]
+            grid_path = _manifest_field(path, name, entry, "path", text, "a path string")
+            slices = load_grid_csv(base / grid_path, geometry)[None]
             covariates.append(Covariate(name, kind, geometry, slices))
             continue
-        t_start, t_end = int(entry["t_start"]), int(entry["t_end"])
+        t_start, t_end = (_manifest_field(path, name, entry, key, int_at_least(0),
+                                          "a non-negative integer") for key in ("t_start", "t_end"))
         if t_end < t_start:
             raise SchemaError(f"{path}: covariate '{name}': t_end < t_start")
-        template = entry["path_template"]
+        template = _manifest_field(path, name, entry, "path_template", text, "a path template string")
         n_slices = (t_end - t_start + 1) if kind == "dynamic-monthly" else (t_end - t_start) // 12 + 1
         slices = np.stack([load_grid_csv(base / template.format(t=s), geometry)
                            for s in range(n_slices)])

@@ -505,8 +505,7 @@ def _optimize(objective, x0: np.ndarray, context: str, *, restarts: int, max_ite
     return best_raw
 
 
-def fit_hyperparams(y, mean_basis, points, init: GpHyperParams | None = None, *,
-                    fixed: dict | None = None, restarts: int = 2,
+def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restarts: int = 2,
                     max_iter: int = 400, seed: int = 0) -> GpHyperParams:
     """Maximise the log marginal likelihood over the raw coordinates.
 
@@ -523,8 +522,6 @@ def fit_hyperparams(y, mean_basis, points, init: GpHyperParams | None = None, *,
     pts = np.asarray(points, dtype=float)
     D, dT = _train_geometry(pts)
     codec = _RawCodec(basis.shape[1], fixed)
-    if init is None:
-        init = default_init(y, basis, pts)
     if "beta" in codec.fixed:
         codec.fixed["beta"] = np.asarray(codec.fixed["beta"], dtype=float)
 
@@ -537,7 +534,7 @@ def fit_hyperparams(y, mean_basis, points, init: GpHyperParams | None = None, *,
             return 1e30
         return -ll if np.isfinite(ll) else 1e30
 
-    x0 = codec.pack(init)
+    x0 = codec.pack(default_init(y, basis, pts))
     if codec.size() == 0:
         return codec.unpack(x0)
     return codec.unpack(_optimize(objective, x0, "fit_hyperparams", restarts=restarts,

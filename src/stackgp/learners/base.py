@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import fraction, int_at_least, non_negative_real, optional, positive_real
 from ..dataset import ColumnInfo, CovariateMatrix
 from ..errors import ConfigError, DataError, SchemaError
 from .boosting import GbtModel, fit_gbt
@@ -23,62 +24,44 @@ from .linear import LinearModel, fit_linear
 from .mars import MarsModel, fit_mars
 
 
-def _positive_int(lo=1):
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
-
-def _non_negative_int(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-def _positive_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-
-def _non_negative_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
-
-def _fraction(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= 1
-
-def _optional(check):
-    return lambda v: v is None or check(v)
-
 def _lambda_grid(v):
-    return v is None or (hasattr(v, "__iter__") and all(_non_negative_real(x) for x in v))
+    return v is None or (hasattr(v, "__iter__") and all(non_negative_real(x) for x in v))
 
 
 # kind -> {param: (default, validator, description)}
 PARAM_SCHEMAS = {
     "gbt": {
-        "n_rounds": (150, _non_negative_int, "number of boosting rounds (>= 0)"),
-        "learning_rate": (0.1, _positive_real, "shrinkage per round (> 0)"),
-        "max_depth": (3, _positive_int(), "tree depth limit (>= 1)"),
-        "min_samples_leaf": (5, _positive_int(), "minimum rows per leaf (>= 1)"),
-        "subsample_rows": (0.8, _fraction, "row fraction per round ((0, 1])"),
-        "subsample_cols": (1.0, _fraction, "column fraction per round ((0, 1])"),
+        "n_rounds": (150, int_at_least(0), "number of boosting rounds (>= 0)"),
+        "learning_rate": (0.1, positive_real, "shrinkage per round (> 0)"),
+        "max_depth": (3, int_at_least(1), "tree depth limit (>= 1)"),
+        "min_samples_leaf": (5, int_at_least(1), "minimum rows per leaf (>= 1)"),
+        "subsample_rows": (0.8, fraction, "row fraction per round ((0, 1])"),
+        "subsample_cols": (1.0, fraction, "column fraction per round ((0, 1])"),
     },
     "rf": {
-        "n_trees": (60, _positive_int(), "number of bootstrap trees (>= 1)"),
-        "max_depth": (12, _optional(_positive_int()), "tree depth limit or null"),
-        "min_samples_leaf": (5, _positive_int(), "minimum rows per leaf (>= 1)"),
-        "max_features": (None, _optional(_positive_int()), "columns tried per split; null = ceil(m/3)"),
+        "n_trees": (60, int_at_least(1), "number of bootstrap trees (>= 1)"),
+        "max_depth": (12, optional(int_at_least(1)), "tree depth limit or null"),
+        "min_samples_leaf": (5, int_at_least(1), "minimum rows per leaf (>= 1)"),
+        "max_features": (None, optional(int_at_least(1)), "columns tried per split; null = ceil(m/3)"),
         "bootstrap": (True, lambda v: isinstance(v, bool), "resample rows per tree; false = identity resample"),
     },
     "enet": {
-        "lambda1": (1.0, _non_negative_real, "l1 penalty weight (>= 0)"),
-        "lambda2": (1.0, _non_negative_real, "l2 penalty weight (>= 0)"),
-        "max_iter": (10_000, _positive_int(), "coordinate-descent sweep limit"),
-        "tol": (1e-10, _positive_real, "max coefficient change to declare convergence"),
+        "lambda1": (1.0, non_negative_real, "l1 penalty weight (>= 0)"),
+        "lambda2": (1.0, non_negative_real, "l2 penalty weight (>= 0)"),
+        "max_iter": (10_000, int_at_least(1), "coordinate-descent sweep limit"),
+        "tol": (1e-10, positive_real, "max coefficient change to declare convergence"),
     },
     "gam": {
-        "n_splines": (8, _positive_int(4), "basis functions per smooth term (>= 4)"),
-        "max_backfit": (30, _positive_int(), "backfitting sweep limit"),
-        "tol": (1e-8, _positive_real, "relative fitted-value change to declare convergence"),
+        "n_splines": (8, int_at_least(4), "basis functions per smooth term (>= 4)"),
+        "max_backfit": (30, int_at_least(1), "backfitting sweep limit"),
+        "tol": (1e-8, positive_real, "relative fitted-value change to declare convergence"),
         "lambda_grid": (None, _lambda_grid, "candidate smoothing weights; null = logspace(-4, 4, 13)"),
     },
     "mars": {
-        "max_terms": (15, _positive_int(2), "basis-function cap including intercept"),
-        "max_degree": (2, _positive_int(), "hinge factors per basis function"),
-        "max_knots": (15, _positive_int(), "candidate knots per (parent, variable) search"),
-        "gcv_penalty": (3.0, _non_negative_real, "effective parameters charged per knot"),
+        "max_terms": (15, int_at_least(2), "basis-function cap including intercept"),
+        "max_degree": (2, int_at_least(1), "hinge factors per basis function"),
+        "max_knots": (15, int_at_least(1), "candidate knots per (parent, variable) search"),
+        "gcv_penalty": (3.0, non_negative_real, "effective parameters charged per knot"),
     },
     "linear-mean": {},
 }
@@ -103,10 +86,14 @@ class LearnerSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in PARAM_SCHEMAS:
-            raise ConfigError(f"unknown learner kind '{self.kind}', expected one of {sorted(PARAM_SCHEMAS)}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not isinstance(self.kind, str) or self.kind not in PARAM_SCHEMAS:
+            raise ConfigError(f"unknown learner kind {self.kind!r}, expected one of {sorted(PARAM_SCHEMAS)}")
+        if not int_at_least(0)(self.seed):
             raise ConfigError(f"learner '{self.kind}': seed must be an unsigned integer, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"learner '{self.kind}': params must be a mapping, got {self.params!r}")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"learner '{self.kind}': name must be a string, got {self.name!r}")
         schema = PARAM_SCHEMAS[self.kind]
         unknown = sorted(set(self.params) - set(schema))
         if unknown:
@@ -128,8 +115,12 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})),
-                   seed=int(d.get("seed", 0)), name=d.get("name", ""))
+        unknown = sorted(map(str, set(d) - {"kind", "params", "seed", "name"}))
+        if unknown:
+            raise ConfigError(f"learner entry: unknown key(s) {unknown}; "
+                              "valid keys are ['kind', 'name', 'params', 'seed']")
+        return cls(kind=d.get("kind"), params=d.get("params", {}),
+                   seed=d.get("seed", 0), name=d.get("name", ""))
 
 
 @dataclass

@@ -294,6 +294,7 @@ def level2_mean_sd(stack: Level2Stack, P_pred, pred_points) -> tuple:
 CV_METHOD_CWM = "cwm-stack"
 CV_METHOD_GP = "gp-stack"
 CV_METHOD_PLAIN = "plain-gp"
+CV_METHODS = ("level0", CV_METHOD_CWM, CV_METHOD_GP, CV_METHOD_PLAIN)
 
 
 @dataclass
@@ -335,8 +336,7 @@ def _summarise(rows, region: str) -> list:
 def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
                        seed: int = 0, region: str = "region",
                        gp_options: dict | None = None,
-                       methods: tuple = ("level0", CV_METHOD_CWM, CV_METHOD_GP,
-                                         CV_METHOD_PLAIN)) -> CvResult:
+                       methods=CV_METHODS) -> CvResult:
     """Repeated v-fold scoring of every method's out-of-fold predictions.
 
     Level-0 columns are scored on H directly. The CWM stack is scored on
@@ -347,6 +347,9 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    unknown = [m for m in methods if m not in CV_METHODS]
+    if unknown:
+        raise ConfigError(f"cv methods {unknown} unknown; valid methods are {list(CV_METHODS)}")
     if isinstance(X, CovariateMatrix):
         X = X.values
     X = np.asarray(X, dtype=float)

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .config import finite_real, integer
 from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
                       SurveyRecord, assemble_at, save_grid_csv, save_surveys)
 from .errors import ConfigError
@@ -43,6 +44,14 @@ REGIME_SHARES = {
     "balanced": (0.5, 0.5),
 }
 MAX_LAG = max(MONTHLY_LAGS)
+# ScenarioConfig field annotation -> (check, description)
+_FIELD_TYPES = {
+    "int": (integer, "an integer"),
+    "float": (finite_real, "a finite real"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(integer, v)),
+              "a pair of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            check, description = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ConfigError(f"{f.name} must be {description}, got {value!r}")
         if self.regime not in REGIME_SHARES:
             raise ConfigError(f"regime must be one of {sorted(REGIME_SHARES)}, got {self.regime!r}")
         for key in ("n_surveys", "m_covariates", "n_lon", "n_lat", "n_months"):
@@ -89,7 +103,6 @@ class ScenarioConfig:
         lo, hi = self.n_tested_range
         if not (1 <= lo <= hi):
             raise ConfigError(f"n_tested_range must be 1 <= lo <= hi, got {self.n_tested_range}")
-        object.__setattr__(self, "n_tested_range", (int(lo), int(hi)))
 
     @property
     def geometry(self) -> GridGeometry:
@@ -110,7 +123,7 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown scenario key(s) {unknown}; valid keys are {sorted(known)}")
         d = dict(d)
-        if "n_tested_range" in d:
+        if isinstance(d.get("n_tested_range"), list):
             d["n_tested_range"] = tuple(d["n_tested_range"])
         return cls(**d)
 

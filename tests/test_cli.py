@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
-from stackgp.cli import main
+from stackgp.cli import COMMANDS, main
+from stackgp.config import KEYS
 from stackgp.model_io import load_model
 
 
@@ -161,6 +162,58 @@ class TestConfigFailures:
         assert "stackgp: error category=config:" in err
         assert f"{key} must be" in err
         assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("fit", "data.surveys=5", "data.surveys"),
+        ("fit", "data.stack=5", "data.stack"),
+        ("predict", "predict.model=5", "predict.model"),
+        ("decompose", "decompose.model=5", "decompose.model"),
+        ("eval", "eval.predictions=5", "eval.predictions"),
+        ("eval", "eval.truth=5", "eval.truth"),
+        ("eval", "eval.truth_field=[1]", "eval.truth_field"),
+    ])
+    def test_wrong_typed_input_exits_2_naming_key(self, scenario, cwm_fit, tmp_path, capsys,
+                                                  command, override, key):
+        table = tmp_path / "table.csv"
+        table.write_text("lon,lat,t,mean\n1.0,2.0,0,0.5\n")
+        cfg = write_yaml(tmp_path / "run.yaml", {
+            **fit_config(scenario, tmp_path / "out"),
+            "predict": {"model": str(cwm_fit / "model.json"), "months": [6]},
+            "decompose": {"model": str(cwm_fit / "model.json")},
+            "eval": {"predictions": str(table), "truth": str(table), "truth_field": "mean"},
+        })
+        assert main([command, "--config", str(cfg), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err
+        assert f"{key} must be" in err
+
+    def test_values_checked_before_inputs_are_read(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "cv.yaml", {
+            "data": {"surveys": str(tmp_path / "absent.csv"),
+                     "stack": str(tmp_path / "absent.yaml")},
+            "stacking": {"learners": [{"kind": "enet"}]},
+            "cv": {"repeats": 0},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["cv", "--config", str(cfg), "--seed", "1"]) == 2
+        assert "cv.repeats must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [key for key, entry in KEYS.items() if entry is not None])
+    @pytest.mark.parametrize("value", ["true", "[[]]"])
+    def test_every_checked_key_rejects_wrong_type(self, tmp_path, capsys, key, value):
+        cfg = write_yaml(tmp_path / "empty.yaml", {})
+        assert main(["eval", "--config", str(cfg), "--output-dir", str(tmp_path / "out"),
+                     "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err
+        assert f"{key} must be" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_duplicate_learner_names_exit_2(self, scenario, tmp_path, capsys):
         cfg_dict = fit_config(scenario, tmp_path / "out",

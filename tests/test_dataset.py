@@ -297,6 +297,27 @@ class TestManifest:
         with pytest.raises(SchemaError):
             load_stack_manifest(manifest)
 
+    @pytest.mark.parametrize("old, new, names", [
+        ("covariates:\n", "covariates: 5\nrest:\n", ["'covariates'"]),
+        ("- name: rain\n", "- 5\n- name: rain\n", ["entry 1", "mapping"]),
+        ("  path: grids/elev.csv\n", "", ["elev", "'path'"]),
+        ("  t_start: 0\n", "", ["rain", "'t_start'"]),
+        ("  t_end: 9\n", "", ["rain", "'t_end'"]),
+        ("  path_template: grids/rain_{t}.csv\n", "", ["rain", "'path_template'"]),
+        ("t_start: 0", "t_start: -3", ["rain", "'t_start'"]),
+        ("t_start: 0", "t_start: 0.5", ["rain", "'t_start'"]),
+        ("t_end: 9", "t_end: abc", ["rain", "'t_end'"]),
+    ], ids=["covariates-not-list", "entry-not-mapping", "no-path", "no-t_start", "no-t_end",
+            "no-path_template", "negative-t_start", "float-t_start", "string-t_end"])
+    def test_malformed_entry_named(self, tmp_path, rng, old, new, names):
+        manifest, _, _ = self._write_scenario(tmp_path, rng)
+        assert old in manifest.read_text()
+        manifest.write_text(manifest.read_text().replace(old, new))
+        with pytest.raises(SchemaError) as info:
+            load_stack_manifest(manifest)
+        for name in [str(manifest), *names]:
+            assert name in str(info.value)
+
     def test_assemble_from_manifest_path(self, tmp_path, rng):
         manifest, _, geo = self._write_scenario(tmp_path, rng)
         lon, lat = geo.cell_center(1, 1)

@@ -590,7 +590,7 @@ class TestFitHyperparams:
     def test_improves_on_init(self):
         y, basis, pts = self.make_data()
         init = default_init(y, basis, pts)
-        fitted = fit_hyperparams(y, basis, pts, init=init, restarts=1, max_iter=150)
+        fitted = fit_hyperparams(y, basis, pts, restarts=1, max_iter=150)
 
         def ll(p):
             K = cov_block(pts, pts, p, float(pts[:, 1].mean()))

@@ -44,6 +44,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="seed"):
             LearnerSpec(kind="rf", seed=True)
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"kind": "enet", "seed": "abc"}, "seed"),
+        ({"kind": "enet", "seed": 2.0}, "seed"),
+        ({"kind": "enet", "params": 5}, "params"),
+        ({"kind": "enet", "params": [1, 2]}, "params"),
+        ({"kind": "enet", "name": 5}, "name"),
+        ({"kind": "enet", "parms": {"lambda1": 0.1}}, "parms"),
+        ({"name": "e"}, "kind"),
+        ({"kind": ["enet"]}, "kind"),
+    ], ids=["string-seed", "float-seed", "int-params", "list-params", "int-name",
+            "unknown-key", "no-kind", "list-kind"])
+    def test_bad_entry_from_dict_is_config_error(self, entry, key):
+        with pytest.raises(ConfigError, match=key):
+            LearnerSpec.from_dict(entry)
+
     def test_defaults_filled_and_name_defaults_to_kind(self):
         spec = LearnerSpec(kind="rf")
         assert spec.params["n_trees"] == 60

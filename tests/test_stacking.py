@@ -391,6 +391,11 @@ class TestRepeatCvEvaluate:
         with pytest.raises(ConfigError, match="repeats"):
             repeat_cv_evaluate(X, y, loc, [mean_spec()], repeats=0)
 
+    def test_unknown_method_named_before_fitting(self):
+        X, y, loc = make_problem(seed=27, n=10)
+        with pytest.raises(ConfigError, match="gp_stack"):
+            repeat_cv_evaluate(X, y, loc, [mean_spec()], methods=("gp_stack",))
+
     def test_distinct_repeats_use_distinct_folds(self):
         X, y, loc = make_problem(seed=28, n=20)
         res = repeat_cv_evaluate(X, y, loc, [interp_spec()], v=4, repeats=2,

@@ -147,6 +147,15 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(kappa=0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_surveys", "abc"), ("n_surveys", 2.5), ("n_lon", True), ("kappa", "abc"),
+        ("lon0", "abc"), ("intercept", "abc"), ("regime", [1]),
+        ("n_tested_range", 5), ("n_tested_range", [1, 2, 3]),
+    ])
+    def test_wrong_typed_field_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            ScenarioConfig.from_dict({key: value})
+
     def test_tested_range_ordering(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(n_tested_range=(50, 10))
