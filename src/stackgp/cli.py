@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import finite_real, load_config, require, write_resolved
+from .config import load_config, require, write_resolved
 from .cwm import cwm_predict
 from .dataset import assemble_design, build_prediction_grid, load_stack_manifest, load_surveys
 from .errors import ConfigError, DataError, StackGpError
-from .gp import FIXABLE, fit_plain_gp, gp_stacked_predict, plain_gp_predict, PlainGpModel
+from .gp import fit_plain_gp, gp_stacked_predict, plain_gp_predict, PlainGpModel
 from .learners import LearnerSpec
 from .metrics import ambiguity_decomposition, mae, mse, pearson_flagged
 from .model_io import load_model, save_model
@@ -85,39 +85,6 @@ def _learner_specs(config: dict) -> list:
     return specs
 
 
-def _fixed_overrides(fixed, where: str, width: int) -> dict:
-    """Checked copy of pinned GP parameters (gp.fixed or one gp_variant).
-
-    width is the number of mean-basis columns a pinned beta weights.
-    """
-    if not isinstance(fixed, dict):
-        raise ConfigError(f"{where} must be a mapping of parameter overrides, got {fixed!r}")
-    bad = sorted(set(fixed) - set(FIXABLE))
-    if bad:
-        raise ConfigError(f"{where}: unknown parameter(s) {bad}; allowed {list(FIXABLE)}")
-    for key, value in fixed.items():
-        if key == "beta":
-            ok = (isinstance(value, list) and len(value) == width
-                  and all(finite_real(b) and b >= 0 for b in value) and sum(value) > 0)
-            want = f"a list of {width} non-negative finite numbers with a positive sum"
-        else:
-            ok = (finite_real(value) and (key != "sigma_e2" or value > 0)
-                  and (key != "phi" or abs(value) < 1))
-            want = {"sigma_e2": "a finite real > 0",
-                    "phi": "a finite real in (-1, 1)"}.get(key, "a finite real")
-        if not ok:
-            raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
-    return dict(fixed)
-
-
-def _gp_options(config: dict, width: int) -> dict:
-    """The gp section with gp.fixed checked; width is the GP mean basis's column count."""
-    options = dict(config.get("gp", {}))
-    if "fixed" in options:
-        options["fixed"] = _fixed_overrides(options["fixed"], "gp.fixed", width)
-    return options
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -138,14 +105,12 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
     X, y, points = _load_training(config)
     stacking = config.get("stacking", {})
     design = stacking.get("design", 1)
+    gp_options = config.get("gp", {})
 
     if design == "plain-gp":
-        model = fit_plain_gp(y, X.values, points, **_gp_options(config, 1))
+        model = fit_plain_gp(y, X.values, points, **gp_options)
     elif design in (1, 2, 3):
         specs = _learner_specs(config)
-        # design 1's GP weights every learner column; designs 2 and 3 fit
-        # single-column GPs
-        gp_options = _gp_options(config, len(specs) if design == 1 else 1)
         plan = make_folds(len(y), stacking.get("v", 5), seed)
         if design == 1:
             level1 = stacking.get("level1", "gp")
@@ -155,13 +120,8 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
         else:
             if len(specs) != 1:
                 raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
-            variants = stacking.get("gp_variants")
-            if not isinstance(variants, list) or not variants:
-                raise ConfigError("design 3 needs stacking.gp_variants, a non-empty list "
-                                  "of fixed-parameter mappings")
-            variants = [_fixed_overrides(variant, f"stacking.gp_variants[{i}]", 1)
-                        for i, variant in enumerate(variants)]
-            model = fit_design3(X, y, points, specs[0], variants, plan, gp_options)
+            model = fit_design3(X, y, points, specs[0], stacking.get("gp_variants"), plan,
+                                gp_options)
     else:
         raise ConfigError(f"stacking.design must be 1, 2, 3 or 'plain-gp', got {design!r}")
 
@@ -211,7 +171,7 @@ def cmd_cv(config: dict, seed: int, outdir: Path) -> None:
     specs = _learner_specs(config)
     # the cv keys (repeats, region, methods) are repeat_cv_evaluate's arguments
     result = repeat_cv_evaluate(X, y, points, specs, v=config.get("stacking", {}).get("v", 5),
-                                seed=seed, gp_options=_gp_options(config, len(specs)),
+                                seed=seed, gp_options=config.get("gp", {}),
                                 **config.get("cv", {}))
 
     metrics_path = outdir / "metrics.csv"

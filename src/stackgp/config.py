@@ -82,12 +82,12 @@ KEYS = {
     "stacking.design": None,        # cli.cmd_fit
     "stacking.level1": None,        # stacking.fit_design1
     "stacking.v": (int_at_least(2), "an integer >= 2"),
-    "stacking.learners": None,      # cli._learner_specs, LearnerSpec
-    "stacking.gp_variants": None,   # cli.cmd_fit, cli._fixed_overrides
+    "stacking.learners": None,      # cli._learner_specs, LearnerSpec, stacking.run_level0
+    "stacking.gp_variants": None,   # stacking.fit_design3, gp.check_fixed
     "gp.restarts": (int_at_least(1), "a positive integer"),
     "gp.max_iter": (int_at_least(1), "a positive integer"),
     "gp.seed": (int_at_least(0), "a non-negative integer"),
-    "gp.fixed": None,               # cli._fixed_overrides
+    "gp.fixed": None,               # gp.check_fixed
     "cv.repeats": (int_at_least(1), "an integer >= 1"),
     "cv.region": (text, "a non-empty string"),
     "cv.methods": (lambda v: isinstance(v, list) and v != [] and all(map(text, v)),

@@ -219,6 +219,14 @@ def _manifest_field(path, name, entry, key, check, description):
     return value
 
 
+def _path_template(v) -> bool:
+    """A non-empty string whose only replacement field is {t}."""
+    try:
+        return text(v) and isinstance(v.format(t=0), str)
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError):
+        return False
+
+
 def load_stack_manifest(path) -> list[Covariate]:
     """Load every covariate referenced by a stack manifest; fails loudly on gaps."""
     path = Path(path)
@@ -256,7 +264,8 @@ def load_stack_manifest(path) -> list[Covariate]:
                                           "a non-negative integer") for key in ("t_start", "t_end"))
         if t_end < t_start:
             raise SchemaError(f"{path}: covariate '{name}': t_end < t_start")
-        template = _manifest_field(path, name, entry, "path_template", text, "a path template string")
+        template = _manifest_field(path, name, entry, "path_template", _path_template,
+                                   "a path template string whose only field is {t}")
         n_slices = (t_end - t_start + 1) if kind == "dynamic-monthly" else (t_end - t_start) // 12 + 1
         slices = np.stack([load_grid_csv(base / template.format(t=s), geometry)
                            for s in range(n_slices)])

@@ -20,7 +20,9 @@ by a sparse convex-row matrix A, and solves done by sparse LU.
 
 Hyperparameters are fitted by Nelder-Mead on unconstrained raw coordinates
 (log kappa, log tau, log sigma_e^2, atanh phi, and softmax logits for the
-stacked-mean simplex weights, first logit pinned at zero).
+stacked-mean simplex weights, first logit pinned at zero). One table,
+_HYPERPARAMS, holds each scalar's raw transforms and valid range; pinned
+values are checked against it by check_fixed in every fit.
 """
 
 from __future__ import annotations
@@ -35,10 +37,58 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import splu
 from scipy.special import k1
 
-from .errors import DataError, NumericalError, SchemaError
+from .config import finite_real
+from .errors import ConfigError, DataError, NumericalError, SchemaError
 
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 LOG_2PI = math.log(2.0 * math.pi)
+PENALTY = 1e30      # objective value of a failed likelihood evaluation
+
+
+def _log_clamped(x: float) -> float:
+    return min(max(x, -700.0), 700.0)
+
+
+# Each scalar hyperparameter, in raw-coordinate order -> (natural -> raw,
+# raw -> natural, range check, description). The raw -> natural maps clamp so
+# that exp cannot overflow.
+_HYPERPARAMS = {
+    "log_kappa": (float, _log_clamped, finite_real, "a finite real"),
+    "log_tau": (float, _log_clamped, finite_real, "a finite real"),
+    "sigma_e2": (math.log, lambda x: math.exp(min(x, 700.0)),
+                 lambda v: finite_real(v) and v > 0, "a finite real > 0"),
+    "phi": (math.atanh, math.tanh,
+            lambda v: finite_real(v) and abs(v) < 1, "a finite real in (-1, 1)"),
+}
+FIXABLE = (*_HYPERPARAMS, "beta")
+
+
+def check_fixed(fixed, width: int, where: str = "gp.fixed") -> dict:
+    """Checked copy of pinned hyperparameters, beta as a float array.
+
+    width is the number of mean-basis columns a pinned beta weights; where
+    names the mapping in error messages.
+    """
+    if not isinstance(fixed, dict):
+        raise ConfigError(f"{where} must be a mapping of parameter overrides, got {fixed!r}")
+    bad = sorted(set(fixed) - set(FIXABLE))
+    if bad:
+        raise ConfigError(f"{where}: cannot fix {bad}; allowed {list(FIXABLE)}")
+    for key, value in fixed.items():
+        if key == "beta":
+            items = value.tolist() if isinstance(value, np.ndarray) else value
+            ok = (isinstance(items, (list, tuple)) and len(items) == width
+                  and all(finite_real(b) and b >= 0 for b in items) and sum(items) > 0)
+            want = f"a list of {width} non-negative finite numbers with a positive sum"
+        else:
+            _, _, check, want = _HYPERPARAMS[key]
+            ok = check(value)
+        if not ok:
+            raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
+    out = dict(fixed)
+    if "beta" in out:
+        out["beta"] = np.asarray(out["beta"], dtype=float)
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,14 +102,12 @@ class GpHyperParams:
     beta: np.ndarray
 
     def __post_init__(self):
+        for key, (_, _, check, description) in _HYPERPARAMS.items():
+            value = getattr(self, key)
+            if not check(value):
+                raise DataError(f"{key} must be {description}, got {value!r}")
         b = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "beta", b)
-        if not (np.isfinite(self.log_kappa) and np.isfinite(self.log_tau)):
-            raise DataError("log_kappa and log_tau must be finite")
-        if not (np.isfinite(self.sigma_e2) and self.sigma_e2 > 0):
-            raise DataError(f"sigma_e2 must be > 0, got {self.sigma_e2}")
-        if not (np.isfinite(self.phi) and abs(self.phi) < 1):
-            raise DataError(f"phi must lie in (-1, 1), got {self.phi}")
         if b.ndim != 1 or b.size < 1 or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
             raise DataError("beta must lie on the probability simplex")
 
@@ -408,35 +456,20 @@ def _softmax_pinned(logits: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-FIXABLE = ("log_kappa", "log_tau", "sigma_e2", "phi", "beta")
-
-
 class _RawCodec:
     """Pack/unpack the free raw coordinates given fixed overrides."""
 
     def __init__(self, L: int, fixed: dict | None):
-        fixed = dict(fixed or {})
-        unknown = sorted(set(fixed) - set(FIXABLE))
-        if unknown:
-            raise DataError(f"fit_hyperparams: cannot fix {unknown}; allowed {list(FIXABLE)}")
-        self.fixed = fixed
+        self.fixed = check_fixed(fixed or {}, L)
         self.L = L
-        self.free: list[str] = [k for k in ("log_kappa", "log_tau", "sigma_e2", "phi")
-                                if k not in fixed]
-        self.free_beta = L > 1 and "beta" not in fixed
+        self.free: list[str] = [k for k in _HYPERPARAMS if k not in self.fixed]
+        self.free_beta = L > 1 and "beta" not in self.fixed
 
     def size(self) -> int:
         return len(self.free) + (self.L - 1 if self.free_beta else 0)
 
     def pack(self, params: GpHyperParams) -> np.ndarray:
-        out = []
-        for key in self.free:
-            if key == "sigma_e2":
-                out.append(math.log(params.sigma_e2))
-            elif key == "phi":
-                out.append(math.atanh(params.phi))
-            else:
-                out.append(getattr(params, key))
+        out = [_HYPERPARAMS[key][0](getattr(params, key)) for key in self.free]
         if self.free_beta:
             b = np.maximum(params.beta, 1e-12)
             logits = np.log(b[1:]) - math.log(b[0])
@@ -445,23 +478,25 @@ class _RawCodec:
 
     def unpack(self, raw: np.ndarray) -> GpHyperParams:
         vals = dict(self.fixed)
-        i = 0
-        for key in self.free:
-            x = float(raw[i])
-            i += 1
-            if key == "sigma_e2":
-                vals[key] = math.exp(min(x, 700.0))
-            elif key == "phi":
-                vals[key] = math.tanh(x)
-            else:
-                vals[key] = min(max(x, -700.0), 700.0)
+        for i, key in enumerate(self.free):
+            vals[key] = _HYPERPARAMS[key][1](float(raw[i]))
         if self.free_beta:
-            vals["beta"] = _softmax_pinned(np.asarray(raw[i:], dtype=float))
+            vals["beta"] = _softmax_pinned(np.asarray(raw[len(self.free):], dtype=float))
         elif "beta" not in vals:
             vals["beta"] = np.ones(self.L) / self.L if self.L > 1 else np.ones(1)
         beta = np.maximum(np.asarray(vals["beta"], dtype=float), 0.0)
         vals["beta"] = beta / beta.sum()
         return GpHyperParams(**vals)
+
+    def objective(self, loglik):
+        """Optimizer objective: -loglik(params) at a raw point, PENALTY where it fails."""
+        def neg_loglik(raw: np.ndarray) -> float:
+            try:
+                ll = loglik(self.unpack(raw))
+            except (NumericalError, DataError, FloatingPointError, OverflowError):
+                return PENALTY
+            return -ll if np.isfinite(ll) else PENALTY
+        return neg_loglik
 
 
 def default_init(y, mean_basis, points) -> GpHyperParams:
@@ -491,7 +526,7 @@ def _optimize(objective, x0: np.ndarray, context: str, *, restarts: int, max_ite
     The objective must be finite at x0; an empty x0 is returned unoptimised.
     """
     f0 = objective(x0)
-    if not np.isfinite(f0) or f0 >= 1e30:
+    if not np.isfinite(f0) or f0 >= PENALTY:
         raise NumericalError(f"{context}: objective non-finite at the initial point; "
                              "rescale the response or check the mean")
     rng = np.random.default_rng(seed)
@@ -522,18 +557,8 @@ def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restart
     pts = np.asarray(points, dtype=float)
     D, dT = _train_geometry(pts)
     codec = _RawCodec(basis.shape[1], fixed)
-    if "beta" in codec.fixed:
-        codec.fixed["beta"] = np.asarray(codec.fixed["beta"], dtype=float)
-
-    def objective(raw: np.ndarray) -> float:
-        try:
-            params = codec.unpack(raw)
-            ll = log_marginal_likelihood(y, basis @ params.beta, _kernel(D, dT, params),
-                                         params.sigma_e2)
-        except (NumericalError, DataError, FloatingPointError, OverflowError):
-            return 1e30
-        return -ll if np.isfinite(ll) else 1e30
-
+    objective = codec.objective(lambda params: log_marginal_likelihood(
+        y, basis @ params.beta, _kernel(D, dT, params), params.sigma_e2))
     x0 = codec.pack(default_init(y, basis, pts))
     if codec.size() == 0:
         return codec.unpack(x0)
@@ -561,8 +586,6 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     sd_x[sd_x == 0] = 1.0
     M = np.column_stack([np.ones(n), (X - mu_x) / sd_x])
 
-    fixed = dict(fixed or {})
-    fixed["beta"] = np.ones(1)
     codec = _RawCodec(1, fixed)
     init = default_init(y, np.zeros((n, 1)), pts)
 
@@ -574,17 +597,13 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
         coef, *_ = np.linalg.lstsq(W, z, rcond=None)
         return coef, L, W, z
 
-    def objective(raw: np.ndarray) -> float:
-        try:
-            params = codec.unpack(raw)
-            coef, L, W, z = gls_coef(params)
-            resid = z - W @ coef
-            ll = -0.5 * float(resid @ resid) - float(np.sum(np.log(np.diag(L)))) \
-                 - 0.5 * n * LOG_2PI
-        except (NumericalError, DataError, FloatingPointError, OverflowError):
-            return 1e30
-        return -ll if np.isfinite(ll) else 1e30
+    def loglik(params: GpHyperParams) -> float:
+        coef, L, W, z = gls_coef(params)
+        resid = z - W @ coef
+        return -0.5 * float(resid @ resid) - float(np.sum(np.log(np.diag(L)))) \
+            - 0.5 * n * LOG_2PI
 
+    objective = codec.objective(loglik)
     params = codec.unpack(_optimize(objective, codec.pack(init), "fit_gp_linear_mean",
                                     restarts=restarts, max_iter=max_iter, seed=seed))
     coef, *_ = gls_coef(params)

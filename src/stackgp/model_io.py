@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cwm import SimplexWeights
-from .errors import DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError
 from .gp import PlainGpModel, StackedGpModel
 from .learners import LearnerModel
 from .stacking import FoldPlan, Level2Stack, StackState
@@ -141,5 +141,7 @@ def load_model(path):
         raise SchemaError(f"{path}: model file must hold a JSON object")
     try:
         return model_from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except SchemaError:     # format_version and unknown kinds, already worded
+        raise
+    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc!r}") from exc

@@ -29,7 +29,7 @@ import numpy as np
 from .cwm import SimplexWeights, cwm_predict, fit_cwm
 from .dataset import CovariateMatrix
 from .errors import ConfigError, DataError, StackGpError
-from .gp import (GpHyperParams, StackedGpModel, cov_block, fit_gp_linear_mean,
+from .gp import (GpHyperParams, StackedGpModel, check_fixed, cov_block, fit_gp_linear_mean,
                  fit_hyperparams, gp_condition_dense, gp_stacked_predict, linear_mean)
 from .learners import LearnerSpec, fit_learner
 from .metrics import mae, mse, pearson_flagged
@@ -195,6 +195,8 @@ def fit_design1(X, y, locations, specs, level1: str, plan: FoldPlan,
     """Many level-0 learners combined by one level-1 generaliser."""
     if level1 not in ("cwm", "gp"):
         raise ConfigError(f"level1 must be 'cwm' or 'gp', got {level1!r}")
+    # checked before any level-0 fit; a pinned beta weights every learner column
+    check_fixed((gp_options or {}).get("fixed", {}), len(specs))
     state = run_level0(X, y, specs, plan)
     state.design = 1
     state.level1_kind = level1
@@ -238,6 +240,7 @@ def _fit_level2(state: StackState, y, locations, plan: FoldPlan, members,
 def fit_design2(X, y, locations, specs, plan: FoldPlan,
                 gp_options: dict | None = None) -> StackState:
     """Each learner gets its own GP level-1; a CWM level-2 combines them."""
+    check_fixed((gp_options or {}).get("fixed", {}), 1)
     state = run_level0(X, y, specs, plan)
     state.design = 2
     return _fit_level2(state, y, locations, plan, [(i, {}) for i in range(len(specs))],
@@ -252,8 +255,12 @@ def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
     {"log_kappa": ...} for a pinned range, {"phi": 0.0} for no dynamics);
     its keys win over the same keys in gp_options["fixed"].
     """
-    if not gp_variants:
-        raise ConfigError("fit_design3 needs at least one GP variant")
+    if not isinstance(gp_variants, (list, tuple)) or not gp_variants:
+        raise ConfigError("design 3 needs stacking.gp_variants, a non-empty list "
+                          "of fixed-parameter mappings")
+    for i, variant in enumerate(gp_variants):
+        check_fixed(variant, 1, f"stacking.gp_variants[{i}]")
+    check_fixed((gp_options or {}).get("fixed", {}), 1)
     state = run_level0(X, y, [spec], plan)
     state.design = 3
     return _fit_level2(state, y, locations, plan, [(0, variant) for variant in gp_variants],
@@ -350,6 +357,16 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
     unknown = [m for m in methods if m not in CV_METHODS]
     if unknown:
         raise ConfigError(f"cv methods {unknown} unknown; valid methods are {list(CV_METHODS)}")
+    # learner names label CV rows next to the stack methods
+    names = [spec.name for spec in specs]
+    clashes = sorted({name for name in names if names.count(name) > 1 or name in CV_METHODS[1:]})
+    if clashes:
+        raise ConfigError(f"learner names must be unique and differ from the CV method "
+                          f"names {list(CV_METHODS[1:])}; got {clashes}")
+    gp_options = dict(gp_options or {})
+    fixed = check_fixed(gp_options.get("fixed", {}), len(specs))
+    fixed.pop("beta", None)    # the plain GP's mean is a GLS fit, not a stack
+    plain_options = {**gp_options, "fixed": fixed}
     if isinstance(X, CovariateMatrix):
         X = X.values
     X = np.asarray(X, dtype=float)
@@ -373,11 +390,11 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
             weights = fit_cwm(state.H, y)
             score(CV_METHOD_CWM, r, cwm_predict(weights, state.H))
         if CV_METHOD_GP in methods:
-            params = fit_hyperparams(y, state.H, points, **(gp_options or {}))
+            params = fit_hyperparams(y, state.H, points, **gp_options)
             score(CV_METHOD_GP, r, fold_oof_gp(y, state.H @ params.beta, params,
                                                points, plan))
         if CV_METHOD_PLAIN in methods:
-            params, mean_state = fit_gp_linear_mean(y, X, points, **(gp_options or {}))
+            params, mean_state = fit_gp_linear_mean(y, X, points, **plain_options)
             score(CV_METHOD_PLAIN, r, fold_oof_gp(y, linear_mean(mean_state, X),
                                                   params, points, plan))
     result.summary = _summarise(result.rows, region)

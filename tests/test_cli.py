@@ -365,6 +365,19 @@ class TestCv:
         assert main(["cv", "--config", str(cfg), "--seed", "1"]) == 2
         assert "bagging" in capsys.readouterr().err
 
+    def test_learner_named_like_a_stack_method_exits_2(self, scenario, tmp_path, capsys):
+        # its rows would be averaged into the CWM stack's summary row
+        cfg = write_yaml(tmp_path / "cv.yaml", {
+            "data": {"surveys": str(scenario / "surveys.csv"),
+                     "stack": str(scenario / "stack.yaml")},
+            "stacking": {"learners": [{"kind": "enet", "name": "cwm-stack"}]},
+            "cv": {"repeats": 1, "methods": ["level0", "cwm-stack"]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["cv", "--config", str(cfg), "--seed", "1"]) == 2
+        assert "cwm-stack" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
 
 class TestDecompose:
     def decompose_cfg(self, scenario, model_path, out):

@@ -307,8 +307,15 @@ class TestManifest:
         ("t_start: 0", "t_start: -3", ["rain", "'t_start'"]),
         ("t_start: 0", "t_start: 0.5", ["rain", "'t_start'"]),
         ("t_end: 9", "t_end: abc", ["rain", "'t_end'"]),
+        ("rain_{t}", "rain_{x}", ["rain", "'path_template'"]),
+        ("rain_{t}", "rain_{0}", ["rain", "'path_template'"]),
+        ("rain_{t}", "rain_{t", ["rain", "'path_template'"]),
+        ("rain_{t}", "rain_{t.foo}", ["rain", "'path_template'"]),
+        ("rain_{t}", "rain_{t[0]}", ["rain", "'path_template'"]),
     ], ids=["covariates-not-list", "entry-not-mapping", "no-path", "no-t_start", "no-t_end",
-            "no-path_template", "negative-t_start", "float-t_start", "string-t_end"])
+            "no-path_template", "negative-t_start", "float-t_start", "string-t_end",
+            "template-other-field", "template-positional", "template-unclosed",
+            "template-attribute", "template-index"])
     def test_malformed_entry_named(self, tmp_path, rng, old, new, names):
         manifest, _, _ = self._write_scenario(tmp_path, rng)
         assert old in manifest.read_text()

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from stackgp.dataset import GridGeometry
-from stackgp.errors import DataError, NumericalError, SchemaError
+from stackgp.errors import ConfigError, DataError, NumericalError, SchemaError
 from stackgp.gp import (
     FIXABLE,
     GpHyperParams,
@@ -518,7 +518,7 @@ class TestRawCodec:
         np.testing.assert_array_equal(q.beta, [1.0])
 
     def test_unknown_fixed_key_rejected(self):
-        with pytest.raises(DataError, match="cannot fix"):
+        with pytest.raises(ConfigError, match="cannot fix"):
             _RawCodec(1, {"range": 2.0})
 
     def test_fixable_tuple_stable(self):
@@ -580,6 +580,22 @@ class TestFitHyperparams:
             "log_kappa": 0.5, "log_tau": 0.1, "sigma_e2": 0.2, "phi": 0.3})
         assert (params.log_kappa, params.log_tau) == (0.5, 0.1)
         assert (params.sigma_e2, params.phi) == (0.2, 0.3)
+
+    @pytest.mark.parametrize("fit, fixed, key", [
+        (fit_hyperparams, {"phi": 2.0}, "phi"),
+        (fit_hyperparams, {"sigma_e2": -1.0}, "sigma_e2"),
+        (fit_hyperparams, {"log_kappa": float("nan")}, "log_kappa"),
+        (fit_hyperparams, {"beta": [0.2, 0.3, 0.5]}, "beta"),   # two mean columns
+        (fit_hyperparams, {"phi": "abc"}, "phi"),
+        (fit_hyperparams, {"beta": [0, 0]}, "beta"),
+        (fit_hyperparams, {"beta": [-1, 2]}, "beta"),
+        (fit_gp_linear_mean, {"beta": [1, 2]}, "beta"),           # one GLS mean
+        (fit_gp_linear_mean, {"phi": 2.0}, "phi"),
+    ])
+    def test_bad_pinned_value_is_config_error_naming_key(self, fit, fixed, key):
+        y, basis, pts = self.make_data()
+        with pytest.raises(ConfigError, match=rf"gp\.fixed\.{key} must be"):
+            fit(y, basis, pts, fixed=fixed, restarts=1, max_iter=20)
 
     def test_beta_lands_on_simplex(self):
         y, basis, pts = self.make_data()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,10 @@ def interp_spec(seed=2):
 def linear_spec(seed=3, name=None):
     return LearnerSpec(kind="enet", params={"lambda1": 0.0, "lambda2": 0.0},
                        seed=seed, **({"name": name} if name else {}))
+
+
+def refuse_fit(*args, **kwargs):
+    raise AssertionError("a level-0 learner was fitted")
 
 
 def make_problem(seed=0, n=24):
@@ -396,8 +402,59 @@ class TestRepeatCvEvaluate:
         with pytest.raises(ConfigError, match="gp_stack"):
             repeat_cv_evaluate(X, y, loc, [mean_spec()], methods=("gp_stack",))
 
+    @pytest.mark.parametrize("names, clash", [
+        (["a", "a"], "['a']"),
+        (["cwm-stack"], "['cwm-stack']"),
+        (["lin", "gp-stack"], "['gp-stack']"),
+        (["plain-gp", "lin"], "['plain-gp']"),
+    ])
+    def test_clashing_learner_names_refused_before_fitting(self, monkeypatch, names, clash):
+        # a clash would merge two learners, or a learner and a stack, into one summary row
+        monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
+        X, y, loc = make_problem(seed=27, n=10)
+        specs = [linear_spec(seed=i, name=name) for i, name in enumerate(names)]
+        with pytest.raises(ConfigError, match="unique") as info:
+            repeat_cv_evaluate(X, y, loc, specs, v=2, repeats=1, gp_options=FAST_GP)
+        assert clash in str(info.value)
+
     def test_distinct_repeats_use_distinct_folds(self):
         X, y, loc = make_problem(seed=28, n=20)
         res = repeat_cv_evaluate(X, y, loc, [interp_spec()], v=4, repeats=2,
                                  seed=5, methods=("level0",))
         assert res.rows[0].mse != res.rows[1].mse
+
+
+class TestGpFixedCheckedFirst:
+    def test_bad_pinned_value_refused_before_any_level0_fit(self, monkeypatch):
+        monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
+        X, y, loc = make_problem(seed=30, n=16)
+        plan = make_folds(16, 4, seed=1)
+        bad = {**FAST_GP, "fixed": {"phi": 1.5}}
+        two = [linear_spec(1, "a"), linear_spec(2, "b")]
+        for call in (lambda: fit_design1(X, y, loc, two, "gp", plan, bad),
+                     lambda: fit_design1(X, y, loc, two, "gp", plan, {"fixed": {"beta": [1]}}),
+                     lambda: fit_design2(X, y, loc, two, plan, bad),
+                     lambda: fit_design3(X, y, loc, two[0], [{}], plan, bad),
+                     lambda: repeat_cv_evaluate(X, y, loc, two, v=4, repeats=1, gp_options=bad)):
+            with pytest.raises(ConfigError, match=r"gp\.fixed\.(phi|beta) must be"):
+                call()
+        with pytest.raises(ConfigError,
+                           match=re.escape("stacking.gp_variants[1].sigma_e2 must be")):
+            fit_design3(X, y, loc, two[0], [{}, {"sigma_e2": 0.0}], plan, FAST_GP)
+
+    @pytest.mark.parametrize("variants", [None, [], {"phi": 0.0}, [{}, 5]])
+    def test_design3_variants_must_be_a_list_of_mappings(self, monkeypatch, variants):
+        monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
+        X, y, loc = make_problem(seed=31, n=16)
+        with pytest.raises(ConfigError, match="gp_variants"):
+            fit_design3(X, y, loc, linear_spec(), variants, make_folds(16, 4, seed=1))
+
+    def test_cv_plain_gp_ignores_a_pinned_stack_beta(self):
+        X, y, loc = make_problem(seed=32, n=16)
+        gp = {**FAST_GP, "fixed": {"beta": [0.25, 0.75], "phi": 0.0}}
+        pinned = repeat_cv_evaluate(X, y, loc, [linear_spec(1, "a"), linear_spec(2, "b")],
+                                    v=4, repeats=1, gp_options=gp, methods=("plain-gp",))
+        free = repeat_cv_evaluate(X, y, loc, [linear_spec(1, "a"), linear_spec(2, "b")],
+                                  v=4, repeats=1, gp_options={**FAST_GP, "fixed": {"phi": 0.0}},
+                                  methods=("plain-gp",))
+        assert pinned.rows == free.rows
