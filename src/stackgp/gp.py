@@ -91,6 +91,24 @@ def check_fixed(fixed, width: int, where: str = "gp.fixed") -> dict:
     return out
 
 
+_GP_OPTIONS = ("fixed", "restarts", "max_iter", "seed")    # fit_hyperparams' keywords
+
+
+def check_gp_options(gp_options, width: int) -> dict:
+    """check_fixed of gp_options["fixed"], once gp_options holds only _GP_OPTIONS keys.
+
+    Library fits call it before any level-0 fit, so that a misspelt option
+    fails at once, not after every learner has been fitted.
+    """
+    options = {} if gp_options is None else gp_options
+    if not isinstance(options, dict):
+        raise ConfigError(f"gp_options must be a mapping, got {gp_options!r}")
+    bad = sorted(map(str, set(options) - set(_GP_OPTIONS)))
+    if bad:
+        raise ConfigError(f"gp_options: unknown key(s) {bad}; valid keys are {list(_GP_OPTIONS)}")
+    return check_fixed(options.get("fixed", {}), width)
+
+
 @dataclass(frozen=True)
 class GpHyperParams:
     """Kernel and noise parameters plus stacked-mean simplex weights."""

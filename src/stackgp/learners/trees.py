@@ -1,8 +1,22 @@
 """Regression trees shared by the boosting and forest learners.
 
-Exact split search: candidate thresholds are midpoints between consecutive
-sorted unique values, scored by squared-error reduction. Ties break toward
-the lower column index, then the lower threshold, so refits are bit-stable.
+Exact split search (the pre-sorted exact greedy search of Chen & Guestrin
+2016): candidate thresholds are midpoints between consecutive sorted unique
+values, scored by squared-error reduction.
+
+- Each tree sorts its columns once, ``argsort(X, axis=0, kind="stable")``,
+  held as an (m, n) array of row indices, one row per column.
+- A child keeps its per-column sorted rows by a stable partition of its
+  parent's: a row mask picks the child's entries of every column in the
+  parent's order, so the sort is never repeated. Node row sets stay in
+  ascending row order, and tied values keep ascending row order, exactly as
+  a stable sort of the node's own rows would put them.
+- A node gathers its candidate columns (all of them, or the forest's sorted
+  ``mtry`` draw) as (c, n_node) arrays of sorted values and responses, and
+  scores every split of every candidate in one gain array.
+- One ``argmax`` over the feature-major flattened gains picks the split, so
+  ties break toward the lower column index, then the lower threshold, and
+  refits are bit-stable.
 """
 
 from __future__ import annotations
@@ -14,41 +28,35 @@ import numpy as np
 GAIN_EPS = 1e-12
 
 
-def _best_split(X, y, idx, features, min_leaf):
-    """Best (gain, feature, threshold) over candidate features at one node.
+def _best_split(xs, ys, y_node, total, min_leaf):
+    """Best (candidate, threshold) at one node; candidate -1 when none.
 
-    Returns feature -1 when no split achieves a positive reduction.
+    ``xs`` and ``ys`` are (c, n) arrays: row r holds candidate r's values in
+    ascending order and the responses in that order. ``y_node`` holds the
+    responses in ascending row order and ``total`` is their sum. Only splits
+    leaving at least ``min_leaf`` rows on each side are scored. A split must
+    beat a reduction of ``GAIN_EPS * max(1, |node SS|)``, which keeps fp noise
+    on constant nodes from producing phantom splits.
     """
-    n = idx.size
-    y_node = y[idx]
-    total = float(y_node.sum())
-    node_ss = float(y_node @ y_node) - total * total / n
-    # guard keeps fp noise on constant nodes from producing phantom splits
-    best_gain = GAIN_EPS * max(1.0, abs(node_ss))
-    best_feature, best_threshold = -1, 0.0
+    n = y_node.size
+    ks = np.arange(min_leaf, n - min_leaf + 1)    # left-child sizes
+    below = xs[:, min_leaf - 1:n - min_leaf]
+    above = xs[:, min_leaf:n - min_leaf + 1]
+    valid = above > below
+    if not valid.any():
+        return -1, 0.0
+    left_sum = ys[:, :n - min_leaf].cumsum(axis=1)[:, min_leaf - 1:]
     base = total * total / n
-    ks = np.arange(1, n)
-    for j in features:
-        order = np.argsort(X[idx, j], kind="stable")
-        xs = X[idx[order], j]
-        ys = y_node[order]
-        valid = xs[1:] > xs[:-1]
-        if min_leaf > 1:
-            valid &= (ks >= min_leaf) & (n - ks >= min_leaf)
-        if not valid.any():
-            continue
-        left_sum = np.cumsum(ys)[:-1]
-        gains = np.where(
-            valid,
-            left_sum**2 / ks + (total - left_sum) ** 2 / (n - ks) - base,
-            -np.inf,
-        )
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best_feature = int(j)
-            best_threshold = 0.5 * (xs[k] + xs[k + 1])
-    return best_gain, best_feature, best_threshold
+    gains = np.where(
+        valid,
+        left_sum**2 / ks + (total - left_sum) ** 2 / (n - ks) - base,
+        -np.inf,
+    )
+    r, k = divmod(int(gains.argmax()), ks.size)
+    node_ss = float(y_node @ y_node) - base
+    if not gains[r, k] > GAIN_EPS * max(1.0, abs(node_ss)):
+        return -1, 0.0
+    return r, 0.5 * (below[r, k] + above[r, k])
 
 
 @dataclass
@@ -109,35 +117,51 @@ def grow_tree(X, y, *, max_depth, min_samples_leaf, mtry=None, rng=None) -> Regr
     y = np.asarray(y, dtype=float)
     n, m = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
+    Xt = np.ascontiguousarray(X.T)
+    all_columns = np.arange(m)
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def add_node(mean):
+    def sorted_rows(order, keep, size, depth):
+        """A child's per-column sorted rows; None when it cannot split."""
+        if depth >= depth_cap or size < 2 * min_samples_leaf:
+            return None
+        return order[keep].reshape(m, size)
+
+    def build(idx, order, depth):
+        # idx: the node's rows, ascending; order: (m, idx.size), each
+        # column's node rows in that column's sorted order, or None when
+        # the node cannot split
+        y_node = y[idx]
+        total = float(y_node.sum())
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(mean)
-        return len(feature) - 1
-
-    def build(idx, depth):
-        node = add_node(float(y[idx].mean()))
-        if depth >= depth_cap or idx.size < 2 * min_samples_leaf:
+        value.append(total / idx.size)
+        node = len(feature) - 1
+        if order is None:
             return node
         if mtry is None or mtry >= m:
-            candidates = range(m)
+            columns = all_columns
         else:
-            candidates = np.sort(rng.choice(m, size=mtry, replace=False))
-        _, j, thr = _best_split(X, y, idx, candidates, min_samples_leaf)
-        if j < 0:
+            columns = np.sort(rng.choice(m, size=mtry, replace=False))
+        rows = order[columns]
+        r, thr = _best_split(Xt[columns[:, None], rows], y[rows], y_node, total,
+                             min_samples_leaf)
+        if r < 0:
             return node
-        go_left = X[idx, j] <= thr
+        j = int(columns[r])
+        goes_left = Xt[j] <= thr
         feature[node] = j
         threshold[node] = thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
+        in_left = goes_left[order]
+        for side, child, keep in ((left, idx[goes_left[idx]], in_left),
+                                  (right, idx[~goes_left[idx]], ~in_left)):
+            side[node] = build(child, sorted_rows(order, keep, child.size, depth + 1), depth + 1)
         return node
 
-    build(np.arange(n), 0)
+    presorted = np.argsort(X, axis=0, kind="stable").T    # (m, n), once per tree
+    build(np.arange(n), sorted_rows(presorted, ..., n, 0), 0)
     return RegressionTree(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=float),

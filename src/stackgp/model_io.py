@@ -141,7 +141,7 @@ def load_model(path):
         raise SchemaError(f"{path}: model file must hold a JSON object")
     try:
         return model_from_dict(d)
-    except SchemaError:     # format_version and unknown kinds, already worded
-        raise
+    except SchemaError as exc:     # format_version and unknown kinds, worded without the path
+        raise SchemaError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc!r}") from exc

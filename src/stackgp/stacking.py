@@ -29,8 +29,9 @@ import numpy as np
 from .cwm import SimplexWeights, cwm_predict, fit_cwm
 from .dataset import CovariateMatrix
 from .errors import ConfigError, DataError, StackGpError
-from .gp import (GpHyperParams, StackedGpModel, check_fixed, cov_block, fit_gp_linear_mean,
-                 fit_hyperparams, gp_condition_dense, gp_stacked_predict, linear_mean)
+from .gp import (GpHyperParams, StackedGpModel, check_fixed, check_gp_options, cov_block,
+                 fit_gp_linear_mean, fit_hyperparams, gp_condition_dense, gp_stacked_predict,
+                 linear_mean)
 from .learners import LearnerSpec, fit_learner
 from .metrics import mae, mse, pearson_flagged
 
@@ -196,7 +197,7 @@ def fit_design1(X, y, locations, specs, level1: str, plan: FoldPlan,
     if level1 not in ("cwm", "gp"):
         raise ConfigError(f"level1 must be 'cwm' or 'gp', got {level1!r}")
     # checked before any level-0 fit; a pinned beta weights every learner column
-    check_fixed((gp_options or {}).get("fixed", {}), len(specs))
+    check_gp_options(gp_options, len(specs))
     state = run_level0(X, y, specs, plan)
     state.design = 1
     state.level1_kind = level1
@@ -240,7 +241,7 @@ def _fit_level2(state: StackState, y, locations, plan: FoldPlan, members,
 def fit_design2(X, y, locations, specs, plan: FoldPlan,
                 gp_options: dict | None = None) -> StackState:
     """Each learner gets its own GP level-1; a CWM level-2 combines them."""
-    check_fixed((gp_options or {}).get("fixed", {}), 1)
+    check_gp_options(gp_options, 1)
     state = run_level0(X, y, specs, plan)
     state.design = 2
     return _fit_level2(state, y, locations, plan, [(i, {}) for i in range(len(specs))],
@@ -260,7 +261,7 @@ def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
                           "of fixed-parameter mappings")
     for i, variant in enumerate(gp_variants):
         check_fixed(variant, 1, f"stacking.gp_variants[{i}]")
-    check_fixed((gp_options or {}).get("fixed", {}), 1)
+    check_gp_options(gp_options, 1)
     state = run_level0(X, y, [spec], plan)
     state.design = 3
     return _fit_level2(state, y, locations, plan, [(0, variant) for variant in gp_variants],
@@ -363,8 +364,8 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
     if clashes:
         raise ConfigError(f"learner names must be unique and differ from the CV method "
                           f"names {list(CV_METHODS[1:])}; got {clashes}")
+    fixed = check_gp_options(gp_options, len(specs))
     gp_options = dict(gp_options or {})
-    fixed = check_fixed(gp_options.get("fixed", {}), len(specs))
     fixed.pop("beta", None)    # the plain GP's mean is a GLS fit, not a stack
     plain_options = {**gp_options, "fixed": fixed}
     if isinstance(X, CovariateMatrix):

@@ -7,7 +7,93 @@ from stackgp.errors import DataError
 from stackgp.learners import LearnerSpec, fit_learner
 from stackgp.learners.boosting import GbtModel, fit_gbt
 from stackgp.learners.forest import ForestModel, fit_rf
-from stackgp.learners.trees import RegressionTree, grow_tree
+from stackgp.learners.trees import GAIN_EPS, RegressionTree, grow_tree
+
+
+def reference_best_split(X, y, idx, features, min_leaf):
+    """Oracle: the per-feature split search, one stable argsort per feature per node."""
+    n = idx.size
+    y_node = y[idx]
+    total = float(y_node.sum())
+    node_ss = float(y_node @ y_node) - total * total / n
+    best_gain = GAIN_EPS * max(1.0, abs(node_ss))
+    best_feature, best_threshold = -1, 0.0
+    base = total * total / n
+    ks = np.arange(1, n)
+    for j in features:
+        order = np.argsort(X[idx, j], kind="stable")
+        xs = X[idx[order], j]
+        ys = y_node[order]
+        valid = xs[1:] > xs[:-1]
+        if min_leaf > 1:
+            valid &= (ks >= min_leaf) & (n - ks >= min_leaf)
+        if not valid.any():
+            continue
+        left_sum = np.cumsum(ys)[:-1]
+        gains = np.where(
+            valid,
+            left_sum**2 / ks + (total - left_sum) ** 2 / (n - ks) - base,
+            -np.inf,
+        )
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best_feature = int(j)
+            best_threshold = 0.5 * (xs[k] + xs[k + 1])
+    return best_gain, best_feature, best_threshold
+
+
+def reference_grow_tree(X, y, *, max_depth, min_samples_leaf, mtry=None, rng=None):
+    """Oracle: depth-first, left-first growth over reference_best_split."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = X.shape
+    depth_cap = np.inf if max_depth is None else max_depth
+    nodes = []    # [feature, threshold, left, right, value]
+
+    def build(idx, depth):
+        nodes.append([-1, 0.0, -1, -1, float(y[idx].mean())])
+        node = len(nodes) - 1
+        if depth >= depth_cap or idx.size < 2 * min_samples_leaf:
+            return node
+        if mtry is None or mtry >= m:
+            candidates = range(m)
+        else:
+            candidates = np.sort(rng.choice(m, size=mtry, replace=False))
+        _, j, thr = reference_best_split(X, y, idx, candidates, min_samples_leaf)
+        if j < 0:
+            return node
+        go_left = X[idx, j] <= thr
+        nodes[node][:2] = j, thr
+        nodes[node][2] = build(idx[go_left], depth + 1)
+        nodes[node][3] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(n), 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=int),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=int),
+        right=np.asarray(right, dtype=int),
+        value=np.asarray(value, dtype=float),
+    )
+
+
+def oracle_case(layout, seed):
+    """(X, y) for one bit-identity case; all but "unrounded" hold tied x values."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 80))
+    X = np.round(rng.normal(size=(n, 4)), 1)
+    y = X[:, 0] - X[:, 1] ** 2 + rng.normal(size=n)
+    if layout == "duplicated+constant":
+        X = np.column_stack([X[:, :2], X[:, 1], np.full(n, 0.3), X[:, 2:]])
+    elif layout == "bootstrap":
+        boot = rng.integers(0, n, size=n)
+        X, y = X[boot], y[boot]
+    elif layout == "unrounded":
+        X = X + rng.uniform(-0.05, 0.05, size=X.shape)
+    return X, y
 
 
 def brute_force_stump(X, y):
@@ -103,9 +189,31 @@ class TestRegressionTree:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(25, 2))
         X[:, 1] = X[:, 0]    # duplicated feature: gains tie, lower index wins
-        y = rng.normal(size=25)
+        y = (X[:, 0] > 0).astype(float) + 0.1 * rng.normal(size=25)
         tree = grow_tree(X, y, max_depth=1, min_samples_leaf=1)
-        assert tree.feature[0] in (-1, 0)
+        assert tree.feature[0] == 0
+
+    def test_tied_thresholds_lower_wins(self):
+        # splits after x=0 and after x=2 reduce the SS by the same 4/3 - 1
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        tree = grow_tree(X, y, max_depth=1, min_samples_leaf=1)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 0.5
+
+    @pytest.mark.parametrize("seed,layout,min_leaf,max_depth,mtry", [
+        (seed, *case) for seed, case in enumerate(itertools.product(
+            ["rounded", "duplicated+constant", "bootstrap", "unrounded"],
+            [1, 2, 7], [None, 3], [None, 2]))])
+    def test_bit_identical_to_per_feature_search(self, seed, layout, min_leaf, max_depth, mtry):
+        X, y = oracle_case(layout, seed)
+        kwargs = dict(max_depth=max_depth, min_samples_leaf=min_leaf, mtry=mtry)
+        tree = grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+        ref = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+        assert tree.to_dict() == ref.to_dict()
+        assert tree.threshold.tobytes() == ref.threshold.tobytes()
+        assert tree.value.tobytes() == ref.value.tobytes()
+        assert len(ref.feature) > 1
 
 
 class TestGbt:

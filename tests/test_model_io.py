@@ -160,6 +160,19 @@ class TestSchemaGuards:
         with pytest.raises(SchemaError, match="kind"):
             load_model(path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("kind", "mystery", "unknown model kind 'mystery'"),
+        ("level1_kind", "gp+x", "unknown level-1 kind 'gp+x' in model file"),
+    ], ids=["kind", "level1-kind"])
+    def test_unknown_kind_names_the_file(self, tmp_path, key, value, message):
+        path = self.fitted(tmp_path)
+        d = json.loads(path.read_text())
+        d[key] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(SchemaError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_invalid_json_refused(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -442,6 +442,19 @@ class TestGpFixedCheckedFirst:
                            match=re.escape("stacking.gp_variants[1].sigma_e2 must be")):
             fit_design3(X, y, loc, two[0], [{}, {"sigma_e2": 0.0}], plan, FAST_GP)
 
+    def test_unknown_gp_option_refused_before_any_level0_fit(self, monkeypatch):
+        monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
+        X, y, loc = make_problem(seed=30, n=16)
+        plan = make_folds(16, 4, seed=1)
+        bad = {**FAST_GP, "restart": 1}
+        two = [linear_spec(1, "a"), linear_spec(2, "b")]
+        for call in (lambda: fit_design1(X, y, loc, two, "gp", plan, bad),
+                     lambda: fit_design2(X, y, loc, two, plan, bad),
+                     lambda: fit_design3(X, y, loc, two[0], [{}], plan, bad),
+                     lambda: repeat_cv_evaluate(X, y, loc, two, v=4, repeats=1, gp_options=bad)):
+            with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['restart']")):
+                call()
+
     @pytest.mark.parametrize("variants", [None, [], {"phi": 0.0}, [{}, 5]])
     def test_design3_variants_must_be_a_list_of_mappings(self, monkeypatch, variants):
         monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
