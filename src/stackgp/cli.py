@@ -26,7 +26,7 @@ from .config import load_config, require, write_resolved
 from .cwm import cwm_predict
 from .dataset import assemble_design, build_prediction_grid, load_stack_manifest, load_surveys
 from .errors import ConfigError, DataError, StackGpError
-from .gp import fit_plain_gp, gp_stacked_predict, plain_gp_predict, PlainGpModel
+from .gp import fit_gp_linear_mean, gp_stacked_predict, plain_gp_predict, PlainGpModel
 from .learners import LearnerSpec
 from .metrics import ambiguity_decomposition, mae, mse, pearson_flagged
 from .model_io import load_model, save_model
@@ -108,7 +108,7 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
     gp_options = config.get("gp", {})
 
     if design == "plain-gp":
-        model = fit_plain_gp(y, X.values, points, **gp_options)
+        model = fit_gp_linear_mean(y, X.values, points, **gp_options)
     elif design in (1, 2, 3):
         specs = _learner_specs(config)
         plan = make_folds(len(y), stacking.get("v", 5), seed)
@@ -215,9 +215,9 @@ def cmd_decompose(config: dict, seed: int, outdir: Path) -> None:
 
 
 def _read_table(path) -> dict:
-    """Read a CSV keyed by (lon, lat, t); remaining columns stay as strings."""
+    """Read a CSV keyed by (lon, lat, t), one line per key; other columns stay strings."""
     path = Path(path)
-    out = {}
+    out, first_line = {}, {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fieldnames = reader.fieldnames or []
@@ -229,7 +229,10 @@ def _read_table(path) -> dict:
                 key = (float(row["lon"]), float(row["lat"]), int(row["t"]))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: bad key fields: {exc}") from exc
-            out[key] = row
+            if key in out:
+                raise DataError(f"{path}:{lineno}: duplicate key (lon, lat, t) = {key}, "
+                                f"first seen on line {first_line[key]}")
+            out[key], first_line[key] = row, lineno
     if not out:
         raise DataError(f"{path}: no data rows")
     return out

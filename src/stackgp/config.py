@@ -93,8 +93,9 @@ KEYS = {
     "cv.methods": (lambda v: isinstance(v, list) and v != [] and all(map(text, v)),
                    "a non-empty list of method names"),   # names: stacking.repeat_cv_evaluate
     "predict.model": (text, "a path string"),
-    "predict.months": (lambda v: isinstance(v, list) and v != [] and all(map(int_at_least(0), v)),
-                       "a non-empty list of month indices"),
+    "predict.months": (lambda v: isinstance(v, list) and v != [] and all(map(int_at_least(0), v))
+                       and len(set(v)) == len(v),
+                       "a non-empty list of distinct month indices"),
     "decompose.model": (text, "a path string"),
     "eval.predictions": (text, "a path string"),
     "eval.truth": (text, "a path string"),

@@ -1,0 +1,158 @@
+"""Lattice GMRF precision route for the Matern x AR(1) field of gp.py.
+
+The SPDE representation of Lindgren, Rue & Lindstrom (2011) on a regular
+lattice: Q_space = tau^2 h^2 (kappa^2 I - L)^T (kappa^2 I - L) with L the
+5-point graph Laplacian (spacing h = d_lat degrees, natural boundaries),
+Q = Q_time kron Q_space ordered time-major, observations mapped by a sparse
+convex-row matrix A, and solves done by sparse LU. No command runs this
+route; the acceptance suite checks it against dense conditioning.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from .errors import DataError, NumericalError
+from .gp import GpHyperParams, GpPosterior
+
+
+@dataclass(frozen=True)
+class SparsePrecision:
+    """Latent GMRF precision Q with a convex-row observation matrix A."""
+
+    Q: sp.spmatrix
+    A: sp.spmatrix
+
+    def __post_init__(self):
+        if self.Q.shape[0] != self.Q.shape[1]:
+            raise DataError(f"Q must be square, got {self.Q.shape}")
+        if self.A.shape[1] != self.Q.shape[0]:
+            raise DataError(f"A maps {self.A.shape[1]} latent sites, Q has {self.Q.shape[0]}")
+        A = self.A.tocsr()
+        if A.nnz and A.data.min() < -1e-12:
+            raise DataError("observation matrix A has negative entries")
+        rows = np.asarray(A.sum(axis=1)).ravel()
+        if A.shape[0] and np.max(np.abs(rows - 1.0)) > 1e-9:
+            raise DataError("observation matrix A rows must sum to 1")
+
+
+def ar1_precision(T: int, phi: float) -> sp.csc_matrix:
+    """Tridiagonal precision of a unit-marginal-variance AR(1) over T months.
+
+    Its inverse has entries phi^{|i-j|}; T = 1 degenerates to [[1]].
+    """
+    if T < 1:
+        raise DataError(f"T must be >= 1, got {T}")
+    if not abs(phi) < 1:
+        raise DataError(f"phi must lie in (-1, 1), got {phi}")
+    if T == 1:
+        return sp.csc_matrix(np.array([[1.0]]))
+    s = 1.0 / (1.0 - phi * phi)
+    diag = np.full(T, (1.0 + phi * phi) * s)
+    diag[0] = diag[-1] = s
+    off = np.full(T - 1, -phi * s)
+    return sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csc")
+
+
+def _lattice_laplacian(n_lat: int, n_lon: int, h: float) -> sp.csr_matrix:
+    """5-point graph Laplacian on the lattice, row-major, natural boundaries.
+
+    The Kronecker sum of the latitude and longitude path Laplacians,
+    tridiag(1, -degree, 1) / h^2.
+    """
+    inv_h2 = 1.0 / (h * h)
+
+    def path(n: int) -> sp.csr_matrix:
+        degree = 2.0 - (np.arange(n) == 0) - (np.arange(n) == n - 1)
+        off = np.full(n - 1, inv_h2)
+        return sp.diags([off, -degree * inv_h2, off], offsets=(-1, 0, 1), format="csr")
+    return (sp.kron(sp.identity(n_lat), path(n_lon), format="csr")
+            + sp.kron(path(n_lat), sp.identity(n_lon), format="csr"))
+
+
+def lattice_gmrf_precision(geometry, params: GpHyperParams, n_months: int = 1) -> SparsePrecision:
+    """Spatio-temporal GMRF precision on a regular lattice.
+
+    Q_space = tau^2 h^2 (kappa^2 I - L)^T (kappa^2 I - L), h = d_lat;
+    Q = ar1_precision(n_months, phi) kron Q_space, latent index time-major
+    (site = t * n_space + lattice row-major index). A defaults to the
+    identity selection of every latent site.
+    """
+    if geometry.n_lat < 3 or geometry.n_lon < 3:
+        raise DataError("lattice must be at least 3x3")
+    h = geometry.d_lat
+    L = _lattice_laplacian(geometry.n_lat, geometry.n_lon, h)
+    M = params.kappa ** 2 * sp.identity(L.shape[0], format="csr") - L
+    Q_space = (params.tau ** 2) * (h ** 2) * (M.T @ M)
+    Q_time = ar1_precision(n_months, params.phi)
+    Q = sp.kron(Q_time, Q_space, format="csc") if n_months > 1 else Q_space.tocsc()
+    return SparsePrecision(Q=Q, A=sp.identity(Q.shape[0], format="csr"))
+
+
+def observation_matrix(geometry, lons, lats, months, n_months: int) -> sp.csr_matrix:
+    """Convex-row bilinear interpolation from latent lattice sites to points.
+
+    A point exactly on a cell centre yields a single unit weight (selection).
+    The first point with a month outside [0, n_months) or a location outside
+    the lattice raises DataError.
+    """
+    lons = np.asarray(lons, dtype=float)
+    lats = np.asarray(lats, dtype=float)
+    months = np.asarray(months, dtype=int)
+    n_lon, n_lat = geometry.n_lon, geometry.n_lat
+    x = (lons - geometry.lon0) / geometry.d_lon
+    yy = (geometry.lat0 - lats) / geometry.d_lat
+    bad_month = ~((0 <= months) & (months < n_months))
+    inside = ((-1e-9 <= x) & (x <= n_lon - 1 + 1e-9)
+              & (-1e-9 <= yy) & (yy <= n_lat - 1 + 1e-9))
+    bad = np.flatnonzero(bad_month | ~inside)
+    if bad.size:
+        i = bad[0]
+        if bad_month[i]:
+            raise DataError(f"point {i}: month {months[i]} outside [0, {n_months})")
+        raise DataError(f"point {i}: ({lons[i]}, {lats[i]}) outside the latent lattice")
+    x = np.clip(x, 0.0, n_lon - 1.0)
+    yy = np.clip(yy, 0.0, n_lat - 1.0)
+    # snap roundoff-level fractional parts so exact cell centres produce a
+    # genuine selection row rather than a (1-eps, eps) pair
+    x = np.where(np.abs(x - np.round(x)) < 1e-9, np.round(x), x)
+    yy = np.where(np.abs(yy - np.round(yy)) < 1e-9, np.round(yy), yy)
+    ix = np.minimum(np.floor(x).astype(int), max(n_lon - 2, 0))
+    iy = np.minimum(np.floor(yy).astype(int), max(n_lat - 2, 0))
+    wx, wy = x - ix, yy - iy
+    corner = months * (n_lat * n_lon) + iy * n_lon + ix
+    cols = np.column_stack([corner, corner + 1, corner + n_lon, corner + n_lon + 1])
+    w = np.column_stack([(1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx])
+    keep = w > 0.0
+    rows = np.broadcast_to(np.arange(len(lons))[:, None], w.shape)
+    return sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
+                         shape=(len(lons), n_months * n_lat * n_lon))
+
+
+def gp_condition_precision(spre: SparsePrecision, y, mean_latent, sigma_e2: float) -> GpPosterior:
+    """Predictive conditioning in precision form via sparse LU.
+
+    Posterior precision Q' = Q + A^T A / sigma_e2; mu_star is the latent
+    posterior mean mu + Q'^{-1} A^T (y - A mu) / sigma_e2 at every latent
+    site, and sigma_star holds its marginal variances.
+    """
+    y = np.asarray(y, dtype=float)
+    mu = np.asarray(mean_latent, dtype=float)
+    A = spre.A.tocsr()
+    if y.shape != (A.shape[0],) or mu.shape != (A.shape[1],):
+        raise DataError("gp_condition_precision: non-conformal shapes")
+    if sigma_e2 <= 0:
+        raise DataError("sigma_e2 must be > 0")
+    Qp = (spre.Q + (A.T @ A) / sigma_e2).tocsc()
+    try:
+        solver = splu(Qp)
+    except RuntimeError as exc:
+        raise NumericalError(f"gp_condition_precision: sparse factorisation failed: {exc}") from exc
+    resid = y - A @ mu
+    mu_star = mu + solver.solve(A.T @ resid / sigma_e2)
+    sigma_star = np.diag(solver.solve(np.eye(len(mu)))).copy()
+    return GpPosterior(mu_star=mu_star, sigma_star=sigma_star)

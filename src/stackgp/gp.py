@@ -10,13 +10,10 @@ Distances are planar equirectangular: longitude differences are shrunk by
 cos(reference latitude) and measured in degrees; the reference latitude must
 be shared by every block of one model (callers pass it explicitly).
 
-Two conditioning paths are provided. The dense path works on covariance
-blocks via Cholesky solves with a multiplicative jitter ladder (1e-10 up to
-1e-6 of the mean diagonal, then a hard numerical error). The precision path
-works on a lattice GMRF: Q_space = tau^2 h^2 (kappa^2 I - L)^T (kappa^2 I - L)
-with L the 5-point graph Laplacian (spacing h = d_lat degrees, natural
-boundaries), Q = Q_time kron Q_space ordered time-major, observations mapped
-by a sparse convex-row matrix A, and solves done by sparse LU.
+Conditioning works on dense covariance blocks via Cholesky solves with a
+multiplicative jitter ladder (1e-10 up to 1e-6 of the mean diagonal, then a
+hard numerical error). The lattice GMRF precision form of the same field
+lives in gmrf.py.
 
 Hyperparameters are fitted by Nelder-Mead on unconstrained raw coordinates
 (log kappa, log tau, log sigma_e^2, atanh phi, and softmax logits for the
@@ -31,10 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
-from scipy.sparse.linalg import splu
 from scipy.special import k1
 
 from .config import finite_real
@@ -168,26 +163,6 @@ class GpPosterior:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-@dataclass(frozen=True)
-class SparsePrecision:
-    """Latent GMRF precision Q with a convex-row observation matrix A."""
-
-    Q: sp.spmatrix
-    A: sp.spmatrix
-
-    def __post_init__(self):
-        if self.Q.shape[0] != self.Q.shape[1]:
-            raise DataError(f"Q must be square, got {self.Q.shape}")
-        if self.A.shape[1] != self.Q.shape[0]:
-            raise DataError(f"A maps {self.A.shape[1]} latent sites, Q has {self.Q.shape[0]}")
-        A = self.A.tocsr()
-        if A.nnz and A.data.min() < -1e-12:
-            raise DataError("observation matrix A has negative entries")
-        rows = np.asarray(A.sum(axis=1)).ravel()
-        if A.shape[0] and np.max(np.abs(rows - 1.0)) > 1e-9:
-            raise DataError("observation matrix A rows must sum to 1")
-
-
 def matern1_cov(dist: float, kappa: float, tau: float) -> float:
     """Smoothness-1 Matern covariance at a single distance."""
     if not (dist >= 0 and kappa > 0 and tau > 0):
@@ -283,111 +258,6 @@ def build_joint_cov(points, params: GpHyperParams, ref_lat: float | None = None)
     return K
 
 
-def ar1_precision(T: int, phi: float) -> sp.csc_matrix:
-    """Tridiagonal precision of a unit-marginal-variance AR(1) over T months.
-
-    Its inverse has entries phi^{|i-j|}; T = 1 degenerates to [[1]].
-    """
-    if T < 1:
-        raise DataError(f"T must be >= 1, got {T}")
-    if not abs(phi) < 1:
-        raise DataError(f"phi must lie in (-1, 1), got {phi}")
-    if T == 1:
-        return sp.csc_matrix(np.array([[1.0]]))
-    s = 1.0 / (1.0 - phi * phi)
-    diag = np.full(T, (1.0 + phi * phi) * s)
-    diag[0] = diag[-1] = s
-    off = np.full(T - 1, -phi * s)
-    return sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csc")
-
-
-def _lattice_laplacian(n_lat: int, n_lon: int, h: float) -> sp.csr_matrix:
-    """5-point graph Laplacian on the lattice, row-major, natural boundaries."""
-    n = n_lat * n_lon
-    rows, cols, vals = [], [], []
-    inv_h2 = 1.0 / (h * h)
-    for i in range(n_lat):
-        for j in range(n_lon):
-            site = i * n_lon + j
-            neighbours = []
-            if i > 0:
-                neighbours.append(site - n_lon)
-            if i < n_lat - 1:
-                neighbours.append(site + n_lon)
-            if j > 0:
-                neighbours.append(site - 1)
-            if j < n_lon - 1:
-                neighbours.append(site + 1)
-            rows.append(site)
-            cols.append(site)
-            vals.append(-len(neighbours) * inv_h2)
-            for nb in neighbours:
-                rows.append(site)
-                cols.append(nb)
-                vals.append(inv_h2)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def lattice_gmrf_precision(geometry, params: GpHyperParams, n_months: int = 1) -> SparsePrecision:
-    """Spatio-temporal GMRF precision on a regular lattice.
-
-    Q_space = tau^2 h^2 (kappa^2 I - L)^T (kappa^2 I - L), h = d_lat;
-    Q = ar1_precision(n_months, phi) kron Q_space, latent index time-major
-    (site = t * n_space + lattice row-major index). A defaults to the
-    identity selection of every latent site.
-    """
-    if geometry.n_lat < 3 or geometry.n_lon < 3:
-        raise DataError("lattice must be at least 3x3")
-    h = geometry.d_lat
-    L = _lattice_laplacian(geometry.n_lat, geometry.n_lon, h)
-    kappa2 = params.kappa ** 2
-    M = (kappa2 * sp.identity(L.shape[0], format="csr") - L)
-    Q_space = (params.tau ** 2) * (h ** 2) * (M.T @ M)
-    Q_time = ar1_precision(n_months, params.phi)
-    Q = sp.kron(Q_time, Q_space, format="csc") if n_months > 1 else Q_space.tocsc()
-    n = Q.shape[0]
-    return SparsePrecision(Q=Q, A=sp.identity(n, format="csr"))
-
-
-def observation_matrix(geometry, lons, lats, months, n_months: int) -> sp.csr_matrix:
-    """Convex-row bilinear interpolation from latent lattice sites to points.
-
-    A point exactly on a cell centre yields a single unit weight (selection).
-    """
-    lons = np.asarray(lons, dtype=float)
-    lats = np.asarray(lats, dtype=float)
-    months = np.asarray(months, dtype=int)
-    n_space = geometry.n_lat * geometry.n_lon
-    rows, cols, vals = [], [], []
-    for i, (lon, lat, t) in enumerate(zip(lons, lats, months)):
-        if not 0 <= t < n_months:
-            raise DataError(f"point {i}: month {t} outside [0, {n_months})")
-        x = (lon - geometry.lon0) / geometry.d_lon
-        yy = (geometry.lat0 - lat) / geometry.d_lat
-        if not (-1e-9 <= x <= geometry.n_lon - 1 + 1e-9 and
-                -1e-9 <= yy <= geometry.n_lat - 1 + 1e-9):
-            raise DataError(f"point {i}: ({lon}, {lat}) outside the latent lattice")
-        x = min(max(x, 0.0), geometry.n_lon - 1.0)
-        yy = min(max(yy, 0.0), geometry.n_lat - 1.0)
-        # snap roundoff-level fractional parts so exact cell centres produce a
-        # genuine selection row rather than a (1-eps, eps) pair
-        if abs(x - round(x)) < 1e-9:
-            x = float(round(x))
-        if abs(yy - round(yy)) < 1e-9:
-            yy = float(round(yy))
-        ix = min(int(math.floor(x)), max(geometry.n_lon - 2, 0))
-        iy = min(int(math.floor(yy)), max(geometry.n_lat - 2, 0))
-        wx, wy = x - ix, yy - iy
-        base = t * n_space
-        for di, dj, w in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx),
-                          (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
-            if w > 0.0:
-                rows.append(i)
-                cols.append(base + (iy + di) * geometry.n_lon + (ix + dj))
-                vals.append(w)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(lons), n_months * n_space))
-
-
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
                        sigma_e2: float, *, full_cov: bool = False) -> GpPosterior:
     """Predictive conditioning from covariance blocks, all solves by Cholesky.
@@ -421,37 +291,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
         prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
         sigma_star = prior_diag - np.einsum("ij,ij->j", V, V)
     return GpPosterior(mu_star=mu_star, sigma_star=sigma_star, diag_only=not full_cov,
-                       train={"chol": L, "alpha": alpha, "jitter": jitter})
-
-
-def gp_condition_precision(spre: SparsePrecision, y, mean_latent, sigma_e2: float,
-                           A_pred: sp.spmatrix | None = None) -> GpPosterior:
-    """Predictive conditioning in precision form via sparse LU.
-
-    Posterior precision Q' = Q + A^T A / sigma_e2; the latent posterior mean
-    is mu + Q'^{-1} A^T (y - A mu) / sigma_e2, then mapped through A_pred
-    (default: every latent site); sigma_star holds the marginal variances.
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mean_latent, dtype=float)
-    A = spre.A.tocsr()
-    if y.shape != (A.shape[0],) or mu.shape != (A.shape[1],):
-        raise DataError("gp_condition_precision: non-conformal shapes")
-    if sigma_e2 <= 0:
-        raise DataError("sigma_e2 must be > 0")
-    Qp = (spre.Q + (A.T @ A) / sigma_e2).tocsc()
-    try:
-        solver = splu(Qp)
-    except RuntimeError as exc:
-        raise NumericalError(f"gp_condition_precision: sparse factorisation failed: {exc}") from exc
-    resid = y - A @ mu
-    latent_mean = mu + solver.solve(A.T @ resid / sigma_e2)
-    A_p = A_pred.tocsr() if A_pred is not None else sp.identity(len(mu), format="csr")
-    mu_star = A_p @ latent_mean
-    cov_cols = solver.solve(np.asarray(A_p.T.todense(), dtype=float))
-    sigma_star = np.diag(np.asarray(A_p @ cov_cols)).copy()
-    return GpPosterior(mu_star=np.asarray(mu_star).ravel(), sigma_star=sigma_star,
-                       train={"latent_mean": latent_mean})
+                       train={"jitter": jitter})
 
 
 def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float) -> float:
@@ -500,8 +340,7 @@ class _RawCodec:
             vals[key] = _HYPERPARAMS[key][1](float(raw[i]))
         if self.free_beta:
             vals["beta"] = _softmax_pinned(np.asarray(raw[len(self.free):], dtype=float))
-        elif "beta" not in vals:
-            vals["beta"] = np.ones(self.L) / self.L if self.L > 1 else np.ones(1)
+        vals.setdefault("beta", np.ones(1))     # L == 1: the only simplex point
         beta = np.maximum(np.asarray(vals["beta"], dtype=float), 0.0)
         vals["beta"] = beta / beta.sum()
         return GpHyperParams(**vals)
@@ -585,13 +424,13 @@ def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restart
 
 
 def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
-                       restarts: int = 2, max_iter: int = 400, seed: int = 0):
+                       restarts: int = 2, max_iter: int = 400, seed: int = 0) -> PlainGpModel:
     """Plain-GP baseline: linear mean on standardised columns plus intercept.
 
     The mean coefficients are profiled out by generalised least squares inside
-    the likelihood, so the simplex machinery never sees them. Returns
-    (GpHyperParams with beta = [1], mean_state) where mean_state holds the
-    standardisation and coefficients for `linear_mean`.
+    the likelihood, so the simplex machinery never sees them. The returned
+    model's params have beta = [1]; its mean_state holds the standardisation
+    and coefficients for `linear_mean`.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -626,7 +465,8 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
                                     restarts=restarts, max_iter=max_iter, seed=seed))
     coef, *_ = gls_coef(params)
     mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
-    return params, mean_state
+    return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X,
+                        y=y, ref_lat=float(pts[:, 1].mean()))
 
 
 def linear_mean(mean_state: dict, X) -> np.ndarray:
@@ -723,18 +563,6 @@ class PlainGpModel:
                    X_train=np.asarray(d["X_train"], dtype=float),
                    y=np.asarray(d["y"], dtype=float),
                    ref_lat=float(d["ref_lat"]))
-
-
-def fit_plain_gp(y, X, points, *, fixed: dict | None = None, restarts: int = 2,
-                 max_iter: int = 400, seed: int = 0) -> PlainGpModel:
-    """Convenience wrapper packaging fit_gp_linear_mean for prediction."""
-    pts = np.asarray(points, dtype=float)
-    params, mean_state = fit_gp_linear_mean(y, X, pts, fixed=fixed, restarts=restarts,
-                                            max_iter=max_iter, seed=seed)
-    return PlainGpModel(params=params, mean_state=mean_state, train_points=pts,
-                        X_train=np.asarray(X, dtype=float),
-                        y=np.asarray(y, dtype=float),
-                        ref_lat=float(pts[:, 1].mean()))
 
 
 def plain_gp_predict(model: PlainGpModel, X_pred, pred_points) -> GpPosterior:

@@ -395,8 +395,8 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
             score(CV_METHOD_GP, r, fold_oof_gp(y, state.H @ params.beta, params,
                                                points, plan))
         if CV_METHOD_PLAIN in methods:
-            params, mean_state = fit_gp_linear_mean(y, X, points, **plain_options)
-            score(CV_METHOD_PLAIN, r, fold_oof_gp(y, linear_mean(mean_state, X),
-                                                  params, points, plan))
+            plain = fit_gp_linear_mean(y, X, points, **plain_options)
+            score(CV_METHOD_PLAIN, r, fold_oof_gp(y, linear_mean(plain.mean_state, X),
+                                                  plain.params, points, plan))
     result.summary = _summarise(result.rows, region)
     return result

@@ -16,18 +16,20 @@ from scipy import stats
 from stackgp.cli import main
 from stackgp.cwm import SimplexWeights, cwm_predict, fit_cwm, project_simplex
 from stackgp.dataset import GridGeometry
+from stackgp.gmrf import (
+    SparsePrecision,
+    ar1_precision,
+    gp_condition_precision,
+    lattice_gmrf_precision,
+)
 from stackgp.gp import (
     GpHyperParams,
-    SparsePrecision,
     StackedGpModel,
-    ar1_precision,
     build_joint_cov,
     cov_block,
     fit_hyperparams,
     gp_condition_dense,
-    gp_condition_precision,
     gp_stacked_predict,
-    lattice_gmrf_precision,
     log_marginal_likelihood,
 )
 from stackgp.learners import LearnerSpec, fit_learner

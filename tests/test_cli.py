@@ -457,3 +457,31 @@ class TestEval:
         })
         assert main(["eval", "--config", str(cfg)]) == 3
         assert "latent" in capsys.readouterr().err
+
+    def test_duplicate_key_exits_3_naming_both_lines(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("lon,lat,t,mean\n30.0,-1.0,6,0.0\n30.0,-1.0,6,5.0\n30.05,-1.0,6,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("lon,lat,t,latent\n30.0,-1.0,6,2.5\n30.05,-1.0,6,1.0\n")
+        out = tmp_path / "out"
+        cfg = write_yaml(tmp_path / "e.yaml", {
+            "eval": {"predictions": str(pred), "truth": str(truth)},
+            "output_dir": str(out),
+        })
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{pred}:3: duplicate key" in err
+        assert "first seen on line 2" in err
+        assert not (out / "eval-summary.csv").exists()
+
+    def test_repeated_predict_month_exits_2_before_predicting(self, scenario, cwm_fit, tmp_path,
+                                                              capsys):
+        out = tmp_path / "pred"
+        cfg = write_yaml(tmp_path / "p.yaml", {
+            "data": {"stack": str(scenario / "stack.yaml")},
+            "predict": {"model": str(cwm_fit / "model.json"), "months": [6, 7, 6]},
+            "output_dir": str(out),
+        })
+        assert main(["predict", "--config", str(cfg)]) == 2
+        assert "predict.months must be a non-empty list of distinct" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()

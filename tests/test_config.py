@@ -41,6 +41,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="mapping"):
             validate_config([1, 2, 3])
 
+    def test_repeated_predict_month_rejected(self):
+        assert validate_config({"predict": {"months": [6, 7]}})
+        with pytest.raises(ConfigError, match=r"predict\.months must be .*distinct.*\[6, 7, 6\]"):
+            validate_config({"predict": {"months": [6, 7, 6]}})
+
 
 class TestOverrides:
     def test_values_parse_as_yaml_types(self):

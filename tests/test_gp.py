@@ -8,31 +8,32 @@ import scipy.sparse as sp
 
 from stackgp.dataset import GridGeometry
 from stackgp.errors import ConfigError, DataError, NumericalError, SchemaError
+from stackgp.gmrf import (
+    SparsePrecision,
+    ar1_precision,
+    gp_condition_precision,
+    lattice_gmrf_precision,
+    observation_matrix,
+)
 from stackgp.gp import (
     FIXABLE,
     GpHyperParams,
     PlainGpModel,
-    SparsePrecision,
     StackedGpModel,
     _chol_with_jitter,
     _RawCodec,
     _softmax_pinned,
-    ar1_precision,
     build_joint_cov,
     cov_block,
     default_init,
     fit_gp_linear_mean,
     fit_hyperparams,
-    fit_plain_gp,
     gp_condition_dense,
-    gp_condition_precision,
     gp_stacked_predict,
-    lattice_gmrf_precision,
     linear_mean,
     log_marginal_likelihood,
     matern1_cov,
     matern1_matrix,
-    observation_matrix,
     pairwise_planar_dist,
     plain_gp_predict,
 )
@@ -433,17 +434,6 @@ class TestPrecisionConditioning:
         post = gp_condition_precision(spre, y, mu, 1e-10)
         np.testing.assert_allclose(post.mu_star[obs], y, atol=1e-4)
 
-    def test_prediction_through_a_pred(self):
-        spre, mu, y, obs, s2 = self.setup_problem()
-        A_pred = sp.csr_matrix((np.ones(3), (np.arange(3), [0, 5, 11])),
-                               shape=(3, spre.Q.shape[0]))
-        post_all = gp_condition_precision(spre, y, mu, s2)
-        post_sel = gp_condition_precision(spre, y, mu, s2, A_pred=A_pred)
-        np.testing.assert_allclose(post_sel.mu_star,
-                                   post_all.mu_star[[0, 5, 11]], atol=1e-12)
-        np.testing.assert_allclose(post_sel.sigma_star,
-                                   post_all.sigma_star[[0, 5, 11]], atol=1e-12)
-
     def test_shape_errors(self):
         spre, mu, y, _, s2 = self.setup_problem()
         with pytest.raises(DataError):
@@ -635,10 +625,10 @@ class TestLinearMeanGp:
         pts = random_points(rng, n)
         X = rng.normal(size=(n, 2))
         y = 2.0 + 3.0 * X[:, 0] - 1.0 * X[:, 1]
-        params, mean_state = fit_gp_linear_mean(
+        model = fit_gp_linear_mean(
             y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
                               "sigma_e2": 1.0, "phi": 0.0})
-        fitted = linear_mean(mean_state, X)
+        fitted = linear_mean(model.mean_state, X)
         np.testing.assert_allclose(fitted, y, atol=1e-8)
 
     def test_beta_always_single_one(self):
@@ -646,8 +636,8 @@ class TestLinearMeanGp:
         pts = random_points(rng, 20)
         X = rng.normal(size=(20, 2))
         y = X[:, 0] + rng.normal(size=20) * 0.1
-        params, _ = fit_gp_linear_mean(y, X, pts, restarts=1, max_iter=40)
-        np.testing.assert_array_equal(params.beta, [1.0])
+        model = fit_gp_linear_mean(y, X, pts, restarts=1, max_iter=40)
+        np.testing.assert_array_equal(model.params.beta, [1.0])
 
 
 class TestStackedGpModel:
@@ -731,8 +721,8 @@ class TestPlainGpModel:
         pts = random_points(rng, n)
         X = rng.normal(size=(n, 2))
         y = 1.0 + X[:, 0] + rng.normal(size=n) * 0.2
-        model = fit_plain_gp(y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
-                                               "sigma_e2": 0.5, "phi": 0.0})
+        model = fit_gp_linear_mean(y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                     "sigma_e2": 0.5, "phi": 0.0})
         clone = PlainGpModel.from_dict(model.to_dict())
         X_new = rng.normal(size=(6, 2))
         pts_new = random_points(rng, 6)
@@ -746,8 +736,8 @@ class TestPlainGpModel:
         pts = random_points(rng, 20)
         X = rng.normal(size=(20, 2))
         y = X[:, 0]
-        model = fit_plain_gp(y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
-                                               "sigma_e2": 0.5, "phi": 0.0})
+        model = fit_gp_linear_mean(y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                     "sigma_e2": 0.5, "phi": 0.0})
         with pytest.raises(SchemaError):
             plain_gp_predict(model, np.ones((3, 5)), random_points(rng, 3))
         with pytest.raises(DataError):

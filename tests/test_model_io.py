@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stackgp.errors import SchemaError
-from stackgp.gp import fit_plain_gp, plain_gp_predict
+from stackgp.gp import fit_gp_linear_mean, plain_gp_predict
 from stackgp.learners import LearnerSpec
 from stackgp.model_io import FORMAT_VERSION, load_model, save_model
 from stackgp.stacking import (fit_design1, fit_design2, fit_design3,
@@ -86,8 +86,8 @@ class TestRoundTrips:
 
     def test_plain_gp(self, tmp_path):
         X, y, loc = make_problem(seed=5)
-        model = fit_plain_gp(y, X, loc, fixed={"log_kappa": 0.0, "log_tau": 0.0,
-                                               "sigma_e2": 0.5, "phi": 0.0})
+        model = fit_gp_linear_mean(y, X, loc, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                     "sigma_e2": 0.5, "phi": 0.0})
         path = tmp_path / "m.json"
         save_model(model, path)
         clone = load_model(path)
