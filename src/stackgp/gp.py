@@ -19,7 +19,8 @@ Hyperparameters are fitted by Nelder-Mead on unconstrained raw coordinates
 (log kappa, log tau, log sigma_e^2, atanh phi, and softmax logits for the
 stacked-mean simplex weights, first logit pinned at zero). One table,
 _HYPERPARAMS, holds each scalar's raw transforms and valid range; pinned
-values are checked against it by check_fixed in every fit.
+values are checked against it by check_fixed in every fit. Fits evaluate the
+Bessel term once per distinct training distance, not once per matrix entry.
 """
 
 from __future__ import annotations
@@ -193,10 +194,15 @@ def pairwise_planar_dist(a: np.ndarray, b: np.ndarray, ref_lat: float) -> np.nda
     return np.sqrt(dlon**2 + dlat**2)
 
 
-def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
+def _split_points(points, name: str = "points") -> tuple[np.ndarray, np.ndarray]:
+    """(lon, lat) rows and integer months of finite (n, 3) points; name labels errors."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DataError(f"points must be (n, 3) rows of (lon, lat, t), got {pts.shape}")
+        raise DataError(f"{name} must be (n, 3) rows of (lon, lat, t), got {pts.shape}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DataError(f"{name} row {row} is not finite: {pts[row].tolist()}")
     return pts[:, :2], np.rint(pts[:, 2]).astype(int)
 
 
@@ -207,20 +213,56 @@ def _geometry(points_a, points_b, ref_lat: float) -> tuple[np.ndarray, np.ndarra
     return pairwise_planar_dist(sa, sb, ref_lat), np.abs(ta[:, None] - tb[None, :])
 
 
-def _train_geometry(points) -> tuple[np.ndarray, np.ndarray]:
-    """_geometry of the training points with themselves, at their mean latitude."""
-    lonlat, _ = _split_points(points)
-    return _geometry(points, points, float(lonlat[:, 1].mean()))
-
-
-def _kernel(D: np.ndarray, dT: np.ndarray, params: GpHyperParams) -> np.ndarray:
-    """Separable covariance: Matern over distances D times phi^dT over month lags."""
+def cov_block(points_a, points_b, params: GpHyperParams, ref_lat: float) -> np.ndarray:
+    """Separable cross-covariance between two point sets (shared reference latitude):
+    the Matern over their distances times phi^|t_a - t_b| over their month lags."""
+    D, dT = _geometry(points_a, points_b, ref_lat)
     return matern1_matrix(D, params.kappa, params.tau) * np.power(params.phi, dT)
 
 
-def cov_block(points_a, points_b, params: GpHyperParams, ref_lat: float) -> np.ndarray:
-    """Cross-covariance block between two point sets (shared reference latitude)."""
-    return _kernel(*_geometry(points_a, points_b, ref_lat), params)
+def _train_kernel(points):
+    """params -> cov_block of the training points with themselves at their mean latitude.
+
+    The geometry is fixed for a whole fit, so the Matern is evaluated once per
+    distinct distance and phi^lag once per month lag, then gathered back to
+    n x n. Both work element by element, so every entry has the bytes
+    cov_block gives. matern1_matrix is looked up at call time, so a wrapper
+    set on this module's attribute sees every evaluation.
+    """
+    lonlat, _ = _split_points(points)
+    D, dT = _geometry(points, points, float(lonlat[:, 1].mean()))
+    dists, inverse = np.unique(D, return_inverse=True)
+    inverse = inverse.reshape(D.shape)      # NumPy 1.x returns the inverse flat
+    lags = np.arange(dT.max() + 1)
+
+    def kernel(params: GpHyperParams) -> np.ndarray:
+        return (matern1_matrix(dists, params.kappa, params.tau)[inverse]
+                * np.power(params.phi, lags)[dT])
+    return kernel
+
+
+def _fit_inputs(fit: str, y, mean, points, mean_name: str):
+    """y, the mean matrix and the points of a fit as float arrays.
+
+    Raises a DataError naming the fit unless y is a vector of n >= 5
+    observations and mean and points each have n rows of finite points.
+    """
+    y = np.asarray(y, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    if y.ndim != 1:
+        raise DataError(f"{fit}: y must be a vector, got shape {y.shape}")
+    n = len(y)
+    if n < 5:
+        raise DataError(f"{fit} needs at least 5 observations, got {n}")
+    if mean.ndim != 2 or mean.shape[0] != n:
+        raise DataError(f"{fit}: {mean_name} must have one row per observation "
+                        f"(n = {n}), got shape {mean.shape}")
+    _split_points(pts, f"{fit}: points")
+    if len(pts) != n:
+        raise DataError(f"{fit}: points must have one row per observation (n = {n}), "
+                        f"got {len(pts)}")
+    return y, mean, pts
 
 
 def _chol_with_jitter(S: np.ndarray, context: str):
@@ -405,17 +447,15 @@ def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restart
     GP mean (level-0 predictions for stacking; a single column pins beta to
     [1]). `fixed` holds natural-scale overrides excluded from optimisation.
     """
-    y = np.asarray(y, dtype=float)
-    basis = np.asarray(mean_basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != len(y) or basis.shape[1] < 1:
-        raise DataError(f"mean_basis must be n x L with L >= 1, got {basis.shape}")
-    if len(y) < 5:
-        raise DataError("fit_hyperparams needs at least 5 observations")
-    pts = np.asarray(points, dtype=float)
-    D, dT = _train_geometry(pts)
+    y, basis, pts = _fit_inputs("fit_hyperparams", y, mean_basis, points,
+                                "mean_basis (n x L)")
+    if basis.shape[1] < 1:
+        raise DataError(f"fit_hyperparams: mean_basis (n x L) needs L >= 1, "
+                        f"got shape {basis.shape}")
+    kernel = _train_kernel(pts)
     codec = _RawCodec(basis.shape[1], fixed)
     objective = codec.objective(lambda params: log_marginal_likelihood(
-        y, basis @ params.beta, _kernel(D, dT, params), params.sigma_e2))
+        y, basis @ params.beta, kernel(params), params.sigma_e2))
     x0 = codec.pack(default_init(y, basis, pts))
     if codec.size() == 0:
         return codec.unpack(x0)
@@ -432,10 +472,8 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     model's params have beta = [1]; its mean_state holds the standardisation
     and coefficients for `linear_mean`.
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    D, dT = _train_geometry(pts)
+    y, X, pts = _fit_inputs("fit_gp_linear_mean", y, X, points, "X (n x p)")
+    kernel = _train_kernel(pts)
     n = len(y)
 
     mu_x = X.mean(axis=0)
@@ -447,7 +485,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     init = default_init(y, np.zeros((n, 1)), pts)
 
     def gls_coef(params: GpHyperParams):
-        S = _kernel(D, dT, params) + params.sigma_e2 * np.eye(n)
+        S = kernel(params) + params.sigma_e2 * np.eye(n)
         L, _ = _chol_with_jitter(S, "fit_gp_linear_mean")
         W = solve_triangular(L, M, lower=True)
         z = solve_triangular(L, y, lower=True)

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import stackgp.gp as gp
 from stackgp.dataset import GridGeometry
 from stackgp.errors import ConfigError, DataError, NumericalError, SchemaError
 from stackgp.gmrf import (
@@ -23,6 +25,7 @@ from stackgp.gp import (
     _chol_with_jitter,
     _RawCodec,
     _softmax_pinned,
+    _train_kernel,
     build_joint_cov,
     cov_block,
     default_init,
@@ -138,6 +141,100 @@ class TestCovBlock:
         pts = np.tile([31.0, -1.5, 2.0], (4, 1))
         K = cov_block(pts, pts, params_of(tau=2.0), ref_lat=-1.5)
         np.testing.assert_allclose(K, 0.5, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused_naming_row(self, bad):
+        pts = np.array([[30.0, -1.0, 0.0], [30.5, -1.2, 1.0], [30.2, -1.1, 2.0]])
+        pts[1, 1] = bad
+        with pytest.raises(DataError, match=r"points row 0 is not finite"):
+            cov_block(pts[1:2], pts[1:2], params_of(tau=1.0), ref_lat=-1.0)
+        with pytest.raises(DataError, match=r"points row 1 is not finite"):
+            cov_block(pts[:1], pts, params_of(), ref_lat=-1.0)
+
+
+def sited_points(rng, n, n_sites, n_months):
+    """n surveys at n_sites repeated sites (zero off-diagonal distances)."""
+    sites = np.column_stack([rng.uniform(30.0, 31.0, size=n_sites),
+                             rng.uniform(-2.0, -1.0, size=n_sites)])
+    return np.column_stack([sites[rng.integers(0, n_sites, size=n)],
+                            rng.integers(0, n_months, size=n).astype(float)])
+
+
+def full_matrix_train_kernel(points):
+    """Reference for _train_kernel: the Matern and phi^lag over all n x n entries."""
+    pts = np.asarray(points, dtype=float)
+    D = pairwise_planar_dist(pts[:, :2], pts[:, :2], float(pts[:, 1].mean()))
+    t = np.rint(pts[:, 2]).astype(int)
+    dT = np.abs(t[:, None] - t[None, :])
+    return lambda p: matern1_matrix(D, p.kappa, p.tau) * np.power(p.phi, dT)
+
+
+class TestTrainKernel:
+    def test_bytes_equal_cov_block_over_seeded_draws(self):
+        rng = np.random.default_rng(41)
+        shapes = [(5, 5, 6), (5, 1, 1), (30, 30, 1), (40, 8, 12), (60, 60, 13), (25, 3, 4)]
+        for n, n_sites, n_months in shapes:
+            pts = sited_points(rng, n, n_sites, n_months)
+            kernel = _train_kernel(pts)
+            for phi in (-0.999999, -0.3, -0.0, 0.0, 1e-300, 0.5, 0.999999):
+                for log_kappa in (-12.0, -3.0, 0.0, 4.0, 12.0,
+                                  float(rng.uniform(-12.0, 12.0))):
+                    for log_tau in (-700.0, -20.0, 0.0, 30.0, 700.0):
+                        p = GpHyperParams(log_kappa=log_kappa, log_tau=log_tau, sigma_e2=0.1,
+                                          phi=phi, beta=np.ones(1))
+                        want = cov_block(pts, pts, p, float(pts[:, 1].mean()))
+                        assert kernel(p).tobytes() == want.tobytes(), \
+                            (n, n_sites, n_months, phi, log_kappa, log_tau)
+
+    def fit_problem(self, seed=42, n=24):
+        rng = np.random.default_rng(seed)
+        pts = sited_points(rng, n, 9, 5)
+        basis = rng.normal(size=(n, 2))
+        y = basis @ [0.7, 0.3] + rng.normal(size=n) * 0.3
+        return y, basis, pts
+
+    def test_fits_byte_identical_to_full_matrix_kernel(self, monkeypatch):
+        y, basis, pts = self.fit_problem()
+
+        def fit_bytes():
+            stack = fit_hyperparams(y, basis, pts, restarts=2, max_iter=60, seed=3)
+            plain = fit_gp_linear_mean(y, basis, pts, restarts=2, max_iter=60, seed=3)
+            return [np.array([p.log_kappa, p.log_tau, p.sigma_e2, p.phi]).tobytes()
+                    + p.beta.tobytes() for p in (stack, plain.params)] \
+                + [plain.mean_state["coef"].tobytes()]
+
+        fast = fit_bytes()
+        monkeypatch.setattr(gp, "_train_kernel", full_matrix_train_kernel)
+        assert fit_bytes() == fast
+
+    def test_fits_call_module_kernel_and_optimizer_once_per_distinct_distance(
+            self, monkeypatch):
+        rng = np.random.default_rng(43)
+        pts = sited_points(rng, 40, 8, 6)
+        y = rng.normal(size=40)
+        basis = rng.normal(size=(40, 2))
+        n_distinct = np.unique(pairwise_planar_dist(pts[:, :2], pts[:, :2],
+                                                    float(pts[:, 1].mean()))).size
+        assert n_distinct <= 29          # 8 sites: 28 site pairs and zero
+        entries, optimizer_calls = [], []
+        real_minimize = gp.minimize
+
+        def counting_matern(D, kappa, tau):
+            entries.append(np.size(D))
+            return matern1_matrix(D, kappa, tau)
+
+        def counting_minimize(*args, **kwargs):
+            optimizer_calls.append(1)
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "matern1_matrix", counting_matern)
+        monkeypatch.setattr(gp, "minimize", counting_minimize)
+        for fit in (fit_hyperparams, fit_gp_linear_mean):
+            entries.clear()
+            optimizer_calls.clear()
+            fit(y, basis, pts, restarts=1, max_iter=20)
+            assert optimizer_calls and entries, fit.__name__
+            assert max(entries) <= n_distinct, fit.__name__
 
 
 class TestBuildJointCov:
@@ -640,6 +737,40 @@ class TestLinearMeanGp:
         np.testing.assert_array_equal(model.params.beta, [1.0])
 
 
+class TestFitInputs:
+    """Both fits check their inputs once, before any geometry is built."""
+
+    def make_data(self, n=12):
+        rng = np.random.default_rng(44)
+        return rng.normal(size=n), rng.normal(size=(n, 2)), random_points(rng, n)
+
+    @pytest.mark.parametrize("fit", [fit_hyperparams, fit_gp_linear_mean])
+    def test_points_row_count_must_match_y(self, fit):
+        y, X, pts = self.make_data()
+        with pytest.raises(DataError, match=rf"{fit.__name__}: points must have one row "
+                                            r"per observation \(n = 12\), got 11"):
+            fit(y, X, pts[:-1])
+
+    def test_plain_gp_covariate_row_count_must_match_y(self):
+        y, X, pts = self.make_data()
+        with pytest.raises(DataError, match=r"fit_gp_linear_mean: X \(n x p\) must have one row"):
+            fit_gp_linear_mean(y, X[:-1], pts)
+
+    def test_plain_gp_needs_five_observations(self):
+        y, X, pts = self.make_data()
+        with pytest.raises(DataError, match="fit_gp_linear_mean needs at least 5 observations"):
+            fit_gp_linear_mean(y[:4], X[:4], pts[:4])
+
+    @pytest.mark.parametrize("fit", [fit_hyperparams, fit_gp_linear_mean])
+    def test_non_finite_point_refused_naming_fit_and_row(self, fit):
+        y, X, pts = self.make_data()
+        pts[3, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # no RuntimeWarning before the refusal
+            with pytest.raises(DataError, match=rf"{fit.__name__}: points row 3 is not finite"):
+                fit(y, X, pts)
+
+
 class TestStackedGpModel:
     def make_model(self, seed=19, n=20, L=2, sigma_e2=0.2):
         rng = np.random.default_rng(seed)
@@ -670,6 +801,13 @@ class TestStackedGpModel:
         model, rng = self.make_model()
         with pytest.raises(DataError):
             gp_stacked_predict(model, np.ones((4, 2)), random_points(rng, 5))
+
+    def test_non_finite_prediction_point_refused(self):
+        model, rng = self.make_model()
+        pts_new = random_points(rng, 4)
+        pts_new[2, 0] = np.nan
+        with pytest.raises(DataError, match="points row 2 is not finite"):
+            gp_stacked_predict(model, rng.normal(size=(4, 2)), pts_new)
 
     def test_zero_residual_returns_stacked_mean(self):
         model, rng = self.make_model()
