@@ -205,8 +205,7 @@ class Covariate:
         outside = np.flatnonzero((t < self.t_start) | (t > self.t_end))
         if outside.size:
             i = outside[0]
-            raise PointError(i, f"covariate '{self.name}': month {t[i]} outside "
-                                f"[{self.t_start}, {self.t_end}]")
+            raise PointError(i, f"month {t[i]} outside [{self.t_start}, {self.t_end}]")
         months_per_slice = 1 if self.kind == "dynamic-monthly" else 12
         return self.slices[(t - self.t_start) // months_per_slice, row, col]
 
@@ -306,10 +305,6 @@ class CovariateMatrix:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
     def labels(self) -> list[str]:
         return [c.label for c in self.columns]

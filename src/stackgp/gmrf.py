@@ -93,46 +93,6 @@ def lattice_gmrf_precision(geometry, params: GpHyperParams, n_months: int = 1) -
     return SparsePrecision(Q=Q, A=sp.identity(Q.shape[0], format="csr"))
 
 
-def observation_matrix(geometry, lons, lats, months, n_months: int) -> sp.csr_matrix:
-    """Convex-row bilinear interpolation from latent lattice sites to points.
-
-    A point exactly on a cell centre yields a single unit weight (selection).
-    The first point with a month outside [0, n_months) or a location outside
-    the lattice raises DataError.
-    """
-    lons = np.asarray(lons, dtype=float)
-    lats = np.asarray(lats, dtype=float)
-    months = np.asarray(months, dtype=int)
-    n_lon, n_lat = geometry.n_lon, geometry.n_lat
-    x = (lons - geometry.lon0) / geometry.d_lon
-    yy = (geometry.lat0 - lats) / geometry.d_lat
-    bad_month = ~((0 <= months) & (months < n_months))
-    inside = ((-1e-9 <= x) & (x <= n_lon - 1 + 1e-9)
-              & (-1e-9 <= yy) & (yy <= n_lat - 1 + 1e-9))
-    bad = np.flatnonzero(bad_month | ~inside)
-    if bad.size:
-        i = bad[0]
-        if bad_month[i]:
-            raise DataError(f"point {i}: month {months[i]} outside [0, {n_months})")
-        raise DataError(f"point {i}: ({lons[i]}, {lats[i]}) outside the latent lattice")
-    x = np.clip(x, 0.0, n_lon - 1.0)
-    yy = np.clip(yy, 0.0, n_lat - 1.0)
-    # snap roundoff-level fractional parts so exact cell centres produce a
-    # genuine selection row rather than a (1-eps, eps) pair
-    x = np.where(np.abs(x - np.round(x)) < 1e-9, np.round(x), x)
-    yy = np.where(np.abs(yy - np.round(yy)) < 1e-9, np.round(yy), yy)
-    ix = np.minimum(np.floor(x).astype(int), max(n_lon - 2, 0))
-    iy = np.minimum(np.floor(yy).astype(int), max(n_lat - 2, 0))
-    wx, wy = x - ix, yy - iy
-    corner = months * (n_lat * n_lon) + iy * n_lon + ix
-    cols = np.column_stack([corner, corner + 1, corner + n_lon, corner + n_lon + 1])
-    w = np.column_stack([(1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx])
-    keep = w > 0.0
-    rows = np.broadcast_to(np.arange(len(lons))[:, None], w.shape)
-    return sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
-                         shape=(len(lons), n_months * n_lat * n_lon))
-
-
 def gp_condition_precision(spre: SparsePrecision, y, mean_latent, sigma_e2: float) -> GpPosterior:
     """Predictive conditioning in precision form via sparse LU.
 

@@ -527,6 +527,16 @@ def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior
                               np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
 
 
+def _check_shapes(owner: str, **expected) -> None:
+    """Raise a DataError naming the first field whose shape is not the expected one.
+
+    A size of -1 stands for a count that could not be read, so it matches no shape.
+    """
+    for name, (value, shape) in expected.items():
+        if np.shape(value) != shape:
+            raise DataError(f"{owner}: {name} has shape {np.shape(value)}, expected {shape}")
+
+
 @dataclass
 class StackedGpModel:
     """A fitted level-1 GP bound to full-fit level-0 predictions.
@@ -541,6 +551,11 @@ class StackedGpModel:
     P_train: np.ndarray
     y: np.ndarray
     ref_lat: float
+
+    def __post_init__(self):
+        n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
+        _check_shapes("stacked GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
+                      P_train=(self.P_train, (n, self.params.beta.size)))
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),
@@ -582,6 +597,15 @@ class PlainGpModel:
     X_train: np.ndarray
     y: np.ndarray
     ref_lat: float
+
+    def __post_init__(self):
+        n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
+        m = np.shape(self.X_train)[1] if np.ndim(self.X_train) == 2 else -1
+        _check_shapes("plain GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
+                      X_train=(self.X_train, (n, m)),
+                      x_mean=(self.mean_state.get("x_mean"), (m,)),
+                      x_sd=(self.mean_state.get("x_sd"), (m,)),
+                      coef=(self.mean_state.get("coef"), (m + 1,)))
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),

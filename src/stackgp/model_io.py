@@ -93,6 +93,10 @@ def stack_from_dict(d: dict) -> StackState:
             members=[StackedGpModel.from_dict(m) for m in lvl["members"]],
             weights=_weights_from_dict(lvl["weights"]),
             member_columns=[int(c) for c in lvl["member_columns"]])
+        width = state.P.shape[1]
+        bad = [c for c in state.level1.member_columns if not 0 <= c < width]
+        if bad:
+            raise DataError(f"member columns {bad} outside the {width} columns of P")
     else:
         raise SchemaError(f"unknown level-1 kind {state.level1_kind!r} in model file")
     return state

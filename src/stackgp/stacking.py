@@ -108,24 +108,23 @@ class Level2Stack:
     weights: SimplexWeights
     member_columns: list     # H/P column index feeding each member
 
+    def __post_init__(self):
+        sizes = (len(self.members), self.weights.beta.size, len(self.member_columns))
+        if len(set(sizes)) != 1:
+            raise DataError(f"level-2 stack has {sizes[0]} members, {sizes[1]} weights "
+                            f"and {sizes[2]} member columns")
 
-def _with_columns(values: np.ndarray, columns):
-    return CovariateMatrix(values, columns) if columns is not None else values
 
-
-def _fit_fold_models(X, y, spec: LearnerSpec, plan: FoldPlan, columns=None):
-    """One model per fold, trained on the fold's complement."""
-    models = []
-    for j in range(plan.v):
-        held = plan.fold_rows(j)
-        train = np.flatnonzero(plan.assignment != j)
-        rng = np.random.default_rng([spec.seed, plan.seed, plan.repeat_index, j])
-        try:
-            models.append((held, fit_learner(spec, _with_columns(X[train], columns),
-                                             y[train], rng=rng)))
-        except StackGpError as exc:
-            raise type(exc)(f"learner '{spec.name}', fold {j}: {exc}") from exc
-    return models
+def _fit_level0(X, y, spec: LearnerSpec, plan: FoldPlan, key: int, columns):
+    """Fit on the complement of fold key (every row for key = plan.v); key joins the RNG stream."""
+    rows = np.flatnonzero(plan.assignment != key)
+    rng = np.random.default_rng([spec.seed, plan.seed, plan.repeat_index, key])
+    train = CovariateMatrix(X[rows], columns) if columns is not None else X[rows]
+    try:
+        return fit_learner(spec, train, y[rows], rng=rng)
+    except StackGpError as exc:
+        where = "full fit" if key == plan.v else f"fold {key}"
+        raise type(exc)(f"learner '{spec.name}', {where}: {exc}") from exc
 
 
 def run_level0(X, y, specs, plan: FoldPlan) -> StackState:
@@ -149,14 +148,11 @@ def run_level0(X, y, specs, plan: FoldPlan) -> StackState:
     H = np.empty((n, len(specs)))
     level0 = []
     for i, spec in enumerate(specs):
-        rng = np.random.default_rng([spec.seed, plan.seed, plan.repeat_index, plan.v])
-        try:
-            full = fit_learner(spec, _with_columns(X, columns), y, rng=rng)
-        except StackGpError as exc:
-            raise type(exc)(f"learner '{spec.name}', full fit: {exc}") from exc
+        full = _fit_level0(X, y, spec, plan, plan.v, columns)
         P[:, i] = full.predict(X)
-        for held, model in _fit_fold_models(X, y, spec, plan, columns):
-            H[held, i] = model.predict(X[held])
+        for j in range(plan.v):
+            held = plan.fold_rows(j)
+            H[held, i] = _fit_level0(X, y, spec, plan, j, columns).predict(X[held])
         level0.append(full)
     return StackState(P=P, H=H, plan=plan, level0=level0)
 
@@ -350,8 +346,9 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
     Level-0 columns are scored on H directly. The CWM stack is scored on
     H @ beta-hat, which is out-of-fold at level 0 but in-sample for the
     level-1 weights (documented trade-off). The GP stack and the plain GP
-    refit nothing per fold: hyperparameters are optimised once per repeat on
-    the full data and each fold is re-conditioned on its complement.
+    refit nothing per fold: hyperparameters are optimised on the full data,
+    once per repeat for the stack and once per call for the plain GP, and
+    each fold is re-conditioned on its complement.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -381,6 +378,9 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
                                  mse=mse(yhat, y), mae=mae(yhat, y),
                                  correlation=corr, degenerate=flag))
 
+    if CV_METHOD_PLAIN in methods:
+        plain = fit_gp_linear_mean(y, X, points, **plain_options)
+        plain_mean = linear_mean(plain.mean_state, X)
     for r in range(repeats):
         plan = make_folds(len(y), v, seed, repeat_index=r)
         state = run_level0(X, y, specs, plan)
@@ -395,8 +395,6 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
             score(CV_METHOD_GP, r, fold_oof_gp(y, state.H @ params.beta, params,
                                                points, plan))
         if CV_METHOD_PLAIN in methods:
-            plain = fit_gp_linear_mean(y, X, points, **plain_options)
-            score(CV_METHOD_PLAIN, r, fold_oof_gp(y, linear_mean(plain.mean_state, X),
-                                                  plain.params, points, plan))
+            score(CV_METHOD_PLAIN, r, fold_oof_gp(y, plain_mean, plain.params, points, plan))
     result.summary = _summarise(result.rows, region)
     return result

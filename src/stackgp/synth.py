@@ -109,13 +109,6 @@ class ScenarioConfig:
         return GridGeometry(lon0=self.lon0, lat0=self.lat0, d_lon=self.d_lon,
                             d_lat=self.d_lat, n_lon=self.n_lon, n_lat=self.n_lat)
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         known = {f.name for f in fields(cls)}

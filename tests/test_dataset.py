@@ -205,7 +205,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("outside, t_bad, message", [
         (True, 8, r"^row 2: covariate 'elev': point \(0\.0, 0\.0\) outside grid extent$"),
-        (False, 12, r"^row 2: covariate 'rain': covariate 'rain': month 12 outside \[0, 9\]$"),
+        (False, 12, r"^row 2: covariate 'rain': month 12 outside \[0, 9\]$"),
         (False, 1, r"^row 2: covariate 'rain_lag2' needs month -1 < 0$"),
     ])
     def test_several_bad_rows_name_the_first(self, outside, t_bad, message):

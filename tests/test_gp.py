@@ -15,7 +15,6 @@ from stackgp.gmrf import (
     ar1_precision,
     gp_condition_precision,
     lattice_gmrf_precision,
-    observation_matrix,
 )
 from stackgp.gp import (
     FIXABLE,
@@ -361,48 +360,7 @@ class TestLatticeGmrf:
 
 
 class TestObservationMatrix:
-    def geometry(self):
-        return GridGeometry(lon0=30.0, lat0=-1.0, d_lon=0.1, d_lat=0.1,
-                            n_lon=4, n_lat=3)
-
-    def test_cell_centre_is_selection_row(self):
-        geo = self.geometry()
-        lon, lat = geo.cell_center(1, 2)
-        A = observation_matrix(geo, [lon], [lat], [2], n_months=4)
-        row = A.toarray()[0]
-        site = 2 * (3 * 4) + 1 * 4 + 2
-        assert row[site] == 1.0
-        assert row.sum() == 1.0
-        assert np.count_nonzero(row) == 1
-
-    def test_midpoint_splits_weights(self):
-        geo = self.geometry()
-        lon = geo.lon0 + 0.5 * geo.d_lon
-        lat = geo.lat0 - 0.5 * geo.d_lat
-        A = observation_matrix(geo, [lon], [lat], [0], n_months=1)
-        row = A.toarray()[0]
-        nz = row[row > 0]
-        assert len(nz) == 4
-        np.testing.assert_allclose(nz, 0.25, atol=1e-12)
-
-    def test_rows_are_convex(self):
-        geo = self.geometry()
-        rng = np.random.default_rng(4)
-        lons = rng.uniform(geo.lon0, geo.lon0 + 0.3, size=10)
-        lats = rng.uniform(geo.lat0 - 0.2, geo.lat0, size=10)
-        A = observation_matrix(geo, lons, lats, [0] * 10, n_months=2)
-        assert A.min() >= 0
-        np.testing.assert_allclose(np.asarray(A.sum(axis=1)).ravel(), 1.0, atol=1e-12)
-
-    def test_month_out_of_range(self):
-        geo = self.geometry()
-        with pytest.raises(DataError, match="month"):
-            observation_matrix(geo, [30.0], [-1.0], [5], n_months=3)
-
-    def test_point_outside_lattice(self):
-        geo = self.geometry()
-        with pytest.raises(DataError, match="outside"):
-            observation_matrix(geo, [40.0], [-1.0], [0], n_months=1)
+    """SparsePrecision's observation matrix A maps latent sites to points by convex rows."""
 
     def test_sparse_precision_validates_rows(self):
         Q = sp.identity(4, format="csc")

@@ -209,3 +209,42 @@ class TestSchemaGuards:
         path.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="malformed"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def level1_model_files(tmp_path_factory):
+    """model.json payloads of a design-1 GP, a design-2 and a plain-GP model."""
+    X, y, loc = make_problem(seed=9)
+    plan = make_folds(20, 4, seed=8)
+    models = {
+        "gp": fit_design1(X, y, loc, [lin(1), lin(2)], "gp", plan, gp_options=FAST_GP),
+        "design2": fit_design2(X, y, loc, [lin(1), lin(2), lin(3)], plan, gp_options=FAST_GP),
+        "plain": fit_gp_linear_mean(y, X, loc, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                      "sigma_e2": 0.5, "phi": 0.0}),
+    }
+    out = {}
+    for name, model in models.items():
+        path = tmp_path_factory.mktemp(name) / "model.json"
+        save_model(model, path)
+        out[name] = json.loads(path.read_text())
+    return out
+
+
+class TestLevel1Shapes:
+    @pytest.mark.parametrize("model, edit", [
+        ("gp", lambda d: [row.append(0.0) for row in d["level1"]["P_train"]]),
+        ("gp", lambda d: d["level1"]["y"].pop()),
+        ("plain", lambda d: d["mean_state"]["coef"].pop()),
+        ("design2", lambda d: d["level1"].update(member_columns=[0, 1, 7])),
+        ("design2", lambda d: d["level1"]["weights"].update(beta=[0.5, 0.5])),
+    ], ids=["P_train-extra-column", "y-short", "plain-coef-short", "member-column-outside-P",
+            "level2-weights-short"])
+    def test_inconsistent_shapes_name_the_file(self, level1_model_files, tmp_path, model, edit):
+        d = json.loads(json.dumps(level1_model_files[model]))
+        edit(d)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match="malformed model file") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert info.value.exit_code == 3

@@ -138,6 +138,24 @@ class TestRunLevel0:
         except DataError as exc:
             assert "meanie" in str(exc)
 
+    def test_full_fit_then_folds_each_on_its_own_rng_stream(self, monkeypatch):
+        import stackgp.stacking as stacking
+        fit, calls = stacking.fit_learner, []
+
+        def recording_fit(spec, X, y, rng):
+            calls.append((len(y), rng.bit_generator.state))
+            if len(calls) == 3:
+                raise DataError("refused")
+            return fit(spec, X, y, rng=rng)
+        monkeypatch.setattr(stacking, "fit_learner", recording_fit)
+        X, y, _ = make_problem(seed=4, n=12)
+        plan = make_folds(12, 3, seed=6, repeat_index=2)
+        with pytest.raises(DataError, match=r"^learner 'meanie', fold 1: refused$"):
+            run_level0(X, y, [mean_spec(seed=9, name="meanie")], plan)
+        assert calls == [
+            (n, np.random.default_rng([9, 6, 2, key]).bit_generator.state)
+            for n, key in ((12, 3), (8, 0), (8, 1))]
+
     def test_plan_length_mismatch(self):
         X, y, _ = make_problem(seed=5, n=12)
         with pytest.raises(DataError, match="fold plan"):
@@ -416,6 +434,26 @@ class TestRepeatCvEvaluate:
         with pytest.raises(ConfigError, match="unique") as info:
             repeat_cv_evaluate(X, y, loc, specs, v=2, repeats=1, gp_options=FAST_GP)
         assert clash in str(info.value)
+
+    def test_plain_gp_fitted_once_per_call(self, monkeypatch):
+        import stackgp.stacking as stacking
+        from stackgp.gp import linear_mean
+        from stackgp.metrics import mae, mse
+        fit, fits = stacking.fit_gp_linear_mean, []
+        monkeypatch.setattr(stacking, "fit_gp_linear_mean",
+                            lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+        X, y, loc = make_problem(seed=29, n=20)
+        res = repeat_cv_evaluate(X, y, loc, [linear_spec(name="lin")], v=4, repeats=3,
+                                 seed=6, gp_options=FAST_GP,
+                                 methods=("level0", "plain-gp"))
+        assert len(fits) == 1
+        plain = fits[0]
+        rows = [r for r in res.rows if r.method == "plain-gp"]
+        assert [r.repeat for r in rows] == [0, 1, 2]
+        for r, row in enumerate(rows):
+            oof = fold_oof_gp(y, linear_mean(plain.mean_state, X), plain.params, loc,
+                              make_folds(20, 4, 6, r))
+            assert (row.mse, row.mae) == (mse(oof, y), mae(oof, y))
 
     def test_distinct_repeats_use_distinct_folds(self):
         X, y, loc = make_problem(seed=28, n=20)

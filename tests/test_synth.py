@@ -129,9 +129,11 @@ class TestScenarioConfigValidation:
             ScenarioConfig.from_dict({"mystery": 1})
 
     def test_round_trip(self):
-        cfg = ScenarioConfig(**SMALL, regime="covariance-heavy")
-        clone = ScenarioConfig.from_dict(cfg.to_dict())
-        assert clone == cfg
+        # a config file's synth section loads n_tested_range as a list
+        loaded = {**SMALL, "regime": "covariance-heavy", "n_tested_range": [40, 90]}
+        cfg = ScenarioConfig.from_dict(loaded)
+        assert cfg == ScenarioConfig(**SMALL, regime="covariance-heavy", n_tested_range=(40, 90))
+        assert cfg.n_tested_range == (40, 90)
 
     def test_bad_regime(self):
         with pytest.raises(ConfigError, match="regime"):
