@@ -1,9 +1,9 @@
 """Constrained-weighted-mean combiner: simplex-constrained least squares.
 
-Weights minimise ||y - H beta||^2 over the probability simplex via projected
-gradient descent with Euclidean simplex projection. The convexity constraint
-keeps every combined prediction inside the row-wise [min, max] envelope of
-the member predictions.
+Weights minimise ||y - H beta||^2 over the probability simplex by the finite
+active set of ``qp.nonneg_qp``, whose KKT residual is checked. The convexity
+constraint keeps every combined prediction inside the row-wise [min, max]
+envelope of the member predictions.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
+from .qp import nonneg_qp
 
-MAX_ITER = 10_000
-OBJECTIVE_TOL = 1e-12
+KKT_TOL = 1e-8   # largest relative KKT residual accepted as the optimum
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ def project_simplex(v) -> SimplexWeights:
 def fit_cwm(H, y) -> SimplexWeights:
     """Fit simplex weights minimising ||y - H beta||^2.
 
-    Projected gradient with step 1 / (2 lambda_max(H^T H)); converged when the
-    objective improves by less than OBJECTIVE_TOL.
+    meta holds the active-set steps, starting vertex included, and the relative
+    KKT residual; a residual above KKT_TOL raises NumericalError.
     """
     H = np.asarray(H, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -63,26 +63,11 @@ def fit_cwm(H, y) -> SimplexWeights:
     if not np.all(np.isfinite(H)) or not np.all(np.isfinite(y)):
         raise DataError("non-finite entries in CWM inputs")
     n, L = H.shape
-    if L == 1:
-        return SimplexWeights(beta=np.ones(1), degenerate=n < 1, meta={"iterations": 0})
-
-    G = H.T @ H
-    hy = H.T @ y
-    lam_max = float(np.linalg.eigvalsh(G)[-1])
-    step = 1.0 / max(2.0 * lam_max, 1e-30)
-
-    beta = np.full(L, 1.0 / L)
-    obj = float(beta @ G @ beta - 2.0 * hy @ beta + y @ y)
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        grad = 2.0 * (G @ beta - hy)
-        beta_new = project_simplex(beta - step * grad).beta
-        obj_new = float(beta_new @ G @ beta_new - 2.0 * hy @ beta_new + y @ y)
-        if obj - obj_new < OBJECTIVE_TOL:
-            beta = beta_new if obj_new <= obj else beta
-            break
-        beta, obj = beta_new, obj_new
-    return SimplexWeights(beta=beta, degenerate=n < L, meta={"iterations": iterations})
+    beta, steps, kkt = nonneg_qp(2.0 * H.T @ H, 2.0 * H.T @ y, simplex=True, name="CWM")
+    if kkt > KKT_TOL:
+        raise NumericalError(f"CWM: active-set solve ended off the optimum (KKT residual {kkt:.3e})")
+    return SimplexWeights(beta=beta / beta.sum(), degenerate=n < L,
+                          meta={"iterations": steps, "kkt_residual": kkt})
 
 
 def cwm_predict(weights: SimplexWeights, P) -> np.ndarray:

@@ -48,8 +48,6 @@ PARAM_SCHEMAS = {
     "enet": {
         "lambda1": (1.0, non_negative_real, "l1 penalty weight (>= 0)"),
         "lambda2": (1.0, non_negative_real, "l2 penalty weight (>= 0)"),
-        "max_iter": (10_000, int_at_least(1), "coordinate-descent sweep limit"),
-        "tol": (1e-10, positive_real, "max coefficient change to declare convergence"),
     },
     "gam": {
         "n_splines": (8, int_at_least(4), "basis functions per smooth term (>= 4)"),
@@ -151,11 +149,24 @@ class LearnerModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerModel":
-        spec = LearnerSpec.from_dict(d["spec"])
+        spec = d["spec"]
+        if isinstance(spec, dict) and spec.get("kind") == "enet" and isinstance(spec.get("params"), dict):
+            # enet files written before the active-set solve carry max_iter and tol
+            spec = {**spec, "params": {k: v for k, v in spec["params"].items()
+                                       if k not in ("max_iter", "tol")}}
+        spec = LearnerSpec.from_dict(spec)
         model = _MODEL_CLS[spec.kind].from_state(d["state"])
         columns = d.get("columns")
         if columns is not None:
             columns = tuple(ColumnInfo(str(n), int(lag), str(k)) for n, lag, k in columns)
+            # a state that cannot predict one row of its own width is malformed
+            try:
+                probe = np.asarray(model.predict(np.zeros((1, len(columns)))), dtype=float)
+            except (IndexError, TypeError, ValueError):
+                probe = None
+            if probe is None or probe.shape != (1,) or not np.isfinite(probe[0]):
+                raise DataError(f"learner '{spec.name}': stored state does not predict "
+                                f"from its {len(columns)} columns")
         return cls(spec=spec, model=model, columns=columns)
 
 

@@ -294,6 +294,40 @@ class TestFitAndPredict:
         assert len(rows) == 64
         assert all(np.isfinite(float(r["mean"])) for r in rows)
 
+    def edited_model(self, cwm_fit, tmp_path, edit):
+        payload = json.loads((cwm_fit / "model.json").read_text())
+        (enet,) = [m for m in payload["level0"] if m["spec"]["kind"] == "enet"]
+        edit(enet)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_model_with_retired_enet_params_predicts_identically(self, scenario, cwm_fit,
+                                                                  tmp_path):
+        # enet models written before the active-set solve store max_iter and tol
+        path = self.edited_model(cwm_fit, tmp_path, lambda m: m["spec"]["params"].update(
+            max_iter=10000, tol=1e-10))
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        assert self.predict_into(scenario, cwm_fit / "model.json", a) == 0
+        assert self.predict_into(scenario, path, b) == 0
+        assert (a / "predictions.csv").read_bytes() == (b / "predictions.csv").read_bytes()
+
+    def test_retired_enet_param_in_run_config_exits_2(self, scenario, tmp_path, capsys):
+        cfg = fit_config(scenario, tmp_path / "out")
+        cfg["stacking"]["learners"][0]["params"]["tol"] = 1e-10
+        assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "category=config" in err and "unknown parameter(s) ['tol']" in err
+
+    def test_short_enet_state_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path, capsys):
+        path = self.edited_model(cwm_fit, tmp_path, lambda m: m["state"]["coef"].pop())
+        assert self.predict_into(scenario, path, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: malformed model file" in err
+        assert "learner 'enet'" in err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_bad_month_rejected(self, scenario, cwm_fit, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "predict.yaml", {
             "data": {"stack": str(scenario / "stack.yaml")},

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackgp.cwm import SimplexWeights, cwm_predict, fit_cwm, project_simplex
-from stackgp.errors import DataError
+from stackgp import cwm, qp
+from stackgp.cwm import KKT_TOL, SimplexWeights, cwm_predict, fit_cwm, project_simplex
+from stackgp.errors import DataError, NumericalError
 
 
 def simplex_grid(L, step):
@@ -140,6 +141,53 @@ class TestFitCwm:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             fit_cwm(np.ones((4, 2)), np.ones(5))
+
+
+def certificate_case(case):
+    rng = np.random.default_rng(11)
+    n, L = (3, 6) if case == "n<L" else (60, 4)
+    y = rng.normal(size=n)
+    H = y[:, None] + rng.normal(size=(n, L)) * rng.uniform(0.5, 3.0, size=L)
+    if case == "exact-column":
+        H[:, 2] = y
+    if case == "twin-columns":
+        H[:, 1] = H[:, 0]
+    if case == "large-scale":
+        H, y = H * 1e5, y * 1e5
+    return H, y
+
+
+class TestActiveSetCertificate:
+    @pytest.mark.parametrize("case", ["plain", "exact-column", "twin-columns", "n<L", "large-scale"])
+    def test_kkt_conditions_hold_at_the_returned_weights(self, case):
+        H, y = certificate_case(case)
+        w = fit_cwm(H, y)
+        assert w.degenerate == (case == "n<L")
+        assert w.meta["iterations"] >= 1
+        assert w.meta["kkt_residual"] <= KKT_TOL
+        # recomputed from beta alone: equal gradients on the support, no
+        # lower gradient off it
+        Q, b = 2.0 * H.T @ H, 2.0 * H.T @ y
+        g = Q @ w.beta - b
+        g -= g @ w.beta
+        tol = KKT_TOL * max(1.0, np.abs(Q).max(), np.abs(b).max())
+        on = w.beta > 0
+        assert np.all(np.abs(g[on]) <= tol)
+        assert np.all(g[~on] >= -tol)
+        if case == "exact-column":
+            np.testing.assert_allclose(w.beta, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_step_cap_raises_naming_the_cwm(self, monkeypatch):
+        H, y = certificate_case("plain")
+        monkeypatch.setattr(qp, "MAX_STEPS_PER_VARIABLE", 0)
+        with pytest.raises(NumericalError, match="CWM: active-set solve did not finish"):
+            fit_cwm(H, y)
+
+    def test_residual_above_threshold_raises_naming_the_cwm(self, monkeypatch):
+        H, y = certificate_case("plain")
+        monkeypatch.setattr(cwm, "KKT_TOL", -1.0)
+        with pytest.raises(NumericalError, match="CWM: .*KKT residual"):
+            fit_cwm(H, y)
 
 
 class TestCwmPredict:
