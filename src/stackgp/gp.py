@@ -15,12 +15,14 @@ multiplicative jitter ladder (1e-10 up to 1e-6 of the mean diagonal, then a
 hard numerical error). The lattice GMRF precision form of the same field
 lives in gmrf.py.
 
-Hyperparameters are fitted by Nelder-Mead on unconstrained raw coordinates
-(log kappa, log tau, log sigma_e^2, atanh phi, and softmax logits for the
-stacked-mean simplex weights, first logit pinned at zero). One table,
-_HYPERPARAMS, holds each scalar's raw transforms and valid range; pinned
-values are checked against it by check_fixed in every fit. Fits evaluate the
-Bessel term once per distinct training distance, not once per matrix entry.
+Hyperparameters are fitted by L-BFGS-B on the analytic gradient of the log
+marginal likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen &
+Williams 2006, eq. 5.9), over unconstrained raw coordinates (log kappa,
+log tau, log sigma_e^2, atanh phi, and softmax logits for the stacked-mean
+simplex weights, first logit pinned at zero). One table, _HYPERPARAMS, holds
+each scalar's raw transforms, their slope and valid range; pinned values are
+checked against it by check_fixed in every fit. Fits evaluate the Bessel
+terms once per distinct training distance, not once per matrix entry.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 from scipy.optimize import minimize
-from scipy.special import k1
+from scipy.special import k0, k1
 
 from .config import finite_real
 from .errors import ConfigError, DataError, NumericalError, SchemaError
@@ -45,15 +47,20 @@ def _log_clamped(x: float) -> float:
     return min(max(x, -700.0), 700.0)
 
 
+def _log_clamped_slope(x: float) -> float:
+    return 1.0 if abs(x) < 700.0 else 0.0
+
+
 # Each scalar hyperparameter, in raw-coordinate order -> (natural -> raw,
-# raw -> natural, range check, description). The raw -> natural maps clamp so
-# that exp cannot overflow.
+# raw -> natural, d natural / d raw, range check, description). The raw ->
+# natural maps clamp so that exp cannot overflow; past a clamp the slope is 0.
 _HYPERPARAMS = {
-    "log_kappa": (float, _log_clamped, finite_real, "a finite real"),
-    "log_tau": (float, _log_clamped, finite_real, "a finite real"),
+    "log_kappa": (float, _log_clamped, _log_clamped_slope, finite_real, "a finite real"),
+    "log_tau": (float, _log_clamped, _log_clamped_slope, finite_real, "a finite real"),
     "sigma_e2": (math.log, lambda x: math.exp(min(x, 700.0)),
+                 lambda x: math.exp(x) if x < 700.0 else 0.0,
                  lambda v: finite_real(v) and v > 0, "a finite real > 0"),
-    "phi": (math.atanh, math.tanh,
+    "phi": (math.atanh, math.tanh, lambda x: 1.0 - math.tanh(x) ** 2,
             lambda v: finite_real(v) and abs(v) < 1, "a finite real in (-1, 1)"),
 }
 FIXABLE = (*_HYPERPARAMS, "beta")
@@ -77,7 +84,7 @@ def check_fixed(fixed, width: int, where: str = "gp.fixed") -> dict:
                   and all(finite_real(b) and b >= 0 for b in items) and sum(items) > 0)
             want = f"a list of {width} non-negative finite numbers with a positive sum"
         else:
-            _, _, check, want = _HYPERPARAMS[key]
+            *_, check, want = _HYPERPARAMS[key]
             ok = check(value)
         if not ok:
             raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
@@ -116,7 +123,7 @@ class GpHyperParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        for key, (_, _, check, description) in _HYPERPARAMS.items():
+        for key, (*_, check, description) in _HYPERPARAMS.items():
             value = getattr(self, key)
             if not check(value):
                 raise DataError(f"{key} must be {description}, got {value!r}")
@@ -184,6 +191,22 @@ def matern1_matrix(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     return np.where(x > 0, vals, 1.0 / tau)
 
 
+def _matern1_dlog_kappa(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
+    """d matern1_matrix / d log kappa: -(x^2 / tau) K0(x) with x = kappa d, 0 at d = 0.
+
+    It follows from d/dx [x K1(x)] = -x K0(x).
+    """
+    x = kappa * np.asarray(D, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = -(x / tau) * (x * k0(np.where(x > 0, x, 1.0)))
+    return np.where(x > 0, vals, 0.0)
+
+
+def _ar1_dphi(phi: float, lags: np.ndarray) -> np.ndarray:
+    """d phi^lag / d phi = lag phi^(lag - 1), exactly 0 at lag 0."""
+    return lags * np.power(phi, np.maximum(lags - 1, 0))
+
+
 def pairwise_planar_dist(a: np.ndarray, b: np.ndarray, ref_lat: float) -> np.ndarray:
     """Equirectangular distances in degrees between (lon, lat) rows."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -221,13 +244,19 @@ def cov_block(points_a, points_b, params: GpHyperParams, ref_lat: float) -> np.n
 
 
 def _train_kernel(points):
-    """params -> cov_block of the training points with themselves at their mean latitude.
+    """params -> (K, dS) for the training points at their mean latitude.
 
-    The geometry is fixed for a whole fit, so the Matern is evaluated once per
-    distinct distance and phi^lag once per month lag, then gathered back to
-    n x n. Both work element by element, so every entry has the bytes
-    cov_block gives. matern1_matrix is looked up at call time, so a wrapper
-    set on this module's attribute sees every evaluation.
+    K is cov_block of the points with themselves. dS(key) is the block
+    d(K + sigma_e2 I) / d key for a scalar of _HYPERPARAMS on its natural
+    scale; each call builds one block, so a caller holding one at a time
+    holds no more.
+
+    The geometry is fixed for a whole fit, so the Matern and its kappa
+    derivative are evaluated once per distinct distance and phi^lag once per
+    month lag, then gathered back to n x n. All work element by element, so
+    every entry of K has the bytes cov_block gives. matern1_matrix and k0 are
+    looked up at call time, so a wrapper set on this module's attribute sees
+    every evaluation.
     """
     lonlat, _ = _split_points(points)
     D, dT = _geometry(points, points, float(lonlat[:, 1].mean()))
@@ -235,9 +264,20 @@ def _train_kernel(points):
     inverse = inverse.reshape(D.shape)      # NumPy 1.x returns the inverse flat
     lags = np.arange(dT.max() + 1)
 
-    def kernel(params: GpHyperParams) -> np.ndarray:
-        return (matern1_matrix(dists, params.kappa, params.tau)[inverse]
-                * np.power(params.phi, lags)[dT])
+    def kernel(params: GpHyperParams):
+        matern = matern1_matrix(dists, params.kappa, params.tau)
+        ar1 = np.power(params.phi, lags)[dT]
+        K = matern[inverse] * ar1
+
+        def dS(key: str) -> np.ndarray:
+            if key == "log_kappa":
+                return _matern1_dlog_kappa(dists, params.kappa, params.tau)[inverse] * ar1
+            if key == "log_tau":
+                return -K
+            if key == "sigma_e2":
+                return np.eye(len(K))
+            return matern[inverse] * _ar1_dphi(params.phi, lags)[dT]
+        return K, dS
     return kernel
 
 
@@ -270,6 +310,8 @@ def _chol_with_jitter(S: np.ndarray, context: str):
     scale = float(np.mean(np.diag(S)))
     if not np.isfinite(scale):
         raise NumericalError(f"{context}: non-finite covariance diagonal")
+    if not np.isfinite(S).all():
+        raise NumericalError(f"{context}: non-finite covariance entries")
     for level in JITTER_LADDER:
         jitter = level * max(scale, 1e-300)
         try:
@@ -336,8 +378,15 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
                        train={"jitter": jitter})
 
 
-def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float) -> float:
-    """Gaussian log marginal likelihood of y under K_train + sigma_e2 I."""
+def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
+    """Gaussian log marginal likelihood of y under S = K_train + sigma_e2 I.
+
+    Without dS it returns the float. dS is an iterable of symmetric blocks
+    dS/dtheta_i, read one at a time; with it the result is (lml, grad, alpha),
+    where grad[i] = 1/2 tr((alpha alpha^T - S^-1) dS/dtheta_i) (Rasmussen &
+    Williams 2006, eq. 5.9) and alpha = S^-1 (y - mean_train), so that the
+    gradient in the coefficients of a mean H b is H^T alpha.
+    """
     y = np.asarray(y, dtype=float)
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
@@ -345,7 +394,15 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float) -> float:
     L, _ = _chol_with_jitter(S, "log_marginal_likelihood")
     alpha = cho_solve((L, True), r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
+    lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
+    if dS is None:
+        return lml
+    S_inv, _ = lapack.dpotri(L, lower=1)        # lower triangle; L's upper is zero
+    W = np.outer(alpha, alpha)
+    W -= S_inv
+    W -= np.tril(S_inv, -1).T
+    grad = np.array([0.5 * np.vdot(W, block) for block in dS])
+    return lml, grad, alpha
 
 
 def _softmax_pinned(logits: np.ndarray) -> np.ndarray:
@@ -387,15 +444,40 @@ class _RawCodec:
         vals["beta"] = beta / beta.sum()
         return GpHyperParams(**vals)
 
-    def objective(self, loglik):
-        """Optimizer objective: -loglik(params) at a raw point, PENALTY where it fails."""
-        def neg_loglik(raw: np.ndarray) -> float:
-            try:
-                ll = loglik(self.unpack(raw))
-            except (NumericalError, DataError, FloatingPointError, OverflowError):
-                return PENALTY
-            return -ll if np.isfinite(ll) else PENALTY
-        return neg_loglik
+    def objective(self, evaluate):
+        """Optimizer callables (fun, jac) over raw points.
+
+        evaluate(params) returns (lml, grad, mean_grad): the log marginal
+        likelihood, its gradient in the free scalars on their natural scale
+        and, where beta is free, its gradient in beta. fun is -lml, PENALTY
+        where the evaluation fails, and jac its gradient in the raw
+        coordinates, zero there. The two share one evaluation per point,
+        memoised on the last point.
+        """
+        last = {}
+
+        def at(raw: np.ndarray):
+            raw = np.asarray(raw, dtype=float)
+            key = raw.tobytes()
+            if key not in last:
+                last.clear()
+                last[key] = self._neg_lml(evaluate, raw)
+            return last[key]
+        return (lambda raw: at(raw)[0]), (lambda raw: at(raw)[1])
+
+    def _neg_lml(self, evaluate, raw: np.ndarray) -> tuple[float, np.ndarray]:
+        try:
+            params = self.unpack(raw)
+            ll, grad, mean_grad = evaluate(params)
+        except (NumericalError, DataError, FloatingPointError, OverflowError):
+            return PENALTY, np.zeros(raw.size)
+        grad = grad * [_HYPERPARAMS[key][2](float(x)) for key, x in zip(self.free, raw)]
+        if self.free_beta:      # through the pinned softmax
+            beta = params.beta
+            grad = np.concatenate([grad, beta[1:] * (mean_grad[1:] - beta @ mean_grad)])
+        if not (np.isfinite(ll) and np.isfinite(grad).all()):
+            return PENALTY, np.zeros(raw.size)
+        return -ll, -grad
 
 
 def default_init(y, mean_basis, points) -> GpHyperParams:
@@ -418,11 +500,13 @@ def default_init(y, mean_basis, points) -> GpHyperParams:
                          sigma_e2=0.5 * var, phi=0.3, beta=beta)
 
 
-def _optimize(objective, x0: np.ndarray, context: str, *, restarts: int, max_iter: int,
-              seed: int) -> np.ndarray:
-    """Nelder-Mead from x0, then from restarts - 1 jittered starts; best raw point.
+def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
+              max_iter: int, seed: int) -> np.ndarray:
+    """L-BFGS-B from x0, then from restarts - 1 jittered starts; best raw point.
 
-    The objective must be finite at x0; an empty x0 is returned unoptimised.
+    objective returns a float and jac its gradient; each run stops at scipy's
+    default tolerances or after max_iter iterations. The objective must be
+    finite at x0; an empty x0 is returned unoptimised.
     """
     f0 = objective(x0)
     if not np.isfinite(f0) or f0 >= PENALTY:
@@ -432,8 +516,8 @@ def _optimize(objective, x0: np.ndarray, context: str, *, restarts: int, max_ite
     best_raw, best_val = x0, f0
     for attempt in range(max(restarts, 1) if x0.size else 0):
         start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-4, "fatol": 1e-6})
+        res = minimize(objective, start, method="L-BFGS-B", jac=jac,
+                       options={"maxiter": max_iter})
         if res.fun < best_val:
             best_raw, best_val = res.x, float(res.fun)
     return best_raw
@@ -454,13 +538,18 @@ def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restart
                         f"got shape {basis.shape}")
     kernel = _train_kernel(pts)
     codec = _RawCodec(basis.shape[1], fixed)
-    objective = codec.objective(lambda params: log_marginal_likelihood(
-        y, basis @ params.beta, kernel(params), params.sigma_e2))
+
+    def evaluate(params: GpHyperParams):
+        K, dS = kernel(params)
+        ll, grad, alpha = log_marginal_likelihood(y, basis @ params.beta, K, params.sigma_e2,
+                                                  map(dS, codec.free))
+        return ll, grad, basis.T @ alpha
+
     x0 = codec.pack(default_init(y, basis, pts))
     if codec.size() == 0:
         return codec.unpack(x0)
-    return codec.unpack(_optimize(objective, x0, "fit_hyperparams", restarts=restarts,
-                                  max_iter=max_iter, seed=seed))
+    return codec.unpack(_optimize(*codec.objective(evaluate), x0, "fit_hyperparams",
+                                  restarts=restarts, max_iter=max_iter, seed=seed))
 
 
 def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
@@ -468,7 +557,8 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     """Plain-GP baseline: linear mean on standardised columns plus intercept.
 
     The mean coefficients are profiled out by generalised least squares inside
-    the likelihood, so the simplex machinery never sees them. The returned
+    the likelihood, so the simplex machinery never sees them; by the envelope
+    theorem the profiled gradient is the gradient at the GLS mean. The returned
     model's params have beta = [1]; its mean_state holds the standardisation
     and coefficients for `linear_mean`.
     """
@@ -484,24 +574,22 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     codec = _RawCodec(1, fixed)
     init = default_init(y, np.zeros((n, 1)), pts)
 
-    def gls_coef(params: GpHyperParams):
-        S = kernel(params) + params.sigma_e2 * np.eye(n)
-        L, _ = _chol_with_jitter(S, "fit_gp_linear_mean")
-        W = solve_triangular(L, M, lower=True)
-        z = solve_triangular(L, y, lower=True)
-        coef, *_ = np.linalg.lstsq(W, z, rcond=None)
-        return coef, L, W, z
+    def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
+        L, _ = _chol_with_jitter(K + sigma_e2 * np.eye(n), "fit_gp_linear_mean")
+        coef, *_ = np.linalg.lstsq(solve_triangular(L, M, lower=True),
+                                   solve_triangular(L, y, lower=True), rcond=None)
+        return coef
 
-    def loglik(params: GpHyperParams) -> float:
-        coef, L, W, z = gls_coef(params)
-        resid = z - W @ coef
-        return -0.5 * float(resid @ resid) - float(np.sum(np.log(np.diag(L)))) \
-            - 0.5 * n * LOG_2PI
+    def evaluate(params: GpHyperParams):
+        K, dS = kernel(params)
+        ll, grad, _ = log_marginal_likelihood(y, M @ gls_coef(K, params.sigma_e2), K,
+                                              params.sigma_e2, map(dS, codec.free))
+        return ll, grad, None
 
-    objective = codec.objective(loglik)
-    params = codec.unpack(_optimize(objective, codec.pack(init), "fit_gp_linear_mean",
-                                    restarts=restarts, max_iter=max_iter, seed=seed))
-    coef, *_ = gls_coef(params)
+    params = codec.unpack(_optimize(*codec.objective(evaluate), codec.pack(init),
+                                    "fit_gp_linear_mean", restarts=restarts,
+                                    max_iter=max_iter, seed=seed))
+    coef = gls_coef(kernel(params)[0], params.sigma_e2)
     mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
     return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X,
                         y=y, ref_lat=float(pts[:, 1].mean()))

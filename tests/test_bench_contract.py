@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from stackgp.cwm import fit_cwm
+import stackgp.gp as gp
+from stackgp.gp import fit_hyperparams, minimize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -35,3 +37,30 @@ def test_cwm_iterations_count_the_starting_vertex(monkeypatch):
     weights = fit_cwm(H, y)
     np.testing.assert_array_equal(weights.beta, [0.0, 1.0, 0.0])
     assert attrs((H, y), {}, weights)["iterations"] >= 1
+
+
+def test_traced_gp_fits_count_evaluations_and_lml_spans(monkeypatch):
+    # the tracer counts optimizer evaluations by comparing each objective
+    # value with the penalty, so the objective must return a plain float;
+    # it records gp.lml spans only if the fits evaluate through
+    # stackgp.gp.log_marginal_likelihood
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    rng = np.random.default_rng(46)
+    n = 30
+    points = np.column_stack([rng.uniform(30.0, 31.0, n), rng.uniform(-2.0, -1.0, n),
+                              rng.integers(0, 6, n).astype(float)])
+    basis = rng.normal(size=(n, 2))
+    y = basis @ [0.6, 0.4] + rng.normal(size=n) * 0.3
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        gp.fit_hyperparams(y, basis, points, restarts=1, max_iter=30)
+        gp.fit_gp_linear_mean(y, basis, points, restarts=1, max_iter=30)
+    finally:
+        restore()
+    assert gp.fit_hyperparams is fit_hyperparams and gp.minimize is minimize
+    runs = [span for span in tracer.spans if span["layer"] == "gp.optimizer"]
+    assert len(runs) == 2
+    assert all(run["evals"] > 0 and run["penalty"] == 0 for run in runs), runs
+    assert any(span["layer"] == "gp.lml" for span in tracer.spans)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import OptimizeResult
 
 import stackgp.gp as gp
 from stackgp.dataset import GridGeometry
@@ -22,6 +23,8 @@ from stackgp.gp import (
     PlainGpModel,
     StackedGpModel,
     _chol_with_jitter,
+    _ar1_dphi,
+    _matern1_dlog_kappa,
     _RawCodec,
     _softmax_pinned,
     _train_kernel,
@@ -160,12 +163,23 @@ def sited_points(rng, n, n_sites, n_months):
 
 
 def full_matrix_train_kernel(points):
-    """Reference for _train_kernel: the Matern and phi^lag over all n x n entries."""
+    """Reference for _train_kernel: the Matern, phi^lag and their derivative
+    blocks over all n x n entries."""
     pts = np.asarray(points, dtype=float)
     D = pairwise_planar_dist(pts[:, :2], pts[:, :2], float(pts[:, 1].mean()))
     t = np.rint(pts[:, 2]).astype(int)
     dT = np.abs(t[:, None] - t[None, :])
-    return lambda p: matern1_matrix(D, p.kappa, p.tau) * np.power(p.phi, dT)
+
+    def kernel(p):
+        K = matern1_matrix(D, p.kappa, p.tau) * np.power(p.phi, dT)
+        blocks = {
+            "log_kappa": lambda: _matern1_dlog_kappa(D, p.kappa, p.tau) * np.power(p.phi, dT),
+            "log_tau": lambda: -K,
+            "sigma_e2": lambda: np.eye(len(K)),
+            "phi": lambda: matern1_matrix(D, p.kappa, p.tau) * _ar1_dphi(p.phi, dT),
+        }
+        return K, lambda key: blocks[key]()
+    return kernel
 
 
 class TestTrainKernel:
@@ -182,7 +196,7 @@ class TestTrainKernel:
                         p = GpHyperParams(log_kappa=log_kappa, log_tau=log_tau, sigma_e2=0.1,
                                           phi=phi, beta=np.ones(1))
                         want = cov_block(pts, pts, p, float(pts[:, 1].mean()))
-                        assert kernel(p).tobytes() == want.tobytes(), \
+                        assert kernel(p)[0].tobytes() == want.tobytes(), \
                             (n, n_sites, n_months, phi, log_kappa, log_tau)
 
     def fit_problem(self, seed=42, n=24):
@@ -215,25 +229,32 @@ class TestTrainKernel:
         n_distinct = np.unique(pairwise_planar_dist(pts[:, :2], pts[:, :2],
                                                     float(pts[:, 1].mean()))).size
         assert n_distinct <= 29          # 8 sites: 28 site pairs and zero
-        entries, optimizer_calls = [], []
-        real_minimize = gp.minimize
+        entries, k0_entries, optimizer_calls = [], [], []
+        real_minimize, real_k0 = gp.minimize, gp.k0
 
         def counting_matern(D, kappa, tau):
             entries.append(np.size(D))
             return matern1_matrix(D, kappa, tau)
+
+        def counting_k0(x):
+            k0_entries.append(np.size(x))
+            return real_k0(x)
 
         def counting_minimize(*args, **kwargs):
             optimizer_calls.append(1)
             return real_minimize(*args, **kwargs)
 
         monkeypatch.setattr(gp, "matern1_matrix", counting_matern)
+        monkeypatch.setattr(gp, "k0", counting_k0)
         monkeypatch.setattr(gp, "minimize", counting_minimize)
         for fit in (fit_hyperparams, fit_gp_linear_mean):
             entries.clear()
+            k0_entries.clear()
             optimizer_calls.clear()
             fit(y, basis, pts, restarts=1, max_iter=20)
-            assert optimizer_calls and entries, fit.__name__
+            assert optimizer_calls and entries and k0_entries, fit.__name__
             assert max(entries) <= n_distinct, fit.__name__
+            assert max(k0_entries) <= n_distinct, fit.__name__
 
 
 class TestBuildJointCov:
@@ -671,6 +692,83 @@ class TestFitHyperparams:
                                 beta=params.beta[::-1].copy())
         np.testing.assert_allclose(basis @ params.beta, basis @ flipped.beta,
                                    atol=1e-12)
+
+
+PINNED = {"log_kappa": 1.0, "log_tau": 0.0, "sigma_e2": 0.2, "phi": 0.3,
+          "beta": [0.2, 0.3, 0.5]}
+
+
+class TestLmlGradient:
+    """Both fits hand the optimizer the exact gradient of their objective."""
+
+    def problem(self, L=3, n=30, seed=45):
+        rng = np.random.default_rng(seed)
+        pts = random_points(rng, n)
+        basis = rng.normal(size=(n, L))
+        y = basis @ np.full(L, 1.0 / L) + rng.normal(size=n) * 0.4
+        return y, basis, pts, rng
+
+    def handed_to_optimizer(self, monkeypatch, fit, y, basis, pts, fixed):
+        """(fun, jac, x0) of the fit's one optimizer run, which is skipped."""
+        seen = []
+
+        def capture(fun, x0, jac=None, **kwargs):
+            seen.append((fun, jac, np.array(x0)))
+            return OptimizeResult(x=x0, fun=fun(x0))
+        monkeypatch.setattr(gp, "minimize", capture)
+        fit(y, basis, pts, fixed=fixed, restarts=1)
+        (run,) = seen
+        return run
+
+    @pytest.mark.parametrize("fit", [fit_hyperparams, fit_gp_linear_mean])
+    @pytest.mark.parametrize("L, pinned", [
+        (3, ()), (3, ("phi",)), (3, ("beta",)), (1, ()),
+        (3, ("log_tau", "sigma_e2", "phi", "beta")),
+        (3, ("log_kappa", "sigma_e2", "phi", "beta")),
+        (3, ("log_kappa", "log_tau", "phi", "beta")),
+        (3, ("log_kappa", "log_tau", "sigma_e2", "beta")),
+    ])
+    def test_matches_central_differences(self, monkeypatch, fit, L, pinned):
+        y, basis, pts, rng = self.problem(L=L)
+        # the plain GP's mean is a GLS fit, so it has no beta to pin
+        fixed = {key: PINNED[key] for key in pinned
+                 if key != "beta" or fit is fit_hyperparams}
+        fun, jac, x0 = self.handed_to_optimizer(monkeypatch, fit, y, basis, pts, fixed)
+        assert x0.size >= 1
+        h = 1e-5
+        for x in [x0] + [x0 + rng.normal(scale=0.3, size=x0.size) for _ in range(3)]:
+            assert fun(x) < gp.PENALTY
+            fd = np.array([(fun(x + h * e) - fun(x - h * e)) / (2 * h)
+                           for e in np.eye(x.size)])
+            assert np.linalg.norm(jac(x) - fd) <= 1e-5 * np.linalg.norm(fd), (x, jac(x), fd)
+
+    @pytest.mark.parametrize("fit", [fit_hyperparams, fit_gp_linear_mean])
+    @pytest.mark.parametrize("at", [
+        {3: 40.0},                   # atanh phi: tanh rounds to phi = 1, off the range
+        {0: 700.0, 1: -20.0},        # kappa d / tau overflows: inf * K1 = inf * 0 off the diagonal
+    ])
+    def test_failed_evaluation_is_penalty_with_zero_gradient(self, monkeypatch, fit, at):
+        y, basis, pts, _ = self.problem()
+        fun, jac, x0 = self.handed_to_optimizer(monkeypatch, fit, y, basis, pts, {})
+        x = x0.copy()
+        x[list(at)] = list(at.values())
+        assert fun(x) == gp.PENALTY
+        np.testing.assert_array_equal(jac(x), np.zeros(x.size))
+
+    def test_both_fits_converge_within_150_iterations(self, monkeypatch):
+        y, basis, pts, _ = self.problem(n=40, seed=15)
+        runs = []
+        real_minimize = gp.minimize
+
+        def recording(*args, **kwargs):
+            runs.append(real_minimize(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(gp, "minimize", recording)
+        for fit in (fit_hyperparams, fit_gp_linear_mean):
+            runs.clear()
+            fit(y, basis, pts, restarts=2, max_iter=150, seed=0)
+            assert len(runs) == 2, fit.__name__
+            assert all(run.success for run in runs), [run.message for run in runs]
 
 
 class TestLinearMeanGp:
