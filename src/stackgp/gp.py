@@ -28,11 +28,11 @@ terms once per distinct training distance, not once per matrix entry.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
-from scipy.optimize import minimize
 from scipy.special import k0, k1
 
 from .config import finite_real
@@ -500,6 +500,19 @@ def default_init(y, mean_basis, points) -> GpHyperParams:
                          sigma_e2=0.5 * var, phi=0.3, beta=beta)
 
 
+def __getattr__(name: str):
+    """Import scipy's minimize on first use (PEP 562).
+
+    Only fits need scipy.optimize, so commands that fit no GP skip its import.
+    The function is kept in the module globals, where _optimize looks it up.
+    """
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
               max_iter: int, seed: int) -> np.ndarray:
     """L-BFGS-B from x0, then from restarts - 1 jittered starts; best raw point.
@@ -516,8 +529,8 @@ def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
     best_raw, best_val = x0, f0
     for attempt in range(max(restarts, 1) if x0.size else 0):
         start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
-        res = minimize(objective, start, method="L-BFGS-B", jac=jac,
-                       options={"maxiter": max_iter})
+        res = sys.modules[__name__].minimize(objective, start, method="L-BFGS-B", jac=jac,
+                                             options={"maxiter": max_iter})
         if res.fun < best_val:
             best_raw, best_val = res.x, float(res.fun)
     return best_raw

@@ -25,7 +25,10 @@ from .mars import MarsModel, fit_mars
 
 
 def _lambda_grid(v):
-    return v is None or (hasattr(v, "__iter__") and all(non_negative_real(x) for x in v))
+    if v is None:
+        return True
+    values = list(v) if hasattr(v, "__iter__") else []
+    return bool(values) and all(non_negative_real(x) for x in values)
 
 
 # kind -> {param: (default, validator, description)}
@@ -51,9 +54,7 @@ PARAM_SCHEMAS = {
     },
     "gam": {
         "n_splines": (8, int_at_least(4), "basis functions per smooth term (>= 4)"),
-        "max_backfit": (30, int_at_least(1), "backfitting sweep limit"),
-        "tol": (1e-8, positive_real, "relative fitted-value change to declare convergence"),
-        "lambda_grid": (None, _lambda_grid, "candidate smoothing weights; null = logspace(-4, 4, 13)"),
+        "lambda_grid": (None, _lambda_grid, "non-empty list of candidate smoothing weights; null = logspace(-4, 4, 13)"),
     },
     "mars": {
         "max_terms": (15, int_at_least(2), "basis-function cap including intercept"),
@@ -74,6 +75,10 @@ _MODEL_CLS = {
 }
 
 LEARNER_KINDS = tuple(PARAM_SCHEMAS)
+
+# parameters that older model files may still carry: the enet's from before
+# its active-set solve, the GAM's from before its one exact solve
+_RETIRED_PARAMS = {"enet": ("max_iter", "tol"), "gam": ("max_backfit", "tol")}
 
 
 @dataclass(frozen=True)
@@ -150,10 +155,10 @@ class LearnerModel:
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerModel":
         spec = d["spec"]
-        if isinstance(spec, dict) and spec.get("kind") == "enet" and isinstance(spec.get("params"), dict):
-            # enet files written before the active-set solve carry max_iter and tol
+        if isinstance(spec, dict) and isinstance(spec.get("params"), dict):
+            retired = _RETIRED_PARAMS.get(str(spec.get("kind")), ())
             spec = {**spec, "params": {k: v for k, v in spec["params"].items()
-                                       if k not in ("max_iter", "tol")}}
+                                       if k not in retired}}
         spec = LearnerSpec.from_dict(spec)
         model = _MODEL_CLS[spec.kind].from_state(d["state"])
         columns = d.get("columns")

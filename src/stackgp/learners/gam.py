@@ -3,10 +3,22 @@
 Each feature gets a cubic spline basis with interior knots at training
 quantiles and a curvature penalty: the exact Gram matrix of the basis'
 integrated squared second derivatives, whose nullspace is the affine
-functions. Smoothing strength is chosen per term by GCV on a single-term
-pre-pass, then frozen while backfitting cycles the terms to convergence.
+functions. The basis comes from the Cox-de Boor recursion, its second
+derivative from differencing the coefficients twice (de Boor 2001, ch. X).
 Basis columns are centred on the training sample so every term has
 empirical mean zero and the intercept is exactly mean(y).
+
+Smoothing strength is chosen per term by GCV against the centred response;
+one Demmler-Reinsch eigendecomposition per term scores the whole lambda
+grid. With those weights frozen, all terms are fitted jointly by one
+penalised least-squares solve,
+
+    min_c ||y - mean(y) - sum_j B_j c_j||^2 + sum_j c_j' (lam_j P_j + ridge_j I) c_j,
+
+by QR on the bases stacked over per-term penalty roots (Wood 2017, ch. 6);
+this is the fixed point that backfitting with the same weights approaches.
+meta['residual'] is the objective's gradient at the solution relative to
+its gradient at zero.
 
 Features with fewer distinct values than the requested basis size get a
 reduced basis (with a warning): a smaller spline basis when at least 4
@@ -21,10 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
-
-from ..errors import NumericalError
+from scipy.linalg import block_diag, solve_triangular
 
 SPLINE_DEGREE = 3
 MIN_UNIQUE_FOR_SPLINE = 4
@@ -35,6 +44,42 @@ _GAUSS3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
+def _bspline_design(x: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """Dense (len(x), len(t) - k - 1) degree-k B-spline design, Cox-de Boor.
+
+    x must lie in [t[k], t[-k-1]]; the right end belongs to the last span.
+    """
+    n_basis = len(t) - k - 1
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
+    h = np.zeros((len(x), k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for i in range(1, j + 1):
+            right, left = t[span + i], t[span + i - j]
+            f = prev[:, i - 1] / (right - left)
+            h[:, i - 1] += f * (right - x)
+            h[:, i] = f * (x - left)
+    out = np.zeros((len(x), n_basis))
+    out[np.arange(len(x))[:, None], span[:, None] - k + np.arange(k + 1)] = h
+    return out
+
+
+def _second_derivative(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """(len(x), p) second derivatives of the cubic basis functions.
+
+    Differencing a spline's coefficients gives its derivative's (one degree
+    lower, on the knots with the end ones dropped); twice on the identity
+    gives each basis function's second derivative in the linear basis.
+    """
+    k = SPLINE_DEGREE
+    D = np.eye(len(knots) - k - 1)
+    for d, t in ((k, knots), (k - 1, knots[1:-1])):
+        D = (D[1:] - D[:-1]) * d / (t[d + 1:-1] - t[1:-d - 1])[:, None]
+    return _bspline_design(x, knots[2:-2], k - 2) @ D
+
+
 def _curvature_penalty(knots: np.ndarray) -> np.ndarray:
     """Gram matrix of integrated squared second derivatives of the basis.
 
@@ -43,15 +88,11 @@ def _curvature_penalty(knots: np.ndarray) -> np.ndarray:
     exact. Nodes are strictly interior, dodging the derivative jumps at the
     knots themselves.
     """
-    p = len(knots) - SPLINE_DEGREE - 1
-    d2 = BSpline(knots, np.eye(p), SPLINE_DEGREE).derivative(2)
-    P = np.zeros((p, p))
     spans = np.unique(knots)
-    for a, b in zip(spans[:-1], spans[1:]):
-        half = 0.5 * (b - a)
-        xs = 0.5 * (a + b) + half * _GAUSS3_NODES
-        D2 = d2(xs)
-        P += (D2 * (half * _GAUSS3_WEIGHTS)[:, None]).T @ D2
+    half = 0.5 * np.diff(spans)[:, None]
+    xs = (0.5 * (spans[:-1] + spans[1:]))[:, None] + half * _GAUSS3_NODES
+    D2 = _second_derivative(xs.ravel(), knots)
+    P = (D2 * (half * _GAUSS3_WEIGHTS).ravel()[:, None]).T @ D2
     return 0.5 * (P + P.T)
 
 
@@ -65,8 +106,7 @@ def _spline_knots(x: np.ndarray, n_splines: int) -> np.ndarray:
 
 
 def _design(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    lo, hi = knots[0], knots[-1]
-    return BSpline.design_matrix(np.clip(x, lo, hi), knots, SPLINE_DEGREE).toarray()
+    return _bspline_design(np.clip(x, knots[0], knots[-1]), knots, SPLINE_DEGREE)
 
 
 @dataclass
@@ -152,83 +192,72 @@ def _term_scaffold(x: np.ndarray, n_splines: int, col_name: str) -> GamTerm:
     return GamTerm("spline", np.zeros(B.shape[1]), knots, B.mean(axis=0), 0.0, a, b)
 
 
-def _penalised_factor(B: np.ndarray, P: np.ndarray, lam: float):
-    G = B.T @ B
-    H0 = G + lam * P
-    # ridge scales with the data term so the penalty's affine nullspace stays
-    # data-driven; escalate only as far as factorisation demands
-    ridge = RIDGE_REL * max(np.trace(G) / max(len(G), 1), 1.0)
-    last_exc = None
-    for _ in range(8):
-        try:
-            return cho_factor(H0 + ridge * np.eye(len(G)), lower=True)
-        except np.linalg.LinAlgError as exc:
-            last_exc = exc
-            ridge *= 100.0
-    raise NumericalError(f"spline term system not positive definite: {last_exc}")
+def _penalty_root(P: np.ndarray) -> np.ndarray:
+    """R with R'R = P, from eigh(P) with round-off negatives set to zero."""
+    d, V = np.linalg.eigh(P)
+    return np.sqrt(np.maximum(d, 0.0))[:, None] * V.T
 
 
-def _gcv_lambda(B: np.ndarray, P: np.ndarray, resid: np.ndarray, grid) -> float:
-    """Single-term GCV: n RSS / (n - df)^2 with df = tr(smoother) + 1."""
-    n = len(resid)
-    best_lam, best_score = float(grid[0]), np.inf
-    for lam in grid:
-        factor = _penalised_factor(B, P, float(lam))
-        coef = cho_solve(factor, B.T @ resid)
-        fitted = B @ coef
-        rss = float(np.sum((resid - fitted) ** 2))
-        df = float(np.sum(B * cho_solve(factor, B.T).T)) + 1.0
-        if df >= n:
-            continue
-        score = n * rss / (n - df) ** 2
-        if score < best_score:
-            best_score, best_lam = score, float(lam)
-    return best_lam
+def _ridge(B: np.ndarray) -> float:
+    # scales with the data term so the penalty's affine nullspace stays data-driven
+    return RIDGE_REL * max(float(np.sum(B * B)) / max(B.shape[1], 1), 1.0)
+
+
+def _gcv_scores(B: np.ndarray, root: np.ndarray, resid: np.ndarray, grid) -> np.ndarray:
+    """Single-term GCV n RSS / (n - df)^2, df = tr(smoother) + 1, per grid lambda.
+
+    With R'R = B'B + ridge I and R^-T P R^-1 = U diag(s) U' (Demmler & Reinsch
+    1975), the smoother at lambda is F diag(1 / (1 + lambda s)) F' with
+    F = B R^-1 U, so one decomposition scores every lambda. Scores with
+    df >= n are inf.
+    """
+    n, p = B.shape
+    R = np.linalg.qr(np.vstack([B, np.sqrt(_ridge(B)) * np.eye(p)]), mode="r")
+    U, sv, _ = np.linalg.svd(solve_triangular(R, root.T, trans="T"))
+    F = B @ solve_triangular(R, U)
+    shrink = 1.0 / (1.0 + np.outer(sv**2, np.asarray(grid, dtype=float)))
+    fitted = F @ (shrink * (F.T @ resid)[:, None])
+    rss = np.sum((resid[:, None] - fitted) ** 2, axis=0)
+    df = np.sum(F * F, axis=0) @ shrink + 1.0
+    with np.errstate(divide="ignore"):
+        return np.where(df < n, n * rss / (n - df) ** 2, np.inf)
 
 
 def fit_gam(X, y, params: dict, rng=None) -> GamModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, m = X.shape
     grid = params["lambda_grid"]
     if grid is None:
         grid = np.logspace(-4.0, 4.0, 13)
 
     intercept = float(y.mean())
     resid0 = y - intercept
-    terms, bases, factors = [], [], []
-    for j in range(m):
+    terms, bases, roots = [], [], []
+    for j in range(X.shape[1]):
         term = _term_scaffold(X[:, j], params["n_splines"], f"#{j}")
-        B = term.basis(X[:, j])
-        if term.kind == "spline":
-            P = _curvature_penalty(term.knots)
-            term.lam = _gcv_lambda(B, P, resid0, grid)
-        else:
-            P = np.zeros((B.shape[1], B.shape[1]))
         terms.append(term)
+        if term.kind == "zero":
+            continue
+        B = term.basis(X[:, j])
+        root = np.zeros((0, B.shape[1]))
+        if term.kind == "spline":
+            root = _penalty_root(_curvature_penalty(term.knots))
+            term.lam = float(grid[int(np.argmin(_gcv_scores(B, root, resid0, grid)))])
         bases.append(B)
-        factors.append(_penalised_factor(B, P, term.lam) if B.shape[1] else None)
+        roots.append(np.vstack([np.sqrt(term.lam) * root,
+                                np.sqrt(_ridge(B)) * np.eye(B.shape[1])]))
 
-    # backfitting with the per-term smoothers frozen
-    fitted = [np.zeros(n) for _ in range(m)]
-    scale = float(y.std()) + 1e-12
-    n_iter, converged = 0, False
-    total = np.zeros(n)
-    for n_iter in range(1, params["max_backfit"] + 1):
-        shift = 0.0
-        for j in range(m):
-            if factors[j] is None:
-                continue
-            partial = y - intercept - (total - fitted[j])
-            coef = cho_solve(factors[j], bases[j].T @ partial)
-            new = bases[j] @ coef
-            shift = max(shift, float(np.abs(new - fitted[j]).max()))
-            total += new - fitted[j]
-            fitted[j] = new
-            terms[j].coef = coef
-        if shift <= params["tol"] * scale:
-            converged = True
-            break
-
-    return GamModel(intercept=intercept, terms=terms,
-                    meta={"n_iter": n_iter, "converged": converged})
+    # one penalised least-squares solve with the per-term weights frozen
+    live = [t for t in terms if t.kind != "zero"]
+    residual = 0.0
+    if live:
+        A = np.vstack([np.hstack(bases), block_diag(*roots)])
+        b = np.concatenate([resid0, np.zeros(A.shape[0] - len(resid0))])
+        Q, R = np.linalg.qr(A)
+        coef = solve_triangular(R, Q.T @ b)
+        # the objective's gradient at the solution, relative to that at zero
+        residual = float(np.linalg.norm(A.T @ (b - A @ coef))
+                         / max(np.linalg.norm(A.T @ b), 1e-300))
+        for term, c in zip(live, np.split(coef, np.cumsum([t.coef.size for t in live])[:-1])):
+            term.coef = c
+    return GamModel(intercept=intercept, terms=terms, meta={"residual": residual})

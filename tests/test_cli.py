@@ -320,6 +320,16 @@ class TestFitAndPredict:
         err = capsys.readouterr().err
         assert "category=config" in err and "unknown parameter(s) ['tol']" in err
 
+    @pytest.mark.parametrize("key, value", [("max_backfit", 30), ("tol", 1e-8)])
+    def test_retired_gam_param_in_run_config_exits_2(self, scenario, tmp_path, capsys,
+                                                     key, value):
+        # GAM fits by one exact solve now, so its backfitting knobs are gone
+        cfg = fit_config(scenario, tmp_path / "out")
+        cfg["stacking"]["learners"].append({"kind": "gam", "params": {key: value}})
+        assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "category=config" in err and f"unknown parameter(s) ['{key}']" in err
+
     def test_short_enet_state_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path, capsys):
         path = self.edited_model(cwm_fit, tmp_path, lambda m: m["state"]["coef"].pop())
         assert self.predict_into(scenario, path, tmp_path) == 3

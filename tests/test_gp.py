@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from scipy.optimize import OptimizeResult
 
@@ -977,3 +982,46 @@ class TestPredictMemory:
             tracemalloc.stop()
         assert post.sd.shape == (self.N_CELLS,)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+
+
+def _fresh_python(code: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return out.stdout.strip()
+
+
+class TestImportBoundary:
+    """Only GP fits load scipy.optimize; no module loads scipy.interpolate."""
+
+    def test_cli_loads_neither_optimize_nor_interpolate(self):
+        code = ("import sys, stackgp.cli; print(sorted(m for m in "
+                "('scipy.optimize', 'scipy.interpolate') if m in sys.modules))")
+        assert _fresh_python(code) == "[]"
+
+    def test_minimize_resolves_to_scipys_on_first_access(self):
+        code = ("import sys, stackgp.gp as gp; before = 'minimize' in vars(gp); "
+                "import scipy.optimize; "
+                "print(before, gp.minimize is scipy.optimize.minimize, 'minimize' in vars(gp))")
+        assert _fresh_python(code) == "False True True"
+        assert gp.minimize is scipy.optimize.minimize
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gp.no_such_name
+        assert not hasattr(gp, "no_such_name")
+
+    def test_fit_goes_through_a_patched_minimize(self, monkeypatch):
+        calls = []
+
+        def fake(fun, x0, **kwargs):
+            calls.append(kwargs["method"])
+            return OptimizeResult(x=np.asarray(x0), fun=fun(x0) - 1.0)
+
+        monkeypatch.setattr(gp, "minimize", fake)
+        rng = np.random.default_rng(47)
+        pts = random_points(rng, 20)
+        basis = rng.normal(size=(20, 2))
+        gp.fit_hyperparams(basis @ [0.5, 0.5] + rng.normal(size=20) * 0.2, basis, pts,
+                           restarts=2, max_iter=5)
+        assert calls == ["L-BFGS-B", "L-BFGS-B"]

@@ -462,11 +462,19 @@ class TestRepeatCvEvaluate:
                                  seed=5, methods=("level0",))
         assert res.rows[0].mse != res.rows[1].mse
 
-    def test_wild_mars_column_does_not_wreck_the_gp_stack(self):
-        # On this seed one held-out MARS prediction is about 4e5. Starting at
-        # uniform beta, that column sets the initial residual variance, and a
-        # fit that stays in that basin gave a gp-stack MSE of 5e7 against
-        # var(y) ~ 1.
+    def test_wild_mars_column_does_not_wreck_the_gp_stack(self, monkeypatch):
+        # On this seed one held-out MARS prediction is about 4e5 when MARS
+        # extrapolates its hinges without bound, as it did before it clamped
+        # its inputs to the training range; the fit here switches the clamp
+        # off to keep that wild column. Starting at uniform beta, that column
+        # sets the initial residual variance, and a fit that stays in that
+        # basin gave a gp-stack MSE of 5e7 against var(y) ~ 1.
+        import dataclasses
+
+        import stackgp.learners.base as base
+        from stackgp.learners.mars import fit_mars
+        monkeypatch.setitem(base._FIT, "mars", lambda *a: dataclasses.replace(
+            fit_mars(*a), x_min=None, x_max=None))
         bundle = generate(ScenarioConfig(
             regime="covariance-heavy", seed=5102, n_surveys=200, m_covariates=6, n_hinge=10,
             n_smooth=10, n_interactions=10, n_tested_range=(100, 400)))
