@@ -154,12 +154,11 @@ def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
     geometry = covariates[0].geometry
     model = load_model(model_path)
 
-    rows = []
-    for t in months:
-        grid = build_prediction_grid(geometry, t, covariates)
-        mean, sd = _mean_sd(model, grid.design, grid.points)
-        for (lon, lat, _), m, s in zip(grid.points, mean, sd):
-            rows.append([_fmt(lon), _fmt(lat), t, _fmt(m), _fmt(s)])
+    # one grid over all months, so that each GP is conditioned once per command
+    grid = build_prediction_grid(geometry, months, covariates)
+    mean, sd = _mean_sd(model, grid.design, grid.points)
+    rows = [[_fmt(lon), _fmt(lat), int(t), _fmt(m), _fmt(s)]
+            for (lon, lat, t), m, s in zip(grid.points, mean, sd)]
 
     out_path = outdir / "predictions.csv"
     _write_csv(out_path, ["lon", "lat", "t", "mean", "sd"], rows)

@@ -357,13 +357,20 @@ def assemble_design(surveys, covariates) -> CovariateMatrix:
 
 @dataclass(frozen=True)
 class PredictionGrid:
-    """Prediction lattice at one month: (lon, lat, t) cell points, row-major, and their design."""
+    """Prediction lattice over one or more months: (lon, lat, t) cell points and their design.
+
+    The points run month by month in the order the months were given, each
+    month's cells row-major, so one GP conditioning can cover every month.
+    """
 
     points: np.ndarray
     design: CovariateMatrix
 
 
-def build_prediction_grid(geometry: GridGeometry, t: int, covariates) -> PredictionGrid:
+def build_prediction_grid(geometry: GridGeometry, months, covariates) -> PredictionGrid:
+    """The lattice at months, one month index or a sequence of them."""
     lons, lats = geometry.cell_centers()
-    points = np.column_stack([lons, lats, np.full(lons.size, t)])
+    months = np.atleast_1d(months)
+    points = np.column_stack([np.tile(lons, months.size), np.tile(lats, months.size),
+                              np.repeat(months, lons.size)])
     return PredictionGrid(points=points, design=assemble_at(points, covariates))

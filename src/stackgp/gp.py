@@ -23,6 +23,11 @@ simplex weights, first logit pinned at zero). One table, _HYPERPARAMS, holds
 each scalar's raw transforms, their slope and valid range; pinned values are
 checked against it by check_fixed in every fit. Fits evaluate the Bessel
 terms once per distinct training distance, not once per matrix entry.
+
+Prediction conditions each fitted GP once over all its prediction points,
+whatever months they span, and evaluates the Matern once per (training
+point, distinct prediction location); only the AR(1) factor differs between
+months.
 """
 
 from __future__ import annotations
@@ -615,15 +620,40 @@ def linear_mean(mean_state: dict, X) -> np.ndarray:
     return coef[0] + Z @ coef[1:]
 
 
+def _cross_cov(train_points, pred_points, params: GpHyperParams, ref_lat: float) -> np.ndarray:
+    """cov_block(train_points, pred_points, ...) with the Matern evaluated once per
+    (training point, distinct prediction location).
+
+    phi^lag is taken once per (training point, distinct month); both factors
+    are gathered to n x p and multiplied entry by entry, so every entry has
+    the bytes cov_block gives.
+    """
+    train_lonlat, train_t = _split_points(train_points)
+    lonlat, t = _split_points(pred_points)
+    sites, site_of = np.unique(lonlat, axis=0, return_inverse=True)
+    months, month_of = np.unique(t, return_inverse=True)
+    matern = matern1_matrix(pairwise_planar_dist(train_lonlat, sites, ref_lat),
+                            params.kappa, params.tau)
+    ar1 = np.power(params.phi, np.abs(train_t[:, None] - months[None, :]))
+    # np.take keeps the block C-ordered; the fancy index matern[:, i] would
+    # not, and the conditioning's products would then round differently
+    K_cross = np.take(matern, site_of.reshape(-1), axis=1)
+    K_cross *= np.take(ar1, month_of.reshape(-1), axis=1)
+    return K_cross
+
+
 def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior:
     """Condition a fitted GP on its training data; marginal mean and variance at pred_points.
 
-    Every point's prior variance is k(0) * phi^0 = 1/tau, so no p x p prior
-    block is built and memory grows linearly with the number of points.
+    One conditioning covers every point, whatever months they span, and the
+    Matern factor of the cross-covariance, which does not depend on the
+    month, is evaluated once per distinct location (_cross_cov). Every
+    point's prior variance is k(0) * phi^0 = 1/tau, so no p x p prior block
+    is built and memory grows linearly with the number of points.
     """
     prm = model.params
     K_train = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
-    K_cross = cov_block(model.train_points, pred_points, prm, model.ref_lat)
+    K_cross = _cross_cov(model.train_points, pred_points, prm, model.ref_lat)
     return gp_condition_dense(model.y, mean_train, mean_pred, K_train, K_cross,
                               np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
 

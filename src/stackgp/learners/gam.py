@@ -173,23 +173,28 @@ class GamModel:
         return cls(intercept=float(state["intercept"]), terms=terms)
 
 
-def _term_scaffold(x: np.ndarray, n_splines: int, col_name: str) -> GamTerm:
+def _term_scaffold(x: np.ndarray, n_splines: int, col_name: str) -> tuple[GamTerm, np.ndarray]:
+    """An unfitted term for training column x and its uncentred basis at x.
+
+    The basis minus the term's col_means is term.basis(x), byte for byte.
+    """
     ux = np.unique(x)
     a, b = float(x.min()), float(x.max())
     if ux.size < 2:
         warnings.warn(f"gam: column {col_name} is constant, term dropped")
-        return GamTerm("zero", np.empty(0), np.empty(0), np.empty(0), 0.0, a, b)
+        zero = GamTerm("zero", np.empty(0), np.empty(0), np.empty(0), 0.0, a, b)
+        return zero, np.empty((len(x), 0))
     if ux.size < MIN_UNIQUE_FOR_SPLINE:
         warnings.warn(f"gam: column {col_name} has {ux.size} distinct values, using a linear term")
         means = np.array([x.mean()])
-        return GamTerm("linear", np.zeros(1), np.empty(0), means, 0.0, a, b)
+        return GamTerm("linear", np.zeros(1), np.empty(0), means, 0.0, a, b), x[:, None]
     if ux.size < n_splines:
         warnings.warn(f"gam: column {col_name} has {ux.size} distinct values, "
                       f"basis reduced from {n_splines}")
         n_splines = ux.size
     knots = _spline_knots(x, n_splines)
     B = _design(x, knots)
-    return GamTerm("spline", np.zeros(B.shape[1]), knots, B.mean(axis=0), 0.0, a, b)
+    return GamTerm("spline", np.zeros(B.shape[1]), knots, B.mean(axis=0), 0.0, a, b), B
 
 
 def _penalty_root(P: np.ndarray) -> np.ndarray:
@@ -234,11 +239,11 @@ def fit_gam(X, y, params: dict, rng=None) -> GamModel:
     resid0 = y - intercept
     terms, bases, roots = [], [], []
     for j in range(X.shape[1]):
-        term = _term_scaffold(X[:, j], params["n_splines"], f"#{j}")
+        term, B = _term_scaffold(X[:, j], params["n_splines"], f"#{j}")
         terms.append(term)
         if term.kind == "zero":
             continue
-        B = term.basis(X[:, j])
+        B = B - term.col_means
         root = np.zeros((0, B.shape[1]))
         if term.kind == "spline":
             root = _penalty_root(_curvature_penalty(term.knots))

@@ -8,10 +8,12 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import yaml
 
+from stackgp.cli import main
 from stackgp.cwm import fit_cwm
 import stackgp.gp as gp
-from stackgp.gp import fit_hyperparams, minimize
+from stackgp.gp import fit_hyperparams, matern1_matrix, minimize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -64,3 +66,43 @@ def test_traced_gp_fits_count_evaluations_and_lml_spans(monkeypatch):
     assert len(runs) == 2
     assert all(run["evals"] > 0 and run["penalty"] == 0 for run in runs), runs
     assert any(span["layer"] == "gp.lml" for span in tracer.spans)
+
+
+def test_traced_level2_predict_records_every_predict_layer(monkeypatch, tmp_path):
+    # the traced lattice-predict run requires these layers to be non-zero;
+    # a predict path that stops looking the functions up through the module
+    # globals would drop their spans, so pin them here on a small model
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+
+    def write(name, payload):
+        (tmp_path / name).write_text(yaml.safe_dump(payload), encoding="utf-8")
+        return str(tmp_path / name)
+
+    data = tmp_path / "data"
+    synth = write("synth.yaml", {"synth": {"n_surveys": 30, "n_lon": 5, "n_lat": 5,
+                                           "m_covariates": 2}, "output_dir": str(data)})
+    assert main(["synth", "--config", synth, "--seed", "3"]) == 0
+    inputs = {"surveys": str(data / "surveys.csv"), "stack": str(data / "stack.yaml")}
+    fit = write("fit.yaml", {
+        "data": inputs, "gp": {"restarts": 1, "max_iter": 20}, "output_dir": str(tmp_path),
+        "stacking": {"design": 2, "v": 3, "learners": [
+            {"kind": "enet", "name": "enet-a", "params": {"lambda1": 0.1}},
+            {"kind": "enet", "name": "enet-b", "params": {"lambda1": 0.01}}]}})
+    assert main(["fit", "--config", fit]) == 0
+    predict = write("predict.yaml", {"data": inputs, "output_dir": str(tmp_path),
+                                     "predict": {"model": str(tmp_path / "model.json"),
+                                                 "months": [16, 17]}})
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        assert main(["predict", "--config", predict]) == 0
+    finally:
+        restore()
+    assert gp.matern1_matrix is matern1_matrix
+    layers = [span["layer"] for span in tracer.spans]
+    for layer in ("gp.kernel", "gp.cov_block", "gp.condition", "gp.predict", "dataset.grid"):
+        assert layer in layers, f"no {layer} span in a traced level-2 predict"
+    # one grid and, per level-2 member, one conditioning over both months
+    assert layers.count("dataset.grid") == 1
+    assert layers.count("gp.predict") == layers.count("gp.condition") == 2

@@ -348,6 +348,43 @@ class TestFitAndPredict:
         assert "months" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def scenario18(tmp_path_factory):
+    """An 18-month scenario, so that months 16 and 17 can be predicted."""
+    root = tmp_path_factory.mktemp("scenario18")
+    cfg = write_yaml(root / "synth.yaml", {
+        "synth": {"n_surveys": 40, "n_lon": 6, "n_lat": 6, "n_months": 18,
+                  "m_covariates": 2, "noise_sd": 0.2},
+        "output_dir": str(root / "data"),
+    })
+    assert main(["synth", "--config", str(cfg), "--seed", "8"]) == 0
+    return root / "data"
+
+
+class TestPredictMonthOrder:
+    """Predicting several months in one command writes each month's rows, in config
+    order, exactly as a one-month command writes them."""
+
+    @pytest.mark.parametrize("design", [2, "plain-gp"])
+    def test_rows_are_the_single_month_runs_in_config_order(self, scenario18, tmp_path, design):
+        model = tmp_path / "model"
+        fit = write_yaml(tmp_path / "fit.yaml", fit_config(scenario18, model, design=design))
+        assert main(["fit", "--config", str(fit)]) == 0
+        written = {}
+        for months in ([17, 16], [17], [16]):
+            out = tmp_path / "-".join(map(str, months))
+            cfg = write_yaml(tmp_path / "predict.yaml", {
+                "data": {"stack": str(scenario18 / "stack.yaml")},
+                "predict": {"model": str(model / "model.json"), "months": months},
+                "output_dir": str(out),
+            })
+            assert main(["predict", "--config", str(cfg)]) == 0
+            written[tuple(months)] = (out / "predictions.csv").read_bytes()
+        month16_rows = written[(16,)].split(b"\n", 1)[1]
+        assert written[(17, 16)] == written[(17,)] + month16_rows
+        assert len(read_csv(tmp_path / "17-16" / "predictions.csv")) == 2 * 36
+
+
 class TestCv:
     def test_schema_and_row_counts(self, scenario, tmp_path):
         out = tmp_path / "cv"

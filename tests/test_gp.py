@@ -943,6 +943,67 @@ class TestPlainGpModel:
             plain_gp_predict(model, np.ones((3, 2)), random_points(rng, 4))
 
 
+class TestPredictOverMonths:
+    """One conditioning over a lattice at several months equals the hand-assembled one."""
+
+    MONTHS = (5, 2, 4)      # unsorted on purpose
+
+    def setup_case(self, rng):
+        geo = GridGeometry(lon0=30.0, lat0=-1.0, d_lon=0.1, d_lat=0.1, n_lon=5, n_lat=4)
+        lons, lats = geo.cell_centers()
+        train = random_points(rng, 14, extent=0.4)
+        train[1:4, :2] = train[0, :2]       # four surveys at one site
+        train[1:4, 2] = [0, 3, 5]
+        pred = np.column_stack([np.tile(lons, len(self.MONTHS)), np.tile(lats, len(self.MONTHS)),
+                                np.repeat(self.MONTHS, lons.size)])
+        return train, pred[rng.permutation(len(pred))], lons.size
+
+    def stacked(self, rng, train, pred):
+        P = rng.normal(size=(len(train), 2))
+        prm = params_of(kappa=3.0, tau=0.7, sigma_e2=0.2, phi=0.6, beta=(0.3, 0.7))
+        model = StackedGpModel(params=prm, train_points=train, P_train=P,
+                               y=P @ prm.beta + rng.normal(size=len(train)) * 0.3,
+                               ref_lat=float(train[:, 1].mean()))
+        P_pred = rng.normal(size=(len(pred), 2))
+        return (gp_stacked_predict, model, P_pred,
+                model.P_train @ prm.beta, P_pred @ prm.beta)
+
+    def plain(self, rng, train, pred):
+        X = rng.normal(size=(len(train), 2))
+        state = {"x_mean": np.array([0.1, -0.2]), "x_sd": np.array([1.5, 0.8]),
+                 "coef": np.array([0.3, 1.0, -0.5])}
+        model = PlainGpModel(params=params_of(kappa=3.0, tau=0.7, sigma_e2=0.2, phi=-0.5),
+                             mean_state=state, train_points=train, X_train=X,
+                             y=X[:, 0] + rng.normal(size=len(train)) * 0.3,
+                             ref_lat=float(train[:, 1].mean()))
+        X_pred = rng.normal(size=(len(pred), 2))
+        return plain_gp_predict, model, X_pred, linear_mean(state, X), linear_mean(state, X_pred)
+
+    @pytest.mark.parametrize("build", ["stacked", "plain"])
+    def test_equals_one_hand_assembled_conditioning(self, build, monkeypatch):
+        rng = np.random.default_rng(53)
+        train, pred, cells = self.setup_case(rng)
+        predict, model, inputs, mean_train, mean_pred = getattr(self, build)(rng, train, pred)
+        entries = []
+
+        def counted(D, kappa, tau):
+            entries.append(np.size(D))
+            return matern1_matrix(D, kappa, tau)
+        monkeypatch.setattr(gp, "matern1_matrix", counted)
+        post = predict(model, inputs, pred)
+        n = len(train)
+        assert sum(entries) <= n * n + n * cells
+        monkeypatch.undo()
+
+        prm, ref = model.params, model.ref_lat
+        direct = gp_condition_dense(model.y, mean_train, mean_pred,
+                                    cov_block(train, train, prm, ref),
+                                    cov_block(train, pred, prm, ref),
+                                    cov_block(pred, pred, prm, ref), prm.sigma_e2)
+        np.testing.assert_array_equal(post.mu_star, direct.mu_star)
+        np.testing.assert_array_equal(post.sigma_star, direct.sigma_star)
+
+
 class TestPredictMemory:
     """Prediction memory grows linearly with the number of cells, not with its square."""
 

@@ -280,8 +280,9 @@ class TestGcv:
             x = rng.normal(size=n) * rng.uniform(0.01, 100.0)
             resid = np.sin(2.0 * x / x.std()) + rng.normal(size=n) * 0.3
             resid -= resid.mean()
-            term = _term_scaffold(x, int(rng.integers(4, 12)), "x")
+            term, raw = _term_scaffold(x, int(rng.integers(4, 12)), "x")
             B = term.basis(x)
+            np.testing.assert_array_equal(raw - term.col_means, B)
             P = _curvature_penalty(term.knots)
             ours = _gcv_scores(B, _penalty_root(P), resid, GRID)
             ref = reference_gcv_scores(B, P, resid, GRID)
