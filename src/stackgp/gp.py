@@ -27,7 +27,9 @@ terms once per distinct training distance, not once per matrix entry.
 Prediction conditions each fitted GP once over all its prediction points,
 whatever months they span, and evaluates the Matern once per (training
 point, distinct prediction location); only the AR(1) factor differs between
-months.
+months. The conditioning reads the cross-covariance in column blocks of
+about BLOCK_ENTRIES entries, so for n training points predict memory is
+O(n x sites + n x block + points), not O(n x points).
 """
 
 from __future__ import annotations
@@ -351,34 +353,53 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
                        sigma_e2: float, *, full_cov: bool = False) -> GpPosterior:
     """Predictive conditioning from covariance blocks, all solves by Cholesky.
 
-    K_cross is (n_train, n_pred). With full_cov False (default) sigma_star is
-    the predictive variance vector; K_pred may then be a full matrix or just
-    its diagonal.
+    K_cross is the (n_train, n_pred) cross-covariance: one array, or an
+    iterable of (n_train, b) column blocks in prediction-point order. K_train
+    is factored once; each block is read once and can be dropped once its
+    slices of the mean and variance are written, so with blocks of width b
+    memory is O(n_train^2 + n_train * b + n_pred); prediction's blocks
+    (_cross_blocks) make it O(n x sites + n x block + points) beyond the
+    n x n factor. With full_cov False
+    (default) sigma_star is the predictive variance vector; K_pred may then
+    be a full matrix or just its diagonal. full_cov needs K_cross as one
+    array.
     """
     y = np.asarray(y, dtype=float)
     mean_train = np.asarray(mean_train, dtype=float)
     mean_pred = np.asarray(mean_pred, dtype=float)
     K_train = np.asarray(K_train, dtype=float)
-    K_cross = np.asarray(K_cross, dtype=float)
     K_pred = np.asarray(K_pred, dtype=float)
-    n, p = K_cross.shape
-    if y.shape != (n,) or mean_train.shape != (n,) or mean_pred.shape != (p,):
+    n = len(y) if y.ndim == 1 else -1
+    p = len(mean_pred) if mean_pred.ndim == 1 else -1
+    if (mean_train.shape != (n,) or K_train.shape != (n, n)
+            or K_pred.shape not in ((p,), (p, p))):
         raise DataError("gp_condition_dense: non-conformal shapes")
     if full_cov and K_pred.ndim != 2:
         raise DataError("full covariance requested but K_pred is not a matrix")
+    one_array = isinstance(K_cross, np.ndarray)
+    if full_cov and not one_array:
+        raise DataError("gp_condition_dense: full_cov needs K_cross as one array")
 
     S = K_train + sigma_e2 * np.eye(n)
     L, jitter = _chol_with_jitter(S, "gp_condition_dense")
     r = y - mean_train
     alpha = cho_solve((L, True), r)
-    mu_star = mean_pred + K_cross.T @ alpha
-    V = solve_triangular(L, K_cross, lower=True)
+    prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
+    mu_star, sigma_star = np.empty(p), np.empty(p)
+    stop = 0
+    for block in [K_cross] if one_array else K_cross:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != n or stop + block.shape[1] > p:
+            raise DataError("gp_condition_dense: non-conformal shapes")
+        start, stop = stop, stop + block.shape[1]
+        mu_star[start:stop] = mean_pred[start:stop] + block.T @ alpha
+        V = solve_triangular(L, block, lower=True)
+        sigma_star[start:stop] = prior_diag[start:stop] - np.einsum("ij,ij->j", V, V)
+    if stop != p:
+        raise DataError("gp_condition_dense: non-conformal shapes")
     if full_cov:
         sigma_star = K_pred - V.T @ V
         sigma_star = 0.5 * (sigma_star + sigma_star.T)
-    else:
-        prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
-        sigma_star = prior_diag - np.einsum("ij,ij->j", V, V)
     return GpPosterior(mu_star=mu_star, sigma_star=sigma_star, diag_only=not full_cov,
                        train={"jitter": jitter})
 
@@ -620,41 +641,67 @@ def linear_mean(mean_state: dict, X) -> np.ndarray:
     return coef[0] + Z @ coef[1:]
 
 
-def _cross_cov(train_points, pred_points, params: GpHyperParams, ref_lat: float) -> np.ndarray:
-    """cov_block(train_points, pred_points, ...) with the Matern evaluated once per
-    (training point, distinct prediction location).
+# Entries of one n x b block of the prediction cross-covariance; see _block_width.
+BLOCK_ENTRIES = 1 << 16
 
-    phi^lag is taken once per (training point, distinct month); both factors
-    are gathered to n x p and multiplied entry by entry, so every entry has
+
+def _block_width(n: int) -> int:
+    """Columns per cross-covariance block for n training points.
+
+    A multiple of 64: OpenBLAS's matrix-vector product rounds the last few
+    columns of a block differently when its width is not a multiple of its
+    vector width, so other widths would change the predictive mean's bytes.
+    """
+    return max(64, BLOCK_ENTRIES // n // 64 * 64)
+
+
+def _cross_blocks(model, pred_points):
+    """cov_block(train_points, pred_points, ...) as an iterator of (n, b) column
+    blocks in point order.
+
+    The Matern, which does not depend on the month, is evaluated once per
+    (training point, distinct prediction location), in blocks of locations,
+    into one n x sites array; phi^lag once per (training point, distinct
+    month); both are built on the call. Each block is gathered as it is
+    read and multiplies the two factors entry by entry, so every entry has
     the bytes cov_block gives.
     """
-    train_lonlat, train_t = _split_points(train_points)
+    prm, ref_lat = model.params, model.ref_lat
+    train_lonlat, train_t = _split_points(model.train_points)
     lonlat, t = _split_points(pred_points)
     sites, site_of = np.unique(lonlat, axis=0, return_inverse=True)
     months, month_of = np.unique(t, return_inverse=True)
-    matern = matern1_matrix(pairwise_planar_dist(train_lonlat, sites, ref_lat),
-                            params.kappa, params.tau)
-    ar1 = np.power(params.phi, np.abs(train_t[:, None] - months[None, :]))
-    # np.take keeps the block C-ordered; the fancy index matern[:, i] would
-    # not, and the conditioning's products would then round differently
-    K_cross = np.take(matern, site_of.reshape(-1), axis=1)
-    K_cross *= np.take(ar1, month_of.reshape(-1), axis=1)
-    return K_cross
+    site_of, month_of = site_of.reshape(-1), month_of.reshape(-1)
+    width = _block_width(len(train_t))
+    matern = np.empty((len(train_t), len(sites)))
+    for lo in range(0, len(sites), width):
+        D = pairwise_planar_dist(train_lonlat, sites[lo:lo + width], ref_lat)
+        matern[:, lo:lo + width] = matern1_matrix(D, prm.kappa, prm.tau)
+    ar1 = np.power(prm.phi, np.abs(train_t[:, None] - months[None, :]))
+
+    def blocks():
+        for lo in range(0, len(t), width):
+            # np.take keeps the block C-ordered; the fancy index matern[:, i]
+            # would not, and the conditioning's products would then round
+            # differently
+            block = np.take(matern, site_of[lo:lo + width], axis=1)
+            block *= np.take(ar1, month_of[lo:lo + width], axis=1)
+            yield block
+    return blocks()
 
 
 def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior:
     """Condition a fitted GP on its training data; marginal mean and variance at pred_points.
 
-    One conditioning covers every point, whatever months they span, and the
-    Matern factor of the cross-covariance, which does not depend on the
-    month, is evaluated once per distinct location (_cross_cov). Every
-    point's prior variance is k(0) * phi^0 = 1/tau, so no p x p prior block
-    is built and memory grows linearly with the number of points.
+    One conditioning covers every point, whatever months they span. It reads
+    the cross-covariance in column blocks (_cross_blocks), so memory is
+    O(n x sites + n x block + points) for n training points. Every point's
+    prior variance is k(0) * phi^0 = 1/tau, so no p x p prior block is built.
     """
     prm = model.params
     K_train = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
-    K_cross = _cross_cov(model.train_points, pred_points, prm, model.ref_lat)
-    return gp_condition_dense(model.y, mean_train, mean_pred, K_train, K_cross,
+    return gp_condition_dense(model.y, mean_train, mean_pred, K_train,
+                              _cross_blocks(model, pred_points),
                               np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
 
 

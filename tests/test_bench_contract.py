@@ -4,7 +4,9 @@ A refactor that drops or renames a traced function fails here, in the fast
 suite, rather than only in the traced benchmark run (``pytest bench``).
 """
 
+import csv
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -106,3 +108,22 @@ def test_traced_level2_predict_records_every_predict_layer(monkeypatch, tmp_path
     # one grid and, per level-2 member, one conditioning over both months
     assert layers.count("dataset.grid") == 1
     assert layers.count("gp.predict") == layers.count("gp.condition") == 2
+    # each member evaluates the Matern once per training pair and once per
+    # (survey, distinct cell), however the months and blocks split the points
+    members = json.loads((tmp_path / "model.json").read_text())["level1"]["members"]
+    with open(tmp_path / "predictions.csv", newline="") as f:
+        sites = len({(row["lon"], row["lat"]) for row in csv.DictReader(f)})
+
+    def enclosing_predict(i):
+        while tracer.spans[i]["layer"] != "gp.predict":
+            i = tracer.spans[i]["parent"]
+        return i
+    entries, conditions = {}, []
+    for i, span in enumerate(tracer.spans):
+        if span["layer"] == "gp.kernel":
+            entries[enclosing_predict(i)] = entries.get(enclosing_predict(i), 0) + span["entries"]
+        elif span["layer"] == "gp.condition":
+            conditions.append(enclosing_predict(i))
+    expected = [len(m["train_points"]) * (len(m["train_points"]) + sites) for m in members]
+    assert list(entries.values()) == expected
+    assert conditions == list(entries)      # one conditioning inside each member's predict

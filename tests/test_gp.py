@@ -477,6 +477,39 @@ class TestDenseConditioning:
                                np.eye(3), np.zeros((3, 2)), np.ones(2), 0.1,
                                full_cov=True)
 
+    CONFORMAL = {"y": np.ones(3), "mean_train": np.zeros(3), "mean_pred": np.zeros(4),
+                 "K_train": np.eye(3), "K_cross": np.zeros((3, 4)), "K_pred": np.ones(4)}
+
+    @pytest.mark.parametrize("key, value", [
+        ("K_train", np.ones((3, 4))),
+        ("K_cross", np.zeros(3)),                                   # 1-D
+        ("K_cross", [np.zeros((3, 2)), np.zeros(3)]),               # a 1-D block
+        ("K_cross", [np.zeros((3, 2)), np.zeros((2, 2))]),          # a block without n rows
+        ("K_cross", [np.zeros((3, 2)), np.zeros((3, 1))]),          # widths sum to 3, not 4
+        ("K_cross", [np.zeros((3, 3)), np.zeros((3, 2))]),          # widths sum to 5
+        ("K_pred", np.ones(1)),                 # would broadcast to every point
+        ("K_pred", np.ones(5)),
+        ("K_pred", np.ones((4, 3))),
+    ])
+    def test_non_conformal_shapes_are_data_errors(self, key, value):
+        args = {**self.CONFORMAL, key: value}
+        with pytest.raises(DataError, match="non-conformal shapes"):
+            gp_condition_dense(**args, sigma_e2=0.1)
+
+    def test_blocks_concatenate_to_one_array(self):
+        rng = np.random.default_rng(10)
+        y, mu_t, mu_p, K_t, K_c, K_p, s2 = self.random_problem(rng, 6, 9)
+        whole = gp_condition_dense(y, mu_t, mu_p, K_t, K_c, np.diag(K_p), s2)
+        blocks = gp_condition_dense(y, mu_t, mu_p, K_t, (K_c[:, :4], K_c[:, 4:]),
+                                    np.diag(K_p), s2)
+        np.testing.assert_allclose(blocks.mu_star, whole.mu_star, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocks.sigma_star, whole.sigma_star, rtol=0, atol=1e-12)
+
+    def test_full_cov_refuses_blocks(self):
+        args = {**self.CONFORMAL, "K_cross": [np.zeros((3, 4))], "K_pred": np.eye(4)}
+        with pytest.raises(DataError, match="full_cov needs K_cross as one array"):
+            gp_condition_dense(**args, sigma_e2=0.1, full_cov=True)
+
 
 class TestPrecisionConditioning:
     def setup_problem(self, n_months=2, sigma_e2=0.2, seed=10):
@@ -948,10 +981,11 @@ class TestPredictOverMonths:
 
     MONTHS = (5, 2, 4)      # unsorted on purpose
 
-    def setup_case(self, rng):
-        geo = GridGeometry(lon0=30.0, lat0=-1.0, d_lon=0.1, d_lat=0.1, n_lon=5, n_lat=4)
+    def setup_case(self, rng, n_lon=5, n_lat=4, n_train=14, extent=0.4):
+        geo = GridGeometry(lon0=30.0, lat0=-1.0, d_lon=0.1, d_lat=0.1, n_lon=n_lon,
+                           n_lat=n_lat)
         lons, lats = geo.cell_centers()
-        train = random_points(rng, 14, extent=0.4)
+        train = random_points(rng, n_train, extent=extent)
         train[1:4, :2] = train[0, :2]       # four surveys at one site
         train[1:4, 2] = [0, 3, 5]
         pred = np.column_stack([np.tile(lons, len(self.MONTHS)), np.tile(lats, len(self.MONTHS)),
@@ -979,21 +1013,26 @@ class TestPredictOverMonths:
         X_pred = rng.normal(size=(len(pred), 2))
         return plain_gp_predict, model, X_pred, linear_mean(state, X), linear_mean(state, X_pred)
 
-    @pytest.mark.parametrize("build", ["stacked", "plain"])
-    def test_equals_one_hand_assembled_conditioning(self, build, monkeypatch):
-        rng = np.random.default_rng(53)
-        train, pred, cells = self.setup_case(rng)
-        predict, model, inputs, mean_train, mean_pred = getattr(self, build)(rng, train, pred)
+    def predict_counted(self, predict, model, inputs, pred, monkeypatch):
+        """predict(model, inputs, pred) and the Matern entries it evaluated."""
         entries = []
 
         def counted(D, kappa, tau):
             entries.append(np.size(D))
             return matern1_matrix(D, kappa, tau)
-        monkeypatch.setattr(gp, "matern1_matrix", counted)
-        post = predict(model, inputs, pred)
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "matern1_matrix", counted)
+            post = predict(model, inputs, pred)
+        return post, sum(entries)
+
+    @pytest.mark.parametrize("build", ["stacked", "plain"])
+    def test_equals_one_hand_assembled_conditioning(self, build, monkeypatch):
+        rng = np.random.default_rng(53)
+        train, pred, cells = self.setup_case(rng)
+        predict, model, inputs, mean_train, mean_pred = getattr(self, build)(rng, train, pred)
+        post, entries = self.predict_counted(predict, model, inputs, pred, monkeypatch)
         n = len(train)
-        assert sum(entries) <= n * n + n * cells
-        monkeypatch.undo()
+        assert entries <= n * n + n * cells
 
         prm, ref = model.params, model.ref_lat
         direct = gp_condition_dense(model.y, mean_train, mean_pred,
@@ -1003,9 +1042,33 @@ class TestPredictOverMonths:
         np.testing.assert_array_equal(post.mu_star, direct.mu_star)
         np.testing.assert_array_equal(post.sigma_star, direct.sigma_star)
 
+    @pytest.mark.parametrize("build", ["stacked", "plain"])
+    def test_many_blocks_equal_one_array(self, build, monkeypatch):
+        # 23 x 19 cells at 3 months: 1311 points, a multiple of neither 4 nor
+        # the block width, so the last point block and the last site block
+        # are both ragged
+        rng = np.random.default_rng(59)
+        train, pred, cells = self.setup_case(rng, n_lon=23, n_lat=19, n_train=200,
+                                              extent=2.3)
+        n, width = len(train), gp._block_width(len(train))
+        assert len(pred) > 2 * width and cells > width
+        assert len(pred) % 4 and len(pred) % width and cells % width
+        predict, model, inputs, mean_train, mean_pred = getattr(self, build)(rng, train, pred)
+        post, entries = self.predict_counted(predict, model, inputs, pred, monkeypatch)
+        assert entries == n * n + n * cells
+
+        prm, ref = model.params, model.ref_lat
+        direct = gp_condition_dense(model.y, mean_train, mean_pred,
+                                    cov_block(train, train, prm, ref),
+                                    cov_block(train, pred, prm, ref),
+                                    np.full(len(pred), 1.0 / prm.tau), prm.sigma_e2)
+        np.testing.assert_array_equal(post.mu_star, direct.mu_star)
+        np.testing.assert_array_equal(post.sigma_star, direct.sigma_star)
+
 
 class TestPredictMemory:
-    """Prediction memory grows linearly with the number of cells, not with its square."""
+    """Prediction memory grows linearly with the number of cells, not with its square,
+    and by O(points), not O(n_train x points), with the number of months."""
 
     N_TRAIN = 30
     N_CELLS = 4000
@@ -1043,6 +1106,31 @@ class TestPredictMemory:
             tracemalloc.stop()
         assert post.sd.shape == (self.N_CELLS,)
         assert peak < bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+
+    @pytest.mark.parametrize("build", ["stacked", "plain"])
+    def test_peak_memory_flat_in_months(self, build):
+        # the same cells at 1 and at 8 months: the Matern is evaluated once per
+        # cell either way, and the cross-covariance is read in column blocks,
+        # so the 7 added months cost O(points), not an n x (added points) block
+        rng = np.random.default_rng(37)
+        predict, model, _ = getattr(self, build)(rng)
+        cells = random_points(rng, self.N_CELLS)[:, :2]
+        peaks = []
+        for months in (1, 8):
+            pts = np.vstack([np.column_stack([cells, np.full(self.N_CELLS, float(t))])
+                             for t in range(months)])
+            inputs = rng.normal(size=(len(pts), 2))
+            tracemalloc.start()
+            try:
+                post = predict(model, inputs, pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert post.sd.shape == (len(pts),)
+        block = self.N_TRAIN * 7 * self.N_CELLS * 8
+        growth = peaks[1] - peaks[0]
+        assert growth < block / 2, (f"peak grew {growth / 1e6:.2f} MB from 1 to 8 months; "
+                                    f"one n x (added points) block is {block / 1e6:.2f} MB")
 
 
 def _fresh_python(code: str) -> str:
