@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config, require, write_resolved
+from .config import integer, load_config, require, write_resolved
 from .cwm import cwm_predict
 from .dataset import assemble_design, build_prediction_grid, load_stack_manifest, load_surveys
 from .errors import ConfigError, DataError, StackGpError
@@ -109,7 +109,7 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
 
     if design == "plain-gp":
         model = fit_gp_linear_mean(y, X.values, points, **gp_options)
-    elif design in (1, 2, 3):
+    elif integer(design) and design in (1, 2, 3):
         specs = _learner_specs(config)
         plan = make_folds(len(y), stacking.get("v", 5), seed)
         if design == 1:

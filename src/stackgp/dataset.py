@@ -154,9 +154,6 @@ class GridGeometry:
             raise PointError(i, f"point ({np.ravel(lon)[i]}, {np.ravel(lat)[i]}) outside grid extent")
         return row.astype(np.intp), col.astype(np.intp)
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        return self.lon0 + col * self.d_lon, self.lat0 - row * self.d_lat
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """All centres, row-major (north to south, west to east)."""
         lons = self.lon0 + np.arange(self.n_lon) * self.d_lon
@@ -301,13 +298,6 @@ class CovariateMatrix:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "columns", tuple(self.columns))
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    def labels(self) -> list[str]:
-        return [c.label for c in self.columns]
 
     def check_layout(self, other: "CovariateMatrix") -> None:
         """Raise SchemaError listing missing/extra columns when layouts differ."""

@@ -147,11 +147,6 @@ class GpHyperParams:
     def tau(self) -> float:
         return math.exp(self.log_tau)
 
-    @property
-    def rho(self) -> float:
-        """Spatial range: kappa = sqrt(2) / rho for the smoothness-1 Matern."""
-        return math.sqrt(2.0) / self.kappa
-
     def to_dict(self) -> dict:
         return {"log_kappa": self.log_kappa, "log_tau": self.log_tau,
                 "sigma_e2": self.sigma_e2, "phi": self.phi, "beta": self.beta.tolist()}
@@ -178,19 +173,8 @@ class GpPosterior:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-def matern1_cov(dist: float, kappa: float, tau: float) -> float:
-    """Smoothness-1 Matern covariance at a single distance."""
-    if not (dist >= 0 and kappa > 0 and tau > 0):
-        raise DataError(f"matern1_cov needs dist >= 0, kappa > 0, tau > 0; "
-                        f"got ({dist}, {kappa}, {tau})")
-    if dist == 0.0:
-        return 1.0 / tau
-    x = kappa * dist
-    return (kappa / tau) * dist * float(k1(x))
-
-
 def matern1_matrix(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
-    """Vectorised matern1_cov over a distance matrix (zero-safe)."""
+    """Smoothness-1 Matern covariance over a distance array (zero-safe)."""
     D = np.asarray(D, dtype=float)
     x = kappa * D
     with np.errstate(invalid="ignore", over="ignore"):
@@ -330,23 +314,6 @@ def _chol_with_jitter(S: np.ndarray, context: str):
     cond = abs(eig[-1]) / max(abs(eig[0]), 1e-300)
     raise NumericalError(f"{context}: Cholesky failed after jitter ladder "
                          f"(condition estimate {cond:.3e}, min eig {eig[0]:.3e})")
-
-
-def build_joint_cov(points, params: GpHyperParams, ref_lat: float | None = None) -> np.ndarray:
-    """Dense joint covariance over (lon, lat, t) points, PSD-checked.
-
-    The returned matrix includes whatever diagonal jitter the ladder needed
-    (none for well-posed inputs).
-    """
-    pts = np.asarray(points, dtype=float)
-    if ref_lat is None:
-        ref_lat = float(pts[:, 1].mean())
-    K = cov_block(pts, pts, params, ref_lat)
-    K = 0.5 * (K + K.T)
-    _, jitter = _chol_with_jitter(K, "build_joint_cov")
-    if jitter:
-        K = K + jitter * np.eye(len(K))
-    return K
 
 
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,

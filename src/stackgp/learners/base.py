@@ -20,7 +20,6 @@ from .boosting import GbtModel, fit_gbt
 from .elastic_net import EnetModel, fit_enet
 from .forest import ForestModel, fit_rf
 from .gam import GamModel, fit_gam
-from .linear import LinearModel, fit_linear
 from .mars import MarsModel, fit_mars
 
 
@@ -62,17 +61,11 @@ PARAM_SCHEMAS = {
         "max_knots": (15, int_at_least(1), "candidate knots per (parent, variable) search"),
         "gcv_penalty": (3.0, non_negative_real, "effective parameters charged per knot"),
     },
-    "linear-mean": {},
 }
 
-_FIT = {
-    "gbt": fit_gbt, "rf": fit_rf, "enet": fit_enet,
-    "gam": fit_gam, "mars": fit_mars, "linear-mean": fit_linear,
-}
-_MODEL_CLS = {
-    "gbt": GbtModel, "rf": ForestModel, "enet": EnetModel,
-    "gam": GamModel, "mars": MarsModel, "linear-mean": LinearModel,
-}
+_FIT = {"gbt": fit_gbt, "rf": fit_rf, "enet": fit_enet, "gam": fit_gam, "mars": fit_mars}
+_MODEL_CLS = {"gbt": GbtModel, "rf": ForestModel, "enet": EnetModel, "gam": GamModel,
+              "mars": MarsModel}
 
 LEARNER_KINDS = tuple(PARAM_SCHEMAS)
 

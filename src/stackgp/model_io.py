@@ -7,7 +7,7 @@ and non-finite values are rejected at save time (``allow_nan=False``).
 
 Two top-level kinds exist: ``stack`` (a StackState from any of the three
 designs, including its level-0 models, fold plan, and P/H matrices) and
-``plain-gp`` (the linear-mean baseline).
+``plain-gp`` (the GP with a GLS linear mean).
 """
 
 from __future__ import annotations

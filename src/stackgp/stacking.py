@@ -15,8 +15,8 @@ Three designs:
 
 For designs 2/3 the level-2 CWM is fitted on leave-one-fold-out level-1
 predictions obtained by re-conditioning each GP per fold with its
-hyperparameters held fixed (per-fold re-optimisation is a cost knob left
-off by default). repeat_cv_evaluate applies the same re-conditioning
+hyperparameters held fixed: they are fitted once on all rows and never
+re-optimised per fold. repeat_cv_evaluate applies the same re-conditioning
 protocol to score the GP stack and the plain-GP baseline out of fold.
 """
 

@@ -8,8 +8,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest
+from scipy.special import k1
 
 from stackgp.dataset import Covariate, GridGeometry, SurveyRecord
+from stackgp.gp import _chol_with_jitter, cov_block
 
 
 @pytest.fixture
@@ -55,3 +57,24 @@ def make_surveys(n=20, geometry=None, n_months=10, seed=11, t_min=6):
 
 def points_of(records):
     return np.array([[r.lon, r.lat, r.t] for r in records])
+
+
+def matern1_cov(dist, kappa, tau):
+    """Smoothness-1 Matern covariance at one distance: the scalar oracle of gp.matern1_matrix."""
+    if dist == 0.0:
+        return 1.0 / tau
+    return (kappa / tau) * dist * float(k1(kappa * dist))
+
+
+def build_joint_cov(points, params, ref_lat=None):
+    """Dense joint covariance over (lon, lat, t) points, plus whatever jitter
+    gp's Cholesky ladder needs to factor it (none for well-posed inputs)."""
+    pts = np.asarray(points, dtype=float)
+    if ref_lat is None:
+        ref_lat = float(pts[:, 1].mean())
+    K = cov_block(pts, pts, params, ref_lat)
+    K = 0.5 * (K + K.T)
+    _, jitter = _chol_with_jitter(K, "build_joint_cov")
+    if jitter:
+        K = K + jitter * np.eye(len(K))
+    return K

@@ -25,7 +25,6 @@ from stackgp.gmrf import (
 from stackgp.gp import (
     GpHyperParams,
     StackedGpModel,
-    build_joint_cov,
     cov_block,
     fit_hyperparams,
     gp_condition_dense,
@@ -38,6 +37,8 @@ from stackgp.metrics import ambiguity_decomposition
 from stackgp.model_io import load_model, save_model
 from stackgp.stacking import fit_design1, make_folds, predict_stack, run_level0
 from stackgp.synth import ScenarioConfig, generate
+
+from conftest import build_joint_cov
 
 
 def params_of(kappa=1.0, tau=1.0, sigma_e2=0.1, phi=0.5, beta=(1.0,)):

@@ -29,6 +29,13 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         assert callable(target), f"{module}.{attr} is not a callable"
 
 
+def test_bench_span_binding_check_passes(monkeypatch):
+    # the check `pytest bench` runs: a src refactor that drops a caller's
+    # `from .x import y` binding (say stackgp.cli.gp_stacked_predict) fails here
+    monkeypatch.syspath_prepend(str(BENCH))
+    importlib.import_module("test_spans").test_install_rebinds_every_lookup_site()
+
+
 def test_cwm_iterations_count_the_starting_vertex(monkeypatch):
     # the traced runs require cwm.iterations > 0; an exact member makes the
     # starting vertex optimal, so the count must include that vertex

@@ -122,9 +122,10 @@ class TestConfigFailures:
         assert main(["fit", "--config", str(cfg)]) == 3
         assert "stackgp: error category=data:" in capsys.readouterr().err
 
-    def test_bad_design_exits_2(self, scenario, tmp_path, capsys):
+    @pytest.mark.parametrize("design", [9, True, 2.0])
+    def test_bad_design_exits_2(self, scenario, tmp_path, capsys, design):
         cfg = write_yaml(tmp_path / "fit.yaml",
-                         fit_config(scenario, tmp_path / "out", design=9))
+                         fit_config(scenario, tmp_path / "out", design=design))
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "design" in capsys.readouterr().err
 

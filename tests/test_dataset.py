@@ -25,6 +25,12 @@ from stackgp.errors import DataError, SchemaError
 from conftest import make_geometry, make_stack, make_surveys
 
 
+def cell_center(geo, row, col):
+    lons, lats = geo.cell_centers()
+    i = row * geo.n_lon + col
+    return float(lons[i]), float(lats[i])
+
+
 class TestEmpiricalLogit:
     def test_symmetric_case_is_zero(self):
         assert empirical_logit(10, 20) == 0.0
@@ -106,7 +112,7 @@ class TestGridGeometry:
         geo = make_geometry()
         for row in range(geo.n_lat):
             for col in range(geo.n_lon):
-                lon, lat = geo.cell_center(row, col)
+                lon, lat = cell_center(geo, row, col)
                 assert geo.cell_index(lon, lat) == (row, col)
 
     def test_cell_index_of_arrays_matches_scalars(self):
@@ -175,7 +181,7 @@ class TestAssembly:
     def test_cell_centre_value_identity(self):
         covs = make_stack()
         geo = covs[0].geometry
-        lon, lat = geo.cell_center(2, 3)
+        lon, lat = cell_center(geo, 2, 3)
         X = assemble_at([(lon, lat, 8)], covs)
         assert X.values[0, 0] == covs[0].slices[0][2, 3]
         assert X.values[0, 2] == covs[2].slices[8][2, 3]
@@ -184,7 +190,7 @@ class TestAssembly:
     def test_lag_before_time_zero_raises(self):
         covs = make_stack()
         geo = covs[0].geometry
-        lon, lat = geo.cell_center(0, 0)
+        lon, lat = cell_center(geo, 0, 0)
         with pytest.raises(DataError, match="rain_lag2"):
             assemble_at([(lon, lat, 1)], covs)
 
@@ -193,7 +199,7 @@ class TestAssembly:
         surveys = make_surveys(n=12)
         X1 = assemble_design(surveys, covs)
         X2 = assemble_design(surveys, covs)
-        assert X1.n_rows == 12
+        assert X1.values.shape[0] == 12
         assert np.array_equal(X1.values, X2.values)
         one = assemble_design(surveys[3:4], covs)
         assert np.array_equal(one.values[0], X1.values[3])
@@ -210,7 +216,7 @@ class TestAssembly:
     ])
     def test_several_bad_rows_name_the_first(self, outside, t_bad, message):
         covs = make_stack()
-        lon, lat = covs[0].geometry.cell_center(1, 1)
+        lon, lat = cell_center(covs[0].geometry, 1, 1)
         bad = (0.0, 0.0, t_bad) if outside else (lon, lat, t_bad)
         points = [(lon, lat, 9), (lon, lat, 8), bad, (lon, lat, 9), bad, bad]
         with pytest.raises(DataError, match=message):
@@ -327,10 +333,11 @@ class TestManifest:
 
     def test_assemble_from_manifest_path(self, tmp_path, rng):
         manifest, _, geo = self._write_scenario(tmp_path, rng)
-        lon, lat = geo.cell_center(1, 1)
+        lon, lat = cell_center(geo, 1, 1)
         surveys = [SurveyRecord.from_counts(lon, lat, 6, 20, 5)]
         X = assemble_design(surveys, load_stack_manifest(manifest))
-        assert X.labels() == ["elev", "rain", "rain_lag2", "rain_lag4", "rain_lag6"]
+        assert [c.label for c in X.columns] == ["elev", "rain", "rain_lag2", "rain_lag4",
+                                                "rain_lag6"]
 
     def test_dynamic_annual_slices(self, tmp_path, rng):
         geo = make_geometry(n_lon=3, n_lat=3)
@@ -368,7 +375,7 @@ class TestAssembleFromManifestTime:
     def test_month_out_of_manifest_range(self, tmp_path, rng):
         covs = make_stack(n_months=10)
         geo = covs[0].geometry
-        lon, lat = geo.cell_center(0, 0)
+        lon, lat = cell_center(geo, 0, 0)
         with pytest.raises(DataError, match="rain"):
             assemble_at([(lon, lat, 12)], covs)
 
@@ -380,13 +387,13 @@ class TestPredictionGrid:
         grid = build_prediction_grid(geo, 8, covs)
         lons, lats = geo.cell_centers()
         np.testing.assert_array_equal(grid.points, np.column_stack([lons, lats, np.full(lons.size, 8)]))
-        assert grid.design.n_rows == geo.n_lon * geo.n_lat
+        assert grid.design.values.shape[0] == geo.n_lon * geo.n_lat
 
     def test_grid_design_matches_direct_lookup(self):
         covs = make_stack()
         geo = covs[0].geometry
         grid = build_prediction_grid(geo, 9, covs)
-        flat = geo.cell_index(*geo.cell_center(2, 4))
+        flat = geo.cell_index(*cell_center(geo, 2, 4))
         k = flat[0] * geo.n_lon + flat[1]
         assert grid.design.values[k, 0] == covs[0].slices[0][2, 4]
 
@@ -400,8 +407,8 @@ class TestPredictionGrid:
             Covariate("pop", "dynamic-annual", geo, rng.normal(size=(2, *shape)),
                       t_start=2, t_end=25)]
         grid = build_prediction_grid(geo, t, covs)
-        assert grid.design.labels() == ["elev", "soil", "rain", "rain_lag2", "rain_lag4",
-                                        "rain_lag6", "pop"]
+        assert [c.label for c in grid.design.columns] == ["elev", "soil", "rain", "rain_lag2",
+                                                      "rain_lag4", "rain_lag6", "pop"]
         expected = [covs[0].slices[0], covs[1].slices[0]]
         expected += [covs[2].slices[t - lag] for lag in (0, 2, 4, 6)]
         expected += [covs[3].slices[(t - 2) // 12]]

@@ -33,7 +33,6 @@ from stackgp.gp import (
     _RawCodec,
     _softmax_pinned,
     _train_kernel,
-    build_joint_cov,
     cov_block,
     default_init,
     fit_gp_linear_mean,
@@ -42,11 +41,12 @@ from stackgp.gp import (
     gp_stacked_predict,
     linear_mean,
     log_marginal_likelihood,
-    matern1_cov,
     matern1_matrix,
     pairwise_planar_dist,
     plain_gp_predict,
 )
+
+from conftest import build_joint_cov, matern1_cov
 
 # independently tabulated high-precision values (not recomputed here)
 BESSEL_K1_AT_1 = 0.6019072301972346
@@ -70,31 +70,23 @@ def random_points(rng, n, n_months=6, extent=1.0):
 class TestMaternKernel:
     def test_zero_distance_is_inverse_tau(self):
         for tau in (0.5, 1.0, 4.0):
-            assert matern1_cov(0.0, 2.0, tau) == pytest.approx(1.0 / tau, abs=1e-15)
+            assert matern1_matrix(np.zeros(1), 2.0, tau)[0] == pytest.approx(1.0 / tau, abs=1e-15)
 
     def test_unit_distance_frozen_bessel_value(self):
-        assert matern1_cov(1.0, 1.0, 1.0) == pytest.approx(BESSEL_K1_AT_1, abs=1e-13)
+        assert matern1_matrix(np.ones(1), 1.0, 1.0)[0] == pytest.approx(BESSEL_K1_AT_1, abs=1e-13)
 
     def test_monotone_decrease(self):
-        c = [matern1_cov(d, 1.0, 1.0) for d in (0.5, 1.0, 2.0)]
+        c = matern1_matrix(np.array([0.5, 1.0, 2.0]), 1.0, 1.0)
         assert c[0] > c[1] > c[2] > 0
 
     def test_continuity_at_origin(self):
-        assert matern1_cov(1e-9, 3.0, 2.0) == pytest.approx(0.5, rel=1e-6)
+        assert matern1_matrix(np.array([1e-9]), 3.0, 2.0)[0] == pytest.approx(0.5, rel=1e-6)
 
     def test_matrix_matches_scalar(self):
         D = np.array([[0.0, 0.7], [0.7, 0.0]])
         K = matern1_matrix(D, 1.3, 0.8)
         assert K[0, 0] == pytest.approx(1 / 0.8, abs=1e-15)
         assert K[0, 1] == pytest.approx(matern1_cov(0.7, 1.3, 0.8), abs=1e-15)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DataError):
-            matern1_cov(-1.0, 1.0, 1.0)
-        with pytest.raises(DataError):
-            matern1_cov(1.0, 0.0, 1.0)
-        with pytest.raises(DataError):
-            matern1_cov(1.0, 1.0, -2.0)
 
 
 class TestPlanarDistance:
@@ -263,20 +255,19 @@ class TestTrainKernel:
 
 
 class TestBuildJointCov:
+    """cov_block's joint covariance, and the conftest oracle c10 draws its fields from."""
+
     def test_kronecker_separability_exhaustive(self):
         rng = np.random.default_rng(2)
         pts = random_points(rng, 12)
         p = params_of(kappa=2.0, tau=1.2, phi=0.6)
         ref = float(pts[:, 1].mean())
-        K = build_joint_cov(pts, p)
-        D = pairwise_planar_dist(pts[:, :2], pts[:, :2], ref)
+        K = cov_block(pts, pts, p, ref)
+        S = matern1_matrix(pairwise_planar_dist(pts[:, :2], pts[:, :2], ref), p.kappa, p.tau)
         for i in range(12):
             for j in range(12):
-                if i == j:
-                    continue
                 dt = abs(int(pts[i, 2]) - int(pts[j, 2]))
-                want = matern1_cov(float(D[i, j]), p.kappa, p.tau) * p.phi ** dt
-                assert K[i, j] == pytest.approx(want, abs=1e-12)
+                assert K[i, j] == pytest.approx(S[i, j] * p.phi ** dt, abs=1e-12)
 
     def test_result_is_positive_definite(self):
         rng = np.random.default_rng(3)
@@ -638,7 +629,7 @@ class TestDefaultInit:
         init = default_init(y, basis, pts)
         assert 0 < init.sigma_e2
         assert abs(init.phi) < 1
-        assert init.rho == pytest.approx(0.3, rel=0.5)
+        assert math.sqrt(2.0) / init.kappa == pytest.approx(0.3, rel=0.5)   # the range rho
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_variance_suggests_rescaling(self):

@@ -19,8 +19,9 @@ def make_matrix(values, names=None):
 
 class TestSpecValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown learner kind"):
-            LearnerSpec(kind="xgboost")
+        for kind in ("xgboost", "linear-mean"):
+            with pytest.raises(ConfigError, match="unknown learner kind"):
+                LearnerSpec(kind=kind)
 
     def test_unknown_param(self):
         with pytest.raises(ConfigError, match="unknown parameter"):

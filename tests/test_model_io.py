@@ -187,12 +187,13 @@ class TestSchemaGuards:
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["level0"][0]["spec"].update(kind="foo"),
+        lambda d: d["level0"][0]["spec"].update(kind="linear-mean"),
         lambda d: d["level0"][0]["spec"]["params"].update(lambda1=-1),
         lambda d: d.update(level1={"params": {"log_kappa": 0.0, "log_tau": 0.0,
                                               "sigma_e2": 1.0, "phi": 3.0, "beta": [1.0]},
                                    "train_points": [], "P_train": [], "y": [], "ref_lat": 0.0},
                            level1_kind="gp"),
-    ], ids=["learner-kind", "learner-param", "gp-phi"])
+    ], ids=["learner-kind", "learner-kind-linear-mean", "learner-param", "gp-phi"])
     def test_invalid_value_names_the_file(self, tmp_path, edit):
         path = self.fitted(tmp_path)
         d = json.loads(path.read_text())

@@ -87,7 +87,7 @@ class TestSurveyRealism:
     def test_design_columns_static_plus_lagged_dynamic(self):
         cfg = ScenarioConfig(**SMALL, m_covariates=4)
         bundle = generate(cfg)
-        labels = bundle.design.labels()
+        labels = [c.label for c in bundle.design.columns]
         assert labels == ["cov00", "cov01",
                           "cov02", "cov02_lag2", "cov02_lag4", "cov02_lag6",
                           "cov03", "cov03_lag2", "cov03_lag4", "cov03_lag6"]
@@ -172,7 +172,7 @@ class TestPersistence:
         stack = load_stack_manifest(paths["manifest"])
         design = assemble_design(records, stack)
         np.testing.assert_array_equal(design.values, bundle.design.values)
-        assert design.labels() == bundle.design.labels()
+        assert [c.label for c in design.columns] == [c.label for c in bundle.design.columns]
         assert [(r.lon, r.lat, r.t) for r in records] \
             == [(r.lon, r.lat, r.t) for r in bundle.records]
 
