@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import integer, load_config, require, write_resolved
+from .config import load_config, require, write_resolved
 from .cwm import cwm_predict
 from .dataset import assemble_design, build_prediction_grid, load_stack_manifest, load_surveys
 from .errors import ConfigError, DataError, StackGpError
@@ -109,7 +109,7 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
 
     if design == "plain-gp":
         model = fit_gp_linear_mean(y, X.values, points, **gp_options)
-    elif integer(design) and design in (1, 2, 3):
+    else:   # 1, 2 or 3: config.KEYS checked the design when the config loaded
         specs = _learner_specs(config)
         plan = make_folds(len(y), stacking.get("v", 5), seed)
         if design == 1:
@@ -122,8 +122,6 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
                 raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
             model = fit_design3(X, y, points, specs[0], stacking.get("gp_variants"), plan,
                                 gp_options)
-    else:
-        raise ConfigError(f"stacking.design must be 1, 2, 3 or 'plain-gp', got {design!r}")
 
     model_path = outdir / "model.json"
     save_model(model, model_path)

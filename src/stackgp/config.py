@@ -5,8 +5,8 @@ at every level it owns: unknown top-level keys, unknown keys inside any known
 section and every plain value that fails its check in KEYS are configuration
 errors, raised when the config loads, before any input file is read. Keys
 whose values are domain objects (learner specs, GP overrides, scenario
-fields) or dispatch names are checked by the code that uses them. The value
-predicates here are shared with the learner and scenario schemas.
+fields) are checked by the code that uses them. The value predicates here
+are shared with the learner and scenario schemas.
 
 ``--set a.b.c=value`` overrides parse the value as YAML, so ``v=10`` is an
 int, ``months=[6,7]`` a list, and ``region=north`` a string. Every command
@@ -71,16 +71,16 @@ def text(v) -> bool:
 
 
 # Every config key -> (check, description), or None for a key whose value
-# the code that uses it checks (named in the comment): a domain object or a
-# dispatch name.
+# the code that uses it checks (named in the comment): a domain object.
 KEYS = {
     "output_dir": (text, "a path string"),
     "seed": (int_at_least(0), "a non-negative integer"),
     "synth": (lambda v: isinstance(v, dict), "a mapping of scenario fields"),
     "data.surveys": (text, "a path string"),
     "data.stack": (text, "a path string"),
-    "stacking.design": None,        # cli.cmd_fit
-    "stacking.level1": None,        # stacking.fit_design1
+    "stacking.design": (lambda v: v == "plain-gp" or (integer(v) and v in (1, 2, 3)),
+                        "1, 2, 3 or 'plain-gp'"),
+    "stacking.level1": (lambda v: v in ("cwm", "gp"), "'cwm' or 'gp'"),
     "stacking.v": (int_at_least(2), "an integer >= 2"),
     "stacking.learners": None,      # cli._learner_specs, LearnerSpec, stacking.run_level0
     "stacking.gp_variants": None,   # stacking.fit_design3, gp.check_fixed

@@ -219,34 +219,28 @@ def fit_mars(X, y, params: dict, rng=None) -> MarsModel:
         B = np.column_stack([B] + new_cols)
 
     # backward pruning on GCV
-    def gcv(subset):
+    def lsq(subset):
         cols = B[:, subset]
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         r = y - cols @ coef
-        sse = float(r @ r)
+        return subset, coef, float(r @ r)
+
+    def gcv(subset, sse):
         knots_used = {functions[i].knot_id for i in subset if functions[i].knot_id >= 0}
         c_eff = len(subset) + penalty * len(knots_used)
-        if c_eff >= n:
-            return np.inf, coef, sse
-        return (sse / n) / (1.0 - c_eff / n) ** 2, coef, sse
+        return np.inf if c_eff >= n else (sse / n) / (1.0 - c_eff / n) ** 2
 
-    subset = list(range(len(functions)))
-    best_gcv, best_coef, best_sse = gcv(subset)
-    best_subset = list(subset)
+    subset, _, sse = best = lsq(list(range(len(functions))))
+    best_gcv = gcv(subset, sse)
     while len(subset) > 1:
-        trial_sse, trial_idx = np.inf, None
-        for i in subset[1:]:   # never drop the intercept
-            remaining = [j for j in subset if j != i]
-            cols = B[:, remaining]
-            coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-            r = y - cols @ coef
-            sse = float(r @ r)
-            if sse < trial_sse:
-                trial_sse, trial_idx = sse, i
-        subset = [j for j in subset if j != trial_idx]
-        g, coef, sse = gcv(subset)
+        # drop the term whose removal costs the least SSE, never the intercept;
+        # min keeps the first of tied removals
+        trials = [lsq([j for j in subset if j != i]) for i in subset[1:]]
+        subset, _, sse = trial = min(trials, key=lambda fit: fit[2])
+        g = gcv(subset, sse)
         if g < best_gcv:
-            best_gcv, best_coef, best_subset, best_sse = g, coef, list(subset), sse
+            best_gcv, best = g, trial
+    best_subset, best_coef, best_sse = best
 
     final_funcs = [functions[i] for i in best_subset]
     return MarsModel(functions=final_funcs, coef=np.asarray(best_coef, dtype=float),

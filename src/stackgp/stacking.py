@@ -264,20 +264,6 @@ def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
                        gp_options)
 
 
-def predict_stack(state: StackState, P_pred, pred_points=None) -> np.ndarray:
-    """Final-prediction path: bind the fitted level-1 to full-fit predictions."""
-    P_pred = np.asarray(P_pred, dtype=float)
-    if P_pred.ndim != 2 or P_pred.shape[1] != state.P.shape[1]:
-        raise DataError(f"P_pred must have {state.P.shape[1]} columns, got {P_pred.shape}")
-    if state.level1_kind == "cwm":
-        return cwm_predict(state.level1, P_pred)
-    if pred_points is None:
-        raise DataError("GP level-1 prediction needs the prediction points")
-    if state.level1_kind == "gp":
-        return gp_stacked_predict(state.level1, P_pred, pred_points).mu_star
-    return level2_mean_sd(state.level1, P_pred, pred_points)[0]
-
-
 def level2_mean_sd(stack: Level2Stack, P_pred, pred_points) -> tuple:
     """Simplex-weighted mean and sd of the level-2 members' GP predictions.
 

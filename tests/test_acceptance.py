@@ -35,7 +35,7 @@ from stackgp.learners import LearnerSpec, fit_learner
 from stackgp.learners.elastic_net import fit_enet
 from stackgp.metrics import ambiguity_decomposition
 from stackgp.model_io import load_model, save_model
-from stackgp.stacking import fit_design1, make_folds, predict_stack, run_level0
+from stackgp.stacking import fit_design1, make_folds, run_level0
 from stackgp.synth import ScenarioConfig, generate
 
 from conftest import build_joint_cov
@@ -469,8 +469,6 @@ def test_c11_determinism_and_round_trip(tmp_path):
     P_pred = np.column_stack([m.predict(X_new) for m in state.level0])
     P_pred2 = np.column_stack([m.predict(X_new) for m in reloaded.level0])
     assert np.array_equal(P_pred, P_pred2)
-    assert np.array_equal(predict_stack(state, P_pred, pts_new),
-                          predict_stack(reloaded, P_pred2, pts_new))
     post = gp_stacked_predict(state.level1, P_pred, pts_new)
     post2 = gp_stacked_predict(reloaded.level1, P_pred2, pts_new)
     assert np.array_equal(post.mu_star, post2.mu_star)

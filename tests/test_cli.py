@@ -7,7 +7,11 @@ import yaml
 
 from stackgp.cli import COMMANDS, main
 from stackgp.config import KEYS
+from stackgp.cwm import cwm_predict
+from stackgp.dataset import build_prediction_grid, load_stack_manifest
+from stackgp.gp import gp_stacked_predict, plain_gp_predict
 from stackgp.model_io import load_model
+from stackgp.stacking import level2_mean_sd
 
 
 def write_yaml(path, payload):
@@ -122,12 +126,22 @@ class TestConfigFailures:
         assert main(["fit", "--config", str(cfg)]) == 3
         assert "stackgp: error category=data:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("design", [9, True, 2.0])
-    def test_bad_design_exits_2(self, scenario, tmp_path, capsys, design):
-        cfg = write_yaml(tmp_path / "fit.yaml",
-                         fit_config(scenario, tmp_path / "out", design=design))
+    @pytest.mark.parametrize("key, value, surveys", [
+        pytest.param("design", 9, None, id="9"),
+        pytest.param("design", True, None, id="True"),
+        pytest.param("design", 2.0, None, id="2.0"),
+        # the names are checked when the config loads, before any data file is read
+        pytest.param("design", 9, "nope.csv", id="9-missing-surveys"),
+        pytest.param("level1", "ols", "nope.csv", id="level1-ols-missing-surveys"),
+    ])
+    def test_bad_design_exits_2(self, scenario, tmp_path, capsys, key, value, surveys):
+        cfg_dict = fit_config(scenario, tmp_path / "out", **{key: value})
+        if surveys:
+            cfg_dict["data"]["surveys"] = str(tmp_path / surveys)
+        cfg = write_yaml(tmp_path / "fit.yaml", cfg_dict)
         assert main(["fit", "--config", str(cfg)]) == 2
-        assert "design" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "category=config" in err and f"stacking.{key} must be" in err
 
     def test_bad_gp_variant_key_exits_2(self, scenario, tmp_path, capsys):
         cfg_dict = fit_config(scenario, tmp_path / "out", design=3,
@@ -347,6 +361,60 @@ class TestFitAndPredict:
         })
         assert main(["predict", "--config", str(cfg)]) == 2
         assert "months" in capsys.readouterr().err
+
+
+def _level0(model, grid):
+    return np.column_stack([m.predict(grid.design) for m in model.level0])
+
+
+def _cwm_mean_sd(model, grid):
+    return cwm_predict(model.level1, _level0(model, grid)), np.zeros(len(grid.points))
+
+
+def _gp_mean_sd(model, grid):
+    post = gp_stacked_predict(model.level1, _level0(model, grid), grid.points)
+    return post.mu_star, post.sd
+
+
+def _level2_mean_sd(model, grid):
+    return level2_mean_sd(model.level1, _level0(model, grid), grid.points)
+
+
+def _plain_gp_mean_sd(model, grid):
+    post = plain_gp_predict(model, grid.design.values, grid.points)
+    return post.mu_star, post.sd
+
+
+class TestPredictValues:
+    """predictions.csv holds, bit for bit, the mean and sd that the building block of the
+    model's level-1 gives for the loaded model on the same prediction grid."""
+
+    @pytest.mark.parametrize("stacking, expected", [
+        pytest.param({"level1": "cwm"}, _cwm_mean_sd, id="design1-cwm"),
+        pytest.param({"level1": "gp"}, _gp_mean_sd, id="design1-gp"),
+        pytest.param({"design": 2}, _level2_mean_sd, id="design2"),
+        pytest.param(DESIGN3, _level2_mean_sd, id="design3"),
+        pytest.param({"design": "plain-gp"}, _plain_gp_mean_sd, id="plain-gp"),
+    ])
+    def test_mean_and_sd_are_the_building_blocks(self, scenario, tmp_path, stacking, expected):
+        months = [7, 6]
+        fit = write_yaml(tmp_path / "fit.yaml", fit_config(scenario, tmp_path, **stacking))
+        assert main(["fit", "--config", str(fit)]) == 0
+        cfg = write_yaml(tmp_path / "predict.yaml", {
+            "data": {"stack": str(scenario / "stack.yaml")},
+            "predict": {"model": str(tmp_path / "model.json"), "months": months},
+            "output_dir": str(tmp_path),
+        })
+        assert main(["predict", "--config", str(cfg)]) == 0
+        rows = read_csv(tmp_path / "predictions.csv")
+
+        covariates = load_stack_manifest(scenario / "stack.yaml")
+        grid = build_prediction_grid(covariates[0].geometry, months, covariates)
+        mean, sd = expected(load_model(tmp_path / "model.json"), grid)
+        np.testing.assert_array_equal([[float(r[k]) for k in ("lon", "lat", "t")] for r in rows],
+                                      grid.points)
+        np.testing.assert_array_equal([float(r["mean"]) for r in rows], mean)
+        np.testing.assert_array_equal([float(r["sd"]) for r in rows], sd)
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from stackgp.cli import _mean_sd
+from stackgp.dataset import ColumnInfo, CovariateMatrix
 from stackgp.errors import SchemaError
-from stackgp.gp import fit_gp_linear_mean, plain_gp_predict
+from stackgp.gp import fit_gp_linear_mean
 from stackgp.learners import LearnerSpec
 from stackgp.model_io import FORMAT_VERSION, load_model, save_model
-from stackgp.stacking import (fit_design1, fit_design2, fit_design3,
-                              make_folds, predict_stack)
+from stackgp.stacking import fit_design1, fit_design2, fit_design3, make_folds
 
 FAST_GP = {"restarts": 1, "max_iter": 40}
 
@@ -29,12 +30,20 @@ def lin(seed=3):
     return LearnerSpec(kind="enet", params={"lambda1": 0.0, "lambda2": 0.0}, seed=seed)
 
 
-def new_inputs(seed=99, n=6, width=1):
+def new_inputs(seed=99, n=6):
+    """A design of make_problem's 3 columns and its points, as `stackgp predict` passes them."""
     rng = np.random.default_rng(seed)
-    P = rng.normal(size=(n, width))
+    X = CovariateMatrix(rng.normal(size=(n, 3)),
+                        [ColumnInfo(f"x{j}", 0, "static") for j in range(3)])
     pts = np.column_stack([rng.uniform(30, 31, n), rng.uniform(-2, -1, n),
                            rng.integers(0, 5, n).astype(float)])
-    return P, pts
+    return X, pts
+
+
+def assert_same_predictions(model, clone, X, pts):
+    """Mean and sd of the saved and the reloaded model agree bit for bit."""
+    for got, want in zip(_mean_sd(clone, X, pts), _mean_sd(model, X, pts)):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRoundTrips:
@@ -44,8 +53,7 @@ class TestRoundTrips:
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
-        P, _ = new_inputs(width=2)
-        np.testing.assert_array_equal(predict_stack(state, P), predict_stack(clone, P))
+        assert_same_predictions(state, clone, *new_inputs())
         np.testing.assert_array_equal(state.H, clone.H)
         np.testing.assert_array_equal(state.plan.assignment, clone.plan.assignment)
 
@@ -56,9 +64,7 @@ class TestRoundTrips:
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
-        P, pts = new_inputs(width=1)
-        np.testing.assert_array_equal(predict_stack(state, P, pts),
-                                      predict_stack(clone, P, pts))
+        assert_same_predictions(state, clone, *new_inputs())
 
     def test_design2_two_level_stack(self, tmp_path):
         X, y, loc = make_problem(seed=3)
@@ -67,9 +73,7 @@ class TestRoundTrips:
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
-        P, pts = new_inputs(width=2)
-        np.testing.assert_array_equal(predict_stack(state, P, pts),
-                                      predict_stack(clone, P, pts))
+        assert_same_predictions(state, clone, *new_inputs())
         assert clone.level1.member_columns == [0, 1]
 
     def test_design3_variant_stack(self, tmp_path):
@@ -79,9 +83,7 @@ class TestRoundTrips:
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
-        P, pts = new_inputs(width=1)
-        np.testing.assert_array_equal(predict_stack(state, P, pts),
-                                      predict_stack(clone, P, pts))
+        assert_same_predictions(state, clone, *new_inputs())
         assert clone.level1.members[0].params.phi == 0.0
 
     def test_plain_gp(self, tmp_path):
@@ -91,11 +93,7 @@ class TestRoundTrips:
         path = tmp_path / "m.json"
         save_model(model, path)
         clone = load_model(path)
-        rng = np.random.default_rng(7)
-        X_new = rng.normal(size=(5, 3))
-        _, pts = new_inputs(n=5)
-        np.testing.assert_array_equal(plain_gp_predict(model, X_new, pts).mu_star,
-                                      plain_gp_predict(clone, X_new, pts).mu_star)
+        assert_same_predictions(model, clone, *new_inputs(n=5))
 
     def test_every_learner_kind_survives_the_stack_round_trip(self, tmp_path):
         X, y, loc = make_problem(seed=6, n=30)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from stackgp.cwm import SimplexWeights
+from stackgp.cwm import SimplexWeights, cwm_predict
 from stackgp.errors import ConfigError, DataError
 from stackgp.gp import GpHyperParams, cov_block, gp_condition_dense, gp_stacked_predict
 from stackgp.learners import LearnerSpec
@@ -18,7 +18,6 @@ from stackgp.stacking import (
     fold_oof_gp,
     level2_mean_sd,
     make_folds,
-    predict_stack,
     repeat_cv_evaluate,
     run_level0,
 )
@@ -182,7 +181,7 @@ class TestDesign1:
         state = fit_design1(X, y, loc, [linear_spec()], "cwm", plan)
         assert isinstance(state.level1, SimplexWeights)
         np.testing.assert_array_equal(state.level1.beta, [1.0])
-        out = predict_stack(state, state.P)
+        out = cwm_predict(state.level1, state.P)
         np.testing.assert_allclose(out, state.P[:, 0], atol=1e-12)
 
     def test_cwm_prediction_permutation_invariant(self):
@@ -192,8 +191,8 @@ class TestDesign1:
         specs_ba = [linear_spec(seed=2), mean_spec(seed=1)]
         sa = fit_design1(X, y, loc, specs_ab, "cwm", plan)
         sb = fit_design1(X, y, loc, specs_ba, "cwm", plan)
-        np.testing.assert_allclose(predict_stack(sa, sa.P),
-                                   predict_stack(sb, sb.P), atol=1e-6)
+        np.testing.assert_allclose(cwm_predict(sa.level1, sa.P),
+                                   cwm_predict(sb.level1, sb.P), atol=1e-6)
 
     def test_gp_prediction_permutation_invariant(self):
         X, y, loc = make_problem(seed=10, n=22)
@@ -204,8 +203,8 @@ class TestDesign1:
         sb = fit_design1(X, y, loc, specs_ba, "gp", plan, gp_options=FAST_GP)
         # optimiser follows a different path through a permuted space, so
         # agreement is statistical rather than bitwise
-        a = predict_stack(sa, sa.P, loc)
-        b = predict_stack(sb, sb.P, loc)
+        a = gp_stacked_predict(sa.level1, sa.P, loc).mu_star
+        b = gp_stacked_predict(sb.level1, sb.P, loc).mu_star
         assert np.corrcoef(a, b)[0, 1] > 0.99
 
     def test_gp_level1_binds_full_fit_matrix(self):
@@ -234,8 +233,8 @@ class TestDesign2:
         P_new = rng.normal(size=(6, 1))
         pts_new = np.column_stack([rng.uniform(30, 31, 6), rng.uniform(-2, -1, 6),
                                    rng.integers(0, 5, 6).astype(float)])
-        np.testing.assert_allclose(predict_stack(d1, P_new, pts_new),
-                                   predict_stack(d2, P_new, pts_new), atol=1e-12)
+        np.testing.assert_allclose(gp_stacked_predict(d1.level1, P_new, pts_new).mu_star,
+                                   level2_mean_sd(d2.level1, P_new, pts_new)[0], atol=1e-12)
 
     def test_identical_learners_match_single_member(self):
         X, y, loc = make_problem(seed=14, n=20)
@@ -247,8 +246,8 @@ class TestDesign2:
         pts_new = np.column_stack([rng.uniform(30, 31, 5), rng.uniform(-2, -1, 5),
                                    rng.integers(0, 5, 5).astype(float)])
         p1 = rng.normal(size=(5, 1))
-        out_one = predict_stack(one, p1, pts_new)
-        out_two = predict_stack(two, np.column_stack([p1, p1]), pts_new)
+        out_one = level2_mean_sd(one.level1, p1, pts_new)[0]
+        out_two = level2_mean_sd(two.level1, np.column_stack([p1, p1]), pts_new)[0]
         np.testing.assert_allclose(out_one, out_two, atol=1e-8)
 
     def test_members_are_single_column(self):
@@ -273,8 +272,8 @@ class TestDesign3:
         P_new = rng.normal(size=(6, 1))
         pts_new = np.column_stack([rng.uniform(30, 31, 6), rng.uniform(-2, -1, 6),
                                    rng.integers(0, 5, 6).astype(float)])
-        np.testing.assert_allclose(predict_stack(d1, P_new, pts_new),
-                                   predict_stack(d3, P_new, pts_new), atol=1e-12)
+        np.testing.assert_allclose(gp_stacked_predict(d1.level1, P_new, pts_new).mu_star,
+                                   level2_mean_sd(d3.level1, P_new, pts_new)[0], atol=1e-12)
 
     def test_variant_overrides_pinned(self):
         X, y, loc = make_problem(seed=17, n=20)
@@ -296,8 +295,8 @@ class TestDesign3:
         P_new = rng.normal(size=(5, 1))
         pts_new = np.column_stack([rng.uniform(30, 31, 5), rng.uniform(-2, -1, 5),
                                    rng.integers(0, 5, 5).astype(float)])
-        np.testing.assert_allclose(predict_stack(one, P_new, pts_new),
-                                   predict_stack(two, P_new, pts_new), atol=1e-8)
+        np.testing.assert_allclose(level2_mean_sd(one.level1, P_new, pts_new)[0],
+                                   level2_mean_sd(two.level1, P_new, pts_new)[0], atol=1e-8)
 
     def test_no_variants_rejected(self):
         X, y, loc = make_problem(seed=19, n=12)
@@ -311,15 +310,7 @@ class TestPredictStack:
         plan = make_folds(16, 4, seed=17)
         state = fit_design1(X, y, loc, [mean_spec(), linear_spec()], "cwm", plan)
         with pytest.raises(DataError, match="columns"):
-            predict_stack(state, np.ones((4, 3)))
-
-    def test_gp_needs_points(self):
-        X, y, loc = make_problem(seed=21, n=16)
-        plan = make_folds(16, 4, seed=18)
-        state = fit_design1(X, y, loc, [linear_spec()], "gp", plan,
-                            gp_options=FAST_GP)
-        with pytest.raises(DataError, match="points"):
-            predict_stack(state, np.ones((4, 1)))
+            cwm_predict(state.level1, np.ones((4, 3)))
 
 
 class TestLevel2Prediction:
@@ -344,7 +335,6 @@ class TestLevel2Prediction:
                  for member, col in zip(stack.members, stack.member_columns)]
         mean = sum(w * post.mu_star for w, post in zip(stack.weights.beta, posts))
         sd = sum(w * post.sd for w, post in zip(stack.weights.beta, posts))
-        np.testing.assert_array_equal(predict_stack(state, P_new, pts_new), mean)
         got_mean, got_sd = level2_mean_sd(stack, P_new, pts_new)
         np.testing.assert_array_equal(got_mean, mean)
         np.testing.assert_array_equal(got_sd, sd)
