@@ -102,15 +102,18 @@ def cmd_synth(config: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
-    X, y, points = _load_training(config)
     stacking = config.get("stacking", {})
     design = stacking.get("design", 1)
     gp_options = config.get("gp", {})
+    # the learner roster is checked before any data file is read
+    specs = None if design == "plain-gp" else _learner_specs(config)
+    if design == 3 and len(specs) != 1:
+        raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
+    X, y, points = _load_training(config)
 
     if design == "plain-gp":
         model = fit_gp_linear_mean(y, X.values, points, **gp_options)
     else:   # 1, 2 or 3: config.KEYS checked the design when the config loaded
-        specs = _learner_specs(config)
         plan = make_folds(len(y), stacking.get("v", 5), seed)
         if design == 1:
             level1 = stacking.get("level1", "gp")
@@ -118,8 +121,6 @@ def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
         elif design == 2:
             model = fit_design2(X, y, points, specs, plan, gp_options)
         else:
-            if len(specs) != 1:
-                raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
             model = fit_design3(X, y, points, specs[0], stacking.get("gp_variants"), plan,
                                 gp_options)
 
@@ -164,8 +165,8 @@ def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_cv(config: dict, seed: int, outdir: Path) -> None:
-    X, y, points = _load_training(config)
     specs = _learner_specs(config)
+    X, y, points = _load_training(config)
     # the cv keys (repeats, region, methods) are repeat_cv_evaluate's arguments
     result = repeat_cv_evaluate(X, y, points, specs, v=config.get("stacking", {}).get("v", 5),
                                 seed=seed, gp_options=config.get("gp", {}),

@@ -70,6 +70,11 @@ def text(v) -> bool:
     return isinstance(v, str) and v != ""
 
 
+def _cv_methods(v) -> bool:
+    from .stacking import CV_METHODS   # deferred: stacking's imports load this module
+    return isinstance(v, list) and v != [] and all(name in CV_METHODS for name in v)
+
+
 # Every config key -> (check, description), or None for a key whose value
 # the code that uses it checks (named in the comment): a domain object.
 KEYS = {
@@ -90,8 +95,7 @@ KEYS = {
     "gp.fixed": None,               # gp.check_fixed
     "cv.repeats": (int_at_least(1), "an integer >= 1"),
     "cv.region": (text, "a non-empty string"),
-    "cv.methods": (lambda v: isinstance(v, list) and v != [] and all(map(text, v)),
-                   "a non-empty list of method names"),   # names: stacking.repeat_cv_evaluate
+    "cv.methods": (_cv_methods, "a non-empty list of CV method names"),
     "predict.model": (text, "a path string"),
     "predict.months": (lambda v: isinstance(v, list) and v != [] and all(map(int_at_least(0), v))
                        and len(set(v)) == len(v),

@@ -34,6 +34,15 @@ class SimplexWeights:
         if np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-12:
             raise DataError("beta outside the probability simplex")
 
+    def to_dict(self) -> dict:
+        return {"beta": self.beta.tolist(), "degenerate": bool(self.degenerate),
+                "meta": self.meta}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SimplexWeights":
+        return cls(beta=np.asarray(d["beta"], dtype=float),
+                   degenerate=bool(d.get("degenerate", False)), meta=dict(d.get("meta", {})))
+
 
 def project_simplex(v) -> SimplexWeights:
     """Euclidean projection onto {beta >= 0, sum(beta) = 1} (sort-threshold)."""

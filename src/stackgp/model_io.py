@@ -5,9 +5,9 @@ format fails loudly instead of guessing. Floats are written with Python's
 shortest-repr JSON encoding, which round-trips every finite double exactly,
 and non-finite values are rejected at save time (``allow_nan=False``).
 
-Two top-level kinds exist: ``stack`` (a StackState from any of the three
-designs, including its level-0 models, fold plan, and P/H matrices) and
-``plain-gp`` (the GP with a GLS linear mean).
+This module is only the envelope around a model's own ``to_dict`` layout:
+the top-level ``kind``, ``stack`` (a StackState from any of the three designs)
+or ``plain-gp`` (the GP with a GLS linear mean), and ``format_version``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cwm import SimplexWeights
 from .errors import ConfigError, DataError, SchemaError
-from .gp import PlainGpModel, StackedGpModel
-from .learners import LearnerModel
-from .stacking import FoldPlan, Level2Stack, StackState
+from .gp import PlainGpModel
+from .stacking import StackState
 
 FORMAT_VERSION = 1
+KINDS = {"stack": StackState, "plain-gp": PlainGpModel}   # top-level kind -> model type
 
 
 def _jsonable(obj):
@@ -39,80 +38,6 @@ def _jsonable(obj):
     return obj
 
 
-def _weights_to_dict(w: SimplexWeights) -> dict:
-    return {"beta": w.beta.tolist(), "degenerate": bool(w.degenerate),
-            "meta": _jsonable(w.meta)}
-
-
-def _weights_from_dict(d: dict) -> SimplexWeights:
-    return SimplexWeights(beta=np.asarray(d["beta"], dtype=float),
-                          degenerate=bool(d.get("degenerate", False)),
-                          meta=dict(d.get("meta", {})))
-
-
-def stack_to_dict(state: StackState) -> dict:
-    d = {
-        "kind": "stack",
-        "design": state.design,
-        "level1_kind": state.level1_kind,
-        "plan": state.plan.to_dict(),
-        "level0": [m.to_dict() for m in state.level0],
-        "P": state.P.tolist(),
-        "H": state.H.tolist(),
-    }
-    if state.level1_kind == "cwm":
-        d["level1"] = _weights_to_dict(state.level1)
-    elif state.level1_kind == "gp":
-        d["level1"] = state.level1.to_dict()
-    elif state.level1_kind == "gp+cwm":
-        stack: Level2Stack = state.level1
-        d["level1"] = {"members": [m.to_dict() for m in stack.members],
-                       "weights": _weights_to_dict(stack.weights),
-                       "member_columns": list(stack.member_columns)}
-    else:
-        raise DataError(f"cannot serialise level-1 kind {state.level1_kind!r}")
-    return d
-
-
-def stack_from_dict(d: dict) -> StackState:
-    state = StackState(
-        P=np.asarray(d["P"], dtype=float),
-        H=np.asarray(d["H"], dtype=float),
-        plan=FoldPlan.from_dict(d["plan"]),
-        level0=[LearnerModel.from_dict(m) for m in d["level0"]],
-        design=int(d["design"]),
-        level1_kind=d["level1_kind"],
-    )
-    lvl = d["level1"]
-    if state.level1_kind == "cwm":
-        state.level1 = _weights_from_dict(lvl)
-    elif state.level1_kind == "gp":
-        state.level1 = StackedGpModel.from_dict(lvl)
-    elif state.level1_kind == "gp+cwm":
-        state.level1 = Level2Stack(
-            members=[StackedGpModel.from_dict(m) for m in lvl["members"]],
-            weights=_weights_from_dict(lvl["weights"]),
-            member_columns=[int(c) for c in lvl["member_columns"]])
-        width = state.P.shape[1]
-        bad = [c for c in state.level1.member_columns if not 0 <= c < width]
-        if bad:
-            raise DataError(f"member columns {bad} outside the {width} columns of P")
-    else:
-        raise SchemaError(f"unknown level-1 kind {state.level1_kind!r} in model file")
-    return state
-
-
-def model_to_dict(model) -> dict:
-    if isinstance(model, StackState):
-        payload = stack_to_dict(model)
-    elif isinstance(model, PlainGpModel):
-        payload = {"kind": "plain-gp", **model.to_dict()}
-    else:
-        raise DataError(f"cannot serialise model of type {type(model).__name__}")
-    payload["format_version"] = FORMAT_VERSION
-    return payload
-
-
 def model_from_dict(d: dict):
     version = d.get("format_version")
     if not isinstance(version, int):
@@ -121,17 +46,18 @@ def model_from_dict(d: dict):
         raise SchemaError(f"model file format_version {version} is newer than the "
                           f"supported {FORMAT_VERSION}; upgrade the package to read it")
     kind = d.get("kind")
-    if kind == "stack":
-        return stack_from_dict(d)
-    if kind == "plain-gp":
-        return PlainGpModel.from_dict(d)
-    raise SchemaError(f"unknown model kind {kind!r}")
+    if kind not in KINDS:
+        raise SchemaError(f"unknown model kind {kind!r}")
+    return KINDS[kind].from_dict(d)
 
 
 def save_model(model, path) -> None:
     """Write a model JSON file; floats round-trip exactly."""
-    payload = _jsonable(model_to_dict(model))
-    text = json.dumps(payload, allow_nan=False, indent=1)
+    kind = next((k for k, cls in KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise DataError(f"cannot serialise model of type {type(model).__name__}")
+    payload = {"kind": kind, **model.to_dict(), "format_version": FORMAT_VERSION}
+    text = json.dumps(_jsonable(payload), allow_nan=False, indent=1)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -22,17 +22,17 @@ protocol to score the GP stack and the plain-GP baseline out of fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cwm import SimplexWeights, cwm_predict, fit_cwm
 from .dataset import CovariateMatrix
-from .errors import ConfigError, DataError, StackGpError
+from .errors import ConfigError, DataError, SchemaError, StackGpError
 from .gp import (GpHyperParams, StackedGpModel, check_fixed, check_gp_options, cov_block,
                  fit_gp_linear_mean, fit_hyperparams, gp_condition_dense, gp_stacked_predict,
                  linear_mean)
-from .learners import LearnerSpec, fit_learner
+from .learners import LearnerModel, LearnerSpec, fit_learner
 from .metrics import mae, mse, pearson_flagged
 
 
@@ -84,23 +84,6 @@ def make_folds(n: int, v: int, seed: int, repeat_index: int = 0) -> FoldPlan:
 
 
 @dataclass
-class StackState:
-    """Everything the stacking pass produced for one training set."""
-
-    P: np.ndarray
-    H: np.ndarray
-    plan: FoldPlan
-    level0: list            # full-fit LearnerModel per column
-    level1: object = None   # SimplexWeights | StackedGpModel | Level2Stack
-    design: int = 1
-    level1_kind: str = ""   # "cwm" | "gp" | "gp+cwm"
-
-    def __post_init__(self):
-        if self.P.shape != self.H.shape:
-            raise DataError(f"P and H must share shape, got {self.P.shape} vs {self.H.shape}")
-
-
-@dataclass
 class Level2Stack:
     """Per-member GP level-1 models combined by level-2 simplex weights."""
 
@@ -113,6 +96,72 @@ class Level2Stack:
         if len(set(sizes)) != 1:
             raise DataError(f"level-2 stack has {sizes[0]} members, {sizes[1]} weights "
                             f"and {sizes[2]} member columns")
+
+    def to_dict(self) -> dict:
+        return {"members": [m.to_dict() for m in self.members],
+                "weights": self.weights.to_dict(),
+                "member_columns": list(self.member_columns)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Level2Stack":
+        return cls(members=[StackedGpModel.from_dict(m) for m in d["members"]],
+                   weights=SimplexWeights.from_dict(d["weights"]),
+                   member_columns=[int(c) for c in d["member_columns"]])
+
+
+# level-1 kind, as model files and StackState.level1_kind name it -> level-1 type
+LEVEL1_KINDS = {"cwm": SimplexWeights, "gp": StackedGpModel, "gp+cwm": Level2Stack}
+
+
+@dataclass
+class StackState:
+    """Everything the stacking pass produced for one training set.
+
+    Fitted and loaded stacks alike are checked on construction: the parts must agree.
+    """
+
+    P: np.ndarray
+    H: np.ndarray
+    plan: FoldPlan
+    level0: list            # full-fit LearnerModel per column
+    level1: object = None   # one of the LEVEL1_KINDS types; None after run_level0
+    design: int = 1
+
+    def __post_init__(self):
+        if self.P.ndim != 2 or self.P.shape != self.H.shape:
+            raise DataError(f"P and H must share a 2-d shape, got {self.P.shape}, {self.H.shape}")
+        width = self.P.shape[1]
+        if len(self.level0) != width:
+            raise DataError(f"{len(self.level0)} level-0 models for the {width} columns of P")
+        if isinstance(self.level1, Level2Stack):
+            bad = [c for c in self.level1.member_columns if not 0 <= c < width]
+            if bad:
+                raise DataError(f"member columns {bad} outside the {width} columns of P")
+        elif self.level1 is not None:
+            level1 = self.level1.params if isinstance(self.level1, StackedGpModel) else self.level1
+            if level1.beta.size != width:
+                raise DataError(f"level-1 has {level1.beta.size} weights for {width} columns of P")
+
+    @property
+    def level1_kind(self) -> str:
+        """The level-1 type's kind, "cwm", "gp" or "gp+cwm"; "" before a level-1 is fitted."""
+        return next((kind for kind, cls in LEVEL1_KINDS.items()
+                     if isinstance(self.level1, cls)), "")
+
+    def to_dict(self) -> dict:
+        return {"design": self.design, "level1_kind": self.level1_kind,
+                "plan": self.plan.to_dict(), "level0": [m.to_dict() for m in self.level0],
+                "P": self.P.tolist(), "H": self.H.tolist(), "level1": self.level1.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "StackState":
+        kind = d["level1_kind"]
+        if kind not in LEVEL1_KINDS:
+            raise SchemaError(f"unknown level-1 kind {kind!r} in model file")
+        return cls(P=np.asarray(d["P"], dtype=float), H=np.asarray(d["H"], dtype=float),
+                   plan=FoldPlan.from_dict(d["plan"]),
+                   level0=[LearnerModel.from_dict(m) for m in d["level0"]],
+                   level1=LEVEL1_KINDS[kind].from_dict(d["level1"]), design=int(d["design"]))
 
 
 def _fit_level0(X, y, spec: LearnerSpec, plan: FoldPlan, key: int, columns):
@@ -195,21 +244,17 @@ def fit_design1(X, y, locations, specs, level1: str, plan: FoldPlan,
     # checked before any level-0 fit; a pinned beta weights every learner column
     check_gp_options(gp_options, len(specs))
     state = run_level0(X, y, specs, plan)
-    state.design = 1
-    state.level1_kind = level1
     y = np.asarray(y, dtype=float)
     if level1 == "cwm":
-        state.level1 = fit_cwm(state.H, y)
-        return state
+        return replace(state, level1=fit_cwm(state.H, y), design=1)
     points = _points_array(locations)
     params = fit_hyperparams(y, state.H, points, **(gp_options or {}))
-    state.level1 = StackedGpModel(params=params, train_points=points,
-                                  P_train=state.P, y=y,
-                                  ref_lat=float(points[:, 1].mean()))
-    return state
+    return replace(state, design=1,
+                   level1=StackedGpModel(params=params, train_points=points, P_train=state.P,
+                                         y=y, ref_lat=float(points[:, 1].mean())))
 
 
-def _fit_level2(state: StackState, y, locations, plan: FoldPlan, members,
+def _fit_level2(state: StackState, design: int, y, locations, plan: FoldPlan, members,
                 gp_options: dict | None) -> StackState:
     """One GP level-1 per (H column, fixed overrides) member, CWM level-2 on top.
 
@@ -228,10 +273,10 @@ def _fit_level2(state: StackState, y, locations, plan: FoldPlan, members,
         models.append(StackedGpModel(params=params, train_points=points,
                                      P_train=state.P[:, [col]], y=y, ref_lat=ref_lat))
         oof_cols.append(fold_oof_gp(y, state.H[:, col], params, points, plan))
-    state.level1_kind = "gp+cwm"
-    state.level1 = Level2Stack(members=models, weights=fit_cwm(np.column_stack(oof_cols), y),
-                               member_columns=[col for col, _ in members])
-    return state
+    return replace(state, design=design,
+                   level1=Level2Stack(members=models,
+                                      weights=fit_cwm(np.column_stack(oof_cols), y),
+                                      member_columns=[col for col, _ in members]))
 
 
 def fit_design2(X, y, locations, specs, plan: FoldPlan,
@@ -239,8 +284,7 @@ def fit_design2(X, y, locations, specs, plan: FoldPlan,
     """Each learner gets its own GP level-1; a CWM level-2 combines them."""
     check_gp_options(gp_options, 1)
     state = run_level0(X, y, specs, plan)
-    state.design = 2
-    return _fit_level2(state, y, locations, plan, [(i, {}) for i in range(len(specs))],
+    return _fit_level2(state, 2, y, locations, plan, [(i, {}) for i in range(len(specs))],
                        gp_options)
 
 
@@ -259,8 +303,7 @@ def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
         check_fixed(variant, 1, f"stacking.gp_variants[{i}]")
     check_gp_options(gp_options, 1)
     state = run_level0(X, y, [spec], plan)
-    state.design = 3
-    return _fit_level2(state, y, locations, plan, [(0, variant) for variant in gp_variants],
+    return _fit_level2(state, 3, y, locations, plan, [(0, variant) for variant in gp_variants],
                        gp_options)
 
 

@@ -213,6 +213,25 @@ class TestConfigFailures:
         assert main(["cv", "--config", str(cfg), "--seed", "1"]) == 2
         assert "cv.repeats must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, body, message", [
+        ("fit", "stacking", {"learners": [{"kind": "nope"}]}, "unknown learner kind 'nope'"),
+        ("fit", "stacking", {"design": 3, "learners": [{"kind": "enet"}, {"kind": "gam"}]},
+         "design 3 takes exactly one learner"),
+        ("cv", "stacking", {"learners": [{"kind": "nope"}]}, "unknown learner kind 'nope'"),
+        ("cv", "cv", {"methods": ["gp-stak"]}, "cv.methods must be"),
+    ], ids=["fit-learner-kind", "fit-design3-roster", "cv-learner-kind", "cv-method-name"])
+    def test_roster_and_methods_checked_before_inputs_are_read(self, tmp_path, capsys, command,
+                                                               section, body, message):
+        cfg = {"data": {"surveys": str(tmp_path / "absent.csv"),
+                        "stack": str(tmp_path / "absent.yaml")},
+               "stacking": {"learners": [{"kind": "enet"}]},
+               "output_dir": str(tmp_path / "out")}
+        cfg[section] = body
+        assert main([command, "--config", str(write_yaml(tmp_path / "run.yaml", cfg)),
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err and message in err
+
     @pytest.mark.parametrize("key", [key for key, entry in KEYS.items() if entry is not None])
     @pytest.mark.parametrize("value", ["true", "[[]]"])
     def test_every_checked_key_rejects_wrong_type(self, tmp_path, capsys, key, value):
@@ -552,6 +571,17 @@ class TestDecompose:
         assert len(points) == 40
         assert list(points[0]) == ["row", "weighted_error", "ambiguity",
                                    "ensemble_error"]
+
+    def test_stack_missing_a_level0_model_exits_3_naming_the_file(self, scenario, cwm_fit,
+                                                                   tmp_path, capsys):
+        payload = json.loads((cwm_fit / "model.json").read_text())
+        payload["level0"].pop()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        cfg = write_yaml(tmp_path / "d.yaml", self.decompose_cfg(scenario, path, tmp_path))
+        assert main(["decompose", "--config", str(cfg)]) == 3
+        assert f"category=schema: {path}: malformed model file" in capsys.readouterr().err
+        assert not (tmp_path / "decompose.csv").exists()
 
     def test_gp_stack_is_rejected(self, scenario, gp_fit, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "d.yaml",

@@ -211,22 +211,37 @@ class TestSchemaGuards:
 
 
 @pytest.fixture(scope="module")
-def level1_model_files(tmp_path_factory):
-    """model.json payloads of a design-1 GP, a design-2 and a plain-GP model."""
+def model_files(tmp_path_factory):
+    """model.json paths of every model kind: design-1 CWM and GP, designs 2 and 3, plain GP."""
     X, y, loc = make_problem(seed=9)
     plan = make_folds(20, 4, seed=8)
     models = {
+        "cwm": fit_design1(X, y, loc, [lin(1), lin(2)], "cwm", plan),
         "gp": fit_design1(X, y, loc, [lin(1), lin(2)], "gp", plan, gp_options=FAST_GP),
         "design2": fit_design2(X, y, loc, [lin(1), lin(2), lin(3)], plan, gp_options=FAST_GP),
+        "design3": fit_design3(X, y, loc, lin(1), [{"phi": 0.0}, {}], plan,
+                               gp_options=FAST_GP),
         "plain": fit_gp_linear_mean(y, X, loc, fixed={"log_kappa": 0.0, "log_tau": 0.0,
                                                       "sigma_e2": 0.5, "phi": 0.0}),
     }
     out = {}
     for name, model in models.items():
-        path = tmp_path_factory.mktemp(name) / "model.json"
-        save_model(model, path)
-        out[name] = json.loads(path.read_text())
+        out[name] = tmp_path_factory.mktemp(name) / "model.json"
+        save_model(model, out[name])
     return out
+
+
+@pytest.mark.parametrize("model", ["cwm", "gp", "design2", "design3", "plain"])
+def test_loaded_model_saves_back_to_the_same_bytes(model_files, tmp_path, model):
+    path = tmp_path / "again.json"
+    save_model(load_model(model_files[model]), path)
+    assert path.read_bytes() == model_files[model].read_bytes()
+
+
+def narrow_gp(d):
+    """Cut the design-1 GP to its first column, consistently within the level-1."""
+    d["level1"]["params"]["beta"] = [1.0]
+    d["level1"]["P_train"] = [row[:1] for row in d["level1"]["P_train"]]
 
 
 class TestLevel1Shapes:
@@ -236,10 +251,14 @@ class TestLevel1Shapes:
         ("plain", lambda d: d["mean_state"]["coef"].pop()),
         ("design2", lambda d: d["level1"].update(member_columns=[0, 1, 7])),
         ("design2", lambda d: d["level1"]["weights"].update(beta=[0.5, 0.5])),
+        ("cwm", lambda d: d["level0"].pop()),
+        ("cwm", lambda d: d["level1"].update(beta=[1.0])),     # still on the simplex
+        ("gp", narrow_gp),
     ], ids=["P_train-extra-column", "y-short", "plain-coef-short", "member-column-outside-P",
-            "level2-weights-short"])
-    def test_inconsistent_shapes_name_the_file(self, level1_model_files, tmp_path, model, edit):
-        d = json.loads(json.dumps(level1_model_files[model]))
+            "level2-weights-short", "level0-entry-dropped", "cwm-beta-short",
+            "gp-narrower-than-P"])
+    def test_inconsistent_shapes_name_the_file(self, model_files, tmp_path, model, edit):
+        d = json.loads(model_files[model].read_text())
         edit(d)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(d))
