@@ -30,8 +30,8 @@ from .gp import fit_gp_linear_mean, gp_stacked_predict, plain_gp_predict, PlainG
 from .learners import LearnerSpec
 from .metrics import ambiguity_decomposition, mae, mse, pearson_flagged
 from .model_io import load_model, save_model
-from .stacking import (StackState, fit_design1, fit_design2, fit_design3, level2_mean_sd,
-                       make_folds, repeat_cv_evaluate)
+from .stacking import (StackState, check_stack, fit_stack, level2_mean_sd, make_folds,
+                       repeat_cv_evaluate)
 from .synth import ScenarioConfig, generate, write_scenario
 
 
@@ -104,25 +104,17 @@ def cmd_synth(config: dict, seed: int, outdir: Path) -> None:
 def cmd_fit(config: dict, seed: int, outdir: Path) -> None:
     stacking = config.get("stacking", {})
     design = stacking.get("design", 1)
-    gp_options = config.get("gp", {})
-    # the learner roster is checked before any data file is read
+    options = {"level1": stacking.get("level1"), "gp_variants": stacking.get("gp_variants"),
+               "gp_options": config.get("gp", {})}
+    # the design's keys and learner roster are checked before any data file is read
     specs = None if design == "plain-gp" else _learner_specs(config)
-    if design == 3 and len(specs) != 1:
-        raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
+    check_stack(design, specs, **options)
     X, y, points = _load_training(config)
-
     if design == "plain-gp":
-        model = fit_gp_linear_mean(y, X.values, points, **gp_options)
-    else:   # 1, 2 or 3: config.KEYS checked the design when the config loaded
-        plan = make_folds(len(y), stacking.get("v", 5), seed)
-        if design == 1:
-            level1 = stacking.get("level1", "gp")
-            model = fit_design1(X, y, points, specs, level1, plan, gp_options)
-        elif design == 2:
-            model = fit_design2(X, y, points, specs, plan, gp_options)
-        else:
-            model = fit_design3(X, y, points, specs[0], stacking.get("gp_variants"), plan,
-                                gp_options)
+        model = fit_gp_linear_mean(y, X.values, points, **options["gp_options"])
+    else:
+        model = fit_stack(design, X, y, points, specs,
+                          make_folds(len(y), stacking.get("v", 5), seed), **options)
 
     model_path = outdir / "model.json"
     save_model(model, model_path)

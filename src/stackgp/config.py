@@ -87,8 +87,8 @@ KEYS = {
                         "1, 2, 3 or 'plain-gp'"),
     "stacking.level1": (lambda v: v in ("cwm", "gp"), "'cwm' or 'gp'"),
     "stacking.v": (int_at_least(2), "an integer >= 2"),
-    "stacking.learners": None,      # cli._learner_specs, LearnerSpec, stacking.run_level0
-    "stacking.gp_variants": None,   # stacking.fit_design3, gp.check_fixed
+    "stacking.learners": None,      # cli._learner_specs, LearnerSpec, stacking.check_stack
+    "stacking.gp_variants": None,   # stacking.check_stack, gp.check_fixed
     "gp.restarts": (int_at_least(1), "a positive integer"),
     "gp.max_iter": (int_at_least(1), "a positive integer"),
     "gp.seed": (int_at_least(0), "a non-negative integer"),

@@ -174,8 +174,8 @@ def load_grid_csv(path, geometry: GridGeometry) -> np.ndarray:
 
 def save_grid_csv(values: np.ndarray, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for row in np.asarray(values, dtype=float):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in np.asarray(values, dtype=float).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass(frozen=True)

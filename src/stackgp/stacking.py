@@ -1,11 +1,12 @@
 """Stacked-generalisation orchestration.
 
-The protocol: split the n training rows into v folds; for each level-0
-learner fit once per fold (training on the complement, predicting the held
-fold) to fill the out-of-fold matrix H, and once on all rows to fill the
-full-fit matrix P. The level-1 combiner is fitted against (y, H) so its
-weights never see a prediction made by a model trained on the target row,
-then bound to P for prediction without refitting.
+The protocol: split the n training rows into v folds; run_level0 fits each
+level-0 learner once per fold (training on the complement, predicting the
+held fold) to fill the out-of-fold matrix H, and fit_stack adds one fit on
+all rows per learner to fill the full-fit matrix P. The level-1 combiner is
+fitted against (y, H) so its weights never see a prediction made by a model
+trained on the target row, then bound to P for prediction without refitting.
+Cross-validation scores H only, so repeat_cv_evaluate makes no full fits.
 
 Three designs:
   1: many level-0 learners -> one level-1 combiner (CWM or GP);
@@ -22,7 +23,7 @@ protocol to score the GP stack and the plain-GP baseline out of fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class StackState:
     H: np.ndarray
     plan: FoldPlan
     level0: list            # full-fit LearnerModel per column
-    level1: object = None   # one of the LEVEL1_KINDS types; None after run_level0
+    level1: object          # one of the LEVEL1_KINDS types
     design: int = 1
 
     def __post_init__(self):
@@ -137,16 +138,15 @@ class StackState:
             bad = [c for c in self.level1.member_columns if not 0 <= c < width]
             if bad:
                 raise DataError(f"member columns {bad} outside the {width} columns of P")
-        elif self.level1 is not None:
+        else:
             level1 = self.level1.params if isinstance(self.level1, StackedGpModel) else self.level1
             if level1.beta.size != width:
                 raise DataError(f"level-1 has {level1.beta.size} weights for {width} columns of P")
 
     @property
     def level1_kind(self) -> str:
-        """The level-1 type's kind, "cwm", "gp" or "gp+cwm"; "" before a level-1 is fitted."""
-        return next((kind for kind, cls in LEVEL1_KINDS.items()
-                     if isinstance(self.level1, cls)), "")
+        """The level-1 type's kind: "cwm", "gp" or "gp+cwm"."""
+        return next(kind for kind, cls in LEVEL1_KINDS.items() if isinstance(self.level1, cls))
 
     def to_dict(self) -> dict:
         return {"design": self.design, "level1_kind": self.level1_kind,
@@ -176,34 +176,31 @@ def _fit_level0(X, y, spec: LearnerSpec, plan: FoldPlan, key: int, columns):
         raise type(exc)(f"learner '{spec.name}', {where}: {exc}") from exc
 
 
-def run_level0(X, y, specs, plan: FoldPlan) -> StackState:
-    """Fill P (full fits) and H (out-of-fold predictions), column per learner.
-
-    A CovariateMatrix input stamps its column layout onto every fitted
-    learner, so later predictions can refuse misaligned designs.
-    """
+def _level0_inputs(X, y, specs, plan: FoldPlan) -> tuple:
+    """(X as floats, its column layout, y as floats). A CovariateMatrix X stamps its
+    layout onto every fitted learner, so that predictions refuse misaligned designs."""
     if not specs:
         raise ConfigError("run_level0 needs at least one learner spec")
     columns = None
     if isinstance(X, CovariateMatrix):
         columns = X.columns
         X = X.values
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    if plan.n != n:
-        raise DataError(f"fold plan covers {plan.n} rows, data has {n}")
-    P = np.empty((n, len(specs)))
-    H = np.empty((n, len(specs)))
-    level0 = []
+    if plan.n != len(y):
+        raise DataError(f"fold plan covers {plan.n} rows, data has {len(y)}")
+    return np.asarray(X, dtype=float), columns, y
+
+
+def run_level0(X, y, specs, plan: FoldPlan) -> np.ndarray:
+    """The out-of-fold matrix H: column i holds learner i's predictions of each
+    fold from its fit on the other folds."""
+    X, columns, y = _level0_inputs(X, y, specs, plan)
+    H = np.empty((len(y), len(specs)))
     for i, spec in enumerate(specs):
-        full = _fit_level0(X, y, spec, plan, plan.v, columns)
-        P[:, i] = full.predict(X)
         for j in range(plan.v):
             held = plan.fold_rows(j)
             H[held, i] = _fit_level0(X, y, spec, plan, j, columns).predict(X[held])
-        level0.append(full)
-    return StackState(P=P, H=H, plan=plan, level0=level0)
+    return H
 
 
 def _points_array(locations) -> np.ndarray:
@@ -236,75 +233,73 @@ def fold_oof_gp(y, mean_all, params: GpHyperParams, points, plan: FoldPlan) -> n
     return oof
 
 
-def fit_design1(X, y, locations, specs, level1: str, plan: FoldPlan,
-                gp_options: dict | None = None) -> StackState:
-    """Many level-0 learners combined by one level-1 generaliser."""
-    if level1 not in ("cwm", "gp"):
-        raise ConfigError(f"level1 must be 'cwm' or 'gp', got {level1!r}")
-    # checked before any level-0 fit; a pinned beta weights every learner column
-    check_gp_options(gp_options, len(specs))
-    state = run_level0(X, y, specs, plan)
-    y = np.asarray(y, dtype=float)
-    if level1 == "cwm":
-        return replace(state, level1=fit_cwm(state.H, y), design=1)
-    points = _points_array(locations)
-    params = fit_hyperparams(y, state.H, points, **(gp_options or {}))
-    return replace(state, design=1,
-                   level1=StackedGpModel(params=params, train_points=points, P_train=state.P,
-                                         y=y, ref_lat=float(points[:, 1].mean())))
+def check_stack(design, specs, level1=None, gp_variants=None, gp_options=None) -> None:
+    """Refuse, before any fit, a stack that its design would not read as written.
 
-
-def _fit_level2(state: StackState, design: int, y, locations, plan: FoldPlan, members,
-                gp_options: dict | None) -> StackState:
-    """One GP level-1 per (H column, fixed overrides) member, CWM level-2 on top.
-
-    A member's overrides win over gp_options["fixed"]; the level-2 weights
-    are fitted on the members' leave-one-fold-out predictions.
+    level1 belongs to design 1 and gp_variants to design 3; design is 1, 2, 3
+    or "plain-gp", which reads neither (config.KEYS checks the design itself).
     """
-    y = np.asarray(y, dtype=float)
+    if level1 is not None and design != 1:
+        raise ConfigError(f"stacking.level1 applies to design 1 only, not design {design!r}")
+    if gp_variants is not None and design != 3:
+        raise ConfigError(f"stacking.gp_variants applies to design 3 only, "
+                          f"not design {design!r}")
+    if design == 1 and level1 not in (None, "cwm", "gp"):
+        raise ConfigError(f"level1 must be 'cwm' or 'gp', got {level1!r}")
+    if design == 3:
+        if len(specs) != 1:
+            raise ConfigError(f"design 3 takes exactly one learner, got {len(specs)}")
+        if not isinstance(gp_variants, (list, tuple)) or not gp_variants:
+            raise ConfigError("design 3 needs stacking.gp_variants, a non-empty list "
+                              "of fixed-parameter mappings")
+        for i, variant in enumerate(gp_variants):
+            check_fixed(variant, 1, f"stacking.gp_variants[{i}]")
+    # a pinned beta weights every learner column of design 1, one column otherwise
+    check_gp_options(gp_options, len(specs) if design == 1 else 1)
+
+
+def fit_stack(design, X, y, locations, specs, plan: FoldPlan, *, level1=None,
+              gp_variants=None, gp_options: dict | None = None) -> StackState:
+    """Fit stack design 1, 2 or 3 (see the module docstring) on the learners specs.
+
+    level1 is design 1's combiner, "cwm" or "gp" (the default). gp_variants
+    is design 3's list of fixed natural-scale kernel overrides, one GP
+    level-1 each (e.g. {"log_kappa": ...} for a pinned range, {"phi": 0.0}
+    for no dynamics). A member's overrides win over gp_options["fixed"], and
+    the level-2 weights are fitted on the members' leave-one-fold-out
+    predictions. check_stack runs first, so a bad option fails before any fit.
+    """
+    if design not in (1, 2, 3):
+        raise ConfigError(f"fit_stack fits designs 1, 2 and 3, got {design!r}")
+    check_stack(design, specs, level1, gp_variants, gp_options)
+    values, columns, y = _level0_inputs(X, y, specs, plan)
+    level0 = [_fit_level0(values, y, spec, plan, plan.v, columns) for spec in specs]
+    P = np.column_stack([model.predict(values) for model in level0])
+    H = run_level0(X, y, specs, plan)
+    if level1 == "cwm":
+        return StackState(P=P, H=H, plan=plan, level0=level0, level1=fit_cwm(H, y))
     opts = dict(gp_options or {})
     fixed = opts.pop("fixed", None) or {}
     points = _points_array(locations)
     ref_lat = float(points[:, 1].mean())
-    models, oof_cols = [], []
+
+    def fit_gp(cols, variant: dict) -> StackedGpModel:
+        params = fit_hyperparams(y, H[:, cols], points, fixed={**fixed, **variant}, **opts)
+        return StackedGpModel(params=params, train_points=points, P_train=P[:, cols], y=y,
+                              ref_lat=ref_lat)
+
+    if design == 1:
+        return StackState(P=P, H=H, plan=plan, level0=level0,
+                          level1=fit_gp(slice(None), {}))
+    members = ([(i, {}) for i in range(len(specs))] if design == 2
+               else [(0, variant) for variant in gp_variants])
+    models, oof = [], []
     for col, variant in members:
-        params = fit_hyperparams(y, state.H[:, [col]], points,
-                                 fixed={**fixed, **variant}, **opts)
-        models.append(StackedGpModel(params=params, train_points=points,
-                                     P_train=state.P[:, [col]], y=y, ref_lat=ref_lat))
-        oof_cols.append(fold_oof_gp(y, state.H[:, col], params, points, plan))
-    return replace(state, design=design,
-                   level1=Level2Stack(members=models,
-                                      weights=fit_cwm(np.column_stack(oof_cols), y),
-                                      member_columns=[col for col, _ in members]))
-
-
-def fit_design2(X, y, locations, specs, plan: FoldPlan,
-                gp_options: dict | None = None) -> StackState:
-    """Each learner gets its own GP level-1; a CWM level-2 combines them."""
-    check_gp_options(gp_options, 1)
-    state = run_level0(X, y, specs, plan)
-    return _fit_level2(state, 2, y, locations, plan, [(i, {}) for i in range(len(specs))],
-                       gp_options)
-
-
-def fit_design3(X, y, locations, spec, gp_variants, plan: FoldPlan,
-                gp_options: dict | None = None) -> StackState:
-    """One learner feeding several GP level-1 variants, CWM level-2 on top.
-
-    Each variant is a dict of fixed natural-scale kernel overrides (e.g.
-    {"log_kappa": ...} for a pinned range, {"phi": 0.0} for no dynamics);
-    its keys win over the same keys in gp_options["fixed"].
-    """
-    if not isinstance(gp_variants, (list, tuple)) or not gp_variants:
-        raise ConfigError("design 3 needs stacking.gp_variants, a non-empty list "
-                          "of fixed-parameter mappings")
-    for i, variant in enumerate(gp_variants):
-        check_fixed(variant, 1, f"stacking.gp_variants[{i}]")
-    check_gp_options(gp_options, 1)
-    state = run_level0(X, y, [spec], plan)
-    return _fit_level2(state, 3, y, locations, plan, [(0, variant) for variant in gp_variants],
-                       gp_options)
+        models.append(fit_gp([col], variant))
+        oof.append(fold_oof_gp(y, H[:, col], models[-1].params, points, plan))
+    return StackState(P=P, H=H, plan=plan, level0=level0, design=design,
+                      level1=Level2Stack(members=models, weights=fit_cwm(np.column_stack(oof), y),
+                                         member_columns=[col for col, _ in members]))
 
 
 def level2_mean_sd(stack: Level2Stack, P_pred, pred_points) -> tuple:
@@ -412,17 +407,16 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
         plain_mean = linear_mean(plain.mean_state, X)
     for r in range(repeats):
         plan = make_folds(len(y), v, seed, repeat_index=r)
-        state = run_level0(X, y, specs, plan)
+        H = run_level0(X, y, specs, plan)
         if "level0" in methods:
             for i, spec in enumerate(specs):
-                score(spec.name, r, state.H[:, i])
+                score(spec.name, r, H[:, i])
         if CV_METHOD_CWM in methods:
-            weights = fit_cwm(state.H, y)
-            score(CV_METHOD_CWM, r, cwm_predict(weights, state.H))
+            weights = fit_cwm(H, y)
+            score(CV_METHOD_CWM, r, cwm_predict(weights, H))
         if CV_METHOD_GP in methods:
-            params = fit_hyperparams(y, state.H, points, **gp_options)
-            score(CV_METHOD_GP, r, fold_oof_gp(y, state.H @ params.beta, params,
-                                               points, plan))
+            params = fit_hyperparams(y, H, points, **gp_options)
+            score(CV_METHOD_GP, r, fold_oof_gp(y, H @ params.beta, params, points, plan))
         if CV_METHOD_PLAIN in methods:
             score(CV_METHOD_PLAIN, r, fold_oof_gp(y, plain_mean, plain.params, points, plan))
     result.summary = _summarise(result.rows, region)

@@ -36,7 +36,7 @@ from .config import finite_real, integer
 from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
                       SurveyRecord, assemble_at, save_grid_csv, save_surveys)
 from .errors import ConfigError
-from .gp import _chol_with_jitter, matern1_matrix, pairwise_planar_dist
+from .gp import _chol_with_jitter, matern1_matrix
 
 REGIME_SHARES = {
     "covariate-heavy": (0.8, 0.2),
@@ -194,18 +194,35 @@ def _apply_menu(menu: dict, Z: np.ndarray) -> np.ndarray:
     return g
 
 
+def _spatial_cov(geometry: GridGeometry, kappa: float, tau: float) -> np.ndarray:
+    """Matern covariance between every pair of cell centres, in cell order.
+
+    On the regular lattice a distance depends only on the pair's squared
+    lon and lat offsets, so the kernel is evaluated once per distinct pair of
+    them and gathered to cells x cells. Each offset goes through the float
+    operations of pairwise_planar_dist, so every entry keeps its bytes.
+    """
+    lons, lats = geometry.cell_centers()
+    scale = math.cos(math.radians(float(lats.mean())))
+    lon, lat = lons[:geometry.n_lon], lats[::geometry.n_lon]
+    dlon2, lon_pair = np.unique((((lon[:, None] - lon[None, :]) * scale) ** 2).ravel(),
+                                return_inverse=True)
+    dlat2, lat_pair = np.unique(((lat[:, None] - lat[None, :]) ** 2).ravel(),
+                                return_inverse=True)
+    table = matern1_matrix(np.sqrt(dlon2[:, None] + dlat2[None, :]), kappa, tau)
+    lon_pair = lon_pair.reshape(geometry.n_lon, 1, geometry.n_lon)
+    lat_pair = lat_pair.reshape(geometry.n_lat, 1, geometry.n_lat, 1)
+    return table[lon_pair, lat_pair].reshape(len(lons), len(lons))
+
+
 def _gp_draw(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Matrix-normal draw of the separable field, (n_months, n_space)."""
-    geometry = config.geometry
-    lons, lats = geometry.cell_centers()
-    lonlat = np.column_stack([lons, lats])
-    D = pairwise_planar_dist(lonlat, lonlat, float(lats.mean()))
-    K_s = matern1_matrix(D, config.kappa, config.tau)
+    K_s = _spatial_cov(config.geometry, config.kappa, config.tau)
     L_s, _ = _chol_with_jitter(K_s, "synth spatial covariance")
     t_idx = np.arange(config.n_months)
     K_t = np.power(config.phi, np.abs(t_idx[:, None] - t_idx[None, :]))
     L_t, _ = _chol_with_jitter(K_t, "synth temporal covariance")
-    Z = rng.standard_normal((config.n_months, len(lons)))
+    Z = rng.standard_normal((config.n_months, len(K_s)))
     return L_t @ Z @ L_s.T
 
 
@@ -307,12 +324,12 @@ def truth_grid(bundle: SynthBundle) -> tuple[np.ndarray, dict]:
 
 def _write_truth_csv(path: Path, points, columns: dict) -> None:
     """One line per (lon, lat, t) point with its truth columns, floats exact."""
+    points = np.asarray(points, dtype=float)
+    rows = np.column_stack([points[:, :2], *columns.values()]).tolist()
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(["lon", "lat", "t", *columns]) + "\n")
-        for i, (lon, lat, t) in enumerate(points):
-            parts = [repr(float(lon)), repr(float(lat)), str(int(t))]
-            parts += [repr(float(values[i])) for values in columns.values()]
-            fh.write(",".join(parts) + "\n")
+        for (lon, lat, *values), t in zip(rows, points[:, 2].astype(int).tolist()):
+            fh.write(",".join([repr(lon), repr(lat), str(t), *map(repr, values)]) + "\n")
 
 
 def write_scenario(bundle: SynthBundle, outdir) -> dict:

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import k1
 
 from stackgp.dataset import Covariate, GridGeometry, SurveyRecord
-from stackgp.gp import _chol_with_jitter, cov_block
+from stackgp.gp import _chol_with_jitter, cov_block, matern1_matrix, pairwise_planar_dist
 
 
 @pytest.fixture
@@ -64,6 +64,14 @@ def matern1_cov(dist, kappa, tau):
     if dist == 0.0:
         return 1.0 / tau
     return (kappa / tau) * dist * float(k1(kappa * dist))
+
+
+def lattice_cov(geometry, kappa, tau):
+    """Matern covariance between every pair of cell centres, one distance per entry:
+    the oracle of synth._spatial_cov."""
+    lons, lats = geometry.cell_centers()
+    lonlat = np.column_stack([lons, lats])
+    return matern1_matrix(pairwise_planar_dist(lonlat, lonlat, float(lats.mean())), kappa, tau)
 
 
 def build_joint_cov(points, params, ref_lat=None):

@@ -35,7 +35,7 @@ from stackgp.learners import LearnerSpec, fit_learner
 from stackgp.learners.elastic_net import fit_enet
 from stackgp.metrics import ambiguity_decomposition
 from stackgp.model_io import load_model, save_model
-from stackgp.stacking import fit_design1, make_folds, run_level0
+from stackgp.stacking import fit_stack, make_folds, run_level0
 from stackgp.synth import ScenarioConfig, generate
 
 from conftest import build_joint_cov
@@ -219,10 +219,10 @@ def test_c06_out_of_fold_entries_are_training_fold_means():
     plan = make_folds(n, v=5, seed=4, repeat_index=2)
     spec = LearnerSpec(kind="gbt", name="fold-mean", seed=0,
                        params={"n_rounds": 0})
-    state = run_level0(X, y, [spec], plan)
+    H = run_level0(X, y, [spec], plan)
     for i in range(n):
         training = plan.assignment != plan.assignment[i]
-        assert state.H[i, 0] == y[training].mean()
+        assert H[i, 0] == y[training].mean()
 
 
 def test_c07_cwm_contract():
@@ -457,8 +457,8 @@ def test_c11_determinism_and_round_trip(tmp_path):
              LearnerSpec(kind="gbt", name="b", seed=2,
                          params={"n_rounds": 10})]
     plan = make_folds(n, v=4, seed=3)
-    state = fit_design1(X, y, pts, specs, "gp", plan,
-                        gp_options={"restarts": 1, "max_iter": 40})
+    state = fit_stack(1, X, y, pts, specs, plan, level1="gp",
+                      gp_options={"restarts": 1, "max_iter": 40})
     path = tmp_path / "model.json"
     save_model(state, path)
     reloaded = load_model(path)

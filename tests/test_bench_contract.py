@@ -16,6 +16,8 @@ from stackgp.cli import main
 from stackgp.cwm import fit_cwm
 import stackgp.gp as gp
 from stackgp.gp import fit_hyperparams, matern1_matrix, minimize
+from stackgp.learners import LearnerSpec
+from stackgp.stacking import fit_stack, make_folds, repeat_cv_evaluate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -75,6 +77,42 @@ def test_traced_gp_fits_count_evaluations_and_lml_spans(monkeypatch):
     assert len(runs) == 2
     assert all(run["evals"] > 0 and run["penalty"] == 0 for run in runs), runs
     assert any(span["layer"] == "gp.lml" for span in tracer.spans)
+
+
+def test_level0_fits_run_inside_the_traced_level0_span(monkeypatch):
+    # the traced gp-cv run requires stacking.level0_s, the run_level0 span, to be
+    # non-zero and counts learners.fit spans; a cv that fitted its folds outside
+    # run_level0 would fail only there, so pin it here on a small problem
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    rng = np.random.default_rng(47)
+    n, v = 30, 3
+    X = rng.normal(size=(n, 3))
+    y = X @ [0.6, -0.4, 0.2] + rng.normal(size=n) * 0.3
+    points = np.column_stack([rng.uniform(30.0, 31.0, n), rng.uniform(-2.0, -1.0, n),
+                              rng.integers(0, 6, n).astype(float)])
+    specs = [LearnerSpec(kind="enet", name="enet", seed=3, params={"lambda1": 0.1}),
+             LearnerSpec(kind="mars", name="mars", seed=5, params={"max_terms": 5})]
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        repeat_cv_evaluate(X, y, points, specs, v=v, repeats=2, seed=1,
+                           gp_options={"restarts": 1, "max_iter": 20})
+        cv_spans = len(tracer.spans)
+        fit_stack(1, X, y, points, specs, make_folds(n, v, seed=1), level1="cwm")
+    finally:
+        restore()
+
+    def in_level0(i):
+        while i is not None and tracer.spans[i]["layer"] != "stacking.level0":
+            i = tracer.spans[i]["parent"]
+        return i is not None
+    cv_fits = [i for i in range(cv_spans) if tracer.spans[i]["layer"] == "learners.fit"]
+    assert len(cv_fits) == 2 * v * len(specs)       # repeats x folds x learners, no full fits
+    assert all(in_level0(i) for i in cv_fits)
+    fit_layers = [span["layer"] for span in tracer.spans[cv_spans:]]
+    assert fit_layers.count("stacking.level0") == 1
+    assert fit_layers.count("learners.fit") == (v + 1) * len(specs)
 
 
 def test_traced_level2_predict_records_every_predict_layer(monkeypatch, tmp_path):

@@ -41,11 +41,13 @@ DESIGN3 = {"design": 3, "learners": [{"kind": "enet"}], "gp_variants": [{}]}
 
 
 def fit_config(scenario, out, **stacking):
-    body = {"design": 1, "level1": "cwm", "v": 3, "learners": [
+    body = {"design": 1, "v": 3, "learners": [
         {"kind": "enet", "params": {"lambda1": 0.1, "lambda2": 0.1}},
         {"kind": "gbt", "params": {"n_rounds": 5}},
     ]}
     body.update(stacking)
+    if body["design"] == 1:     # a CWM level-1 unless the test picks one; no other design reads it
+        body.setdefault("level1", "cwm")
     return {
         "data": {"surveys": str(scenario / "surveys.csv"),
                  "stack": str(scenario / "stack.yaml")},
@@ -142,6 +144,25 @@ class TestConfigFailures:
         assert main(["fit", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "category=config" in err and f"stacking.{key} must be" in err
+
+    @pytest.mark.parametrize("stacking, key", [
+        ({"design": 2, "level1": "cwm"}, "stacking.level1"),
+        ({"design": 1, "gp_variants": [{"phi": 0.0}]}, "stacking.gp_variants"),
+        ({"design": 2, "gp_variants": [{"phi": 0.0}]}, "stacking.gp_variants"),
+        ({"design": "plain-gp", "level1": "gp"}, "stacking.level1"),
+        ({"design": 2, "level1": "cwm", "gp_variants": [{"phi": 0.0}]}, "stacking.level1"),
+    ], ids=["design2-level1", "design1-gp_variants", "design2-gp_variants", "plain-gp-level1",
+            "design2-both"])
+    def test_key_of_another_design_exits_2_before_inputs_are_read(self, scenario, tmp_path,
+                                                                  capsys, stacking, key):
+        # a key the design does not read would be silently ignored; it means another design
+        cfg_dict = fit_config(scenario, tmp_path / "out", **stacking)
+        cfg_dict["data"]["surveys"] = str(tmp_path / "nope.csv")
+        cfg = write_yaml(tmp_path / "fit.yaml", cfg_dict)
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err and f"{key} applies to design" in err
+        assert not (tmp_path / "out" / "model.json").exists()
 
     def test_bad_gp_variant_key_exits_2(self, scenario, tmp_path, capsys):
         cfg_dict = fit_config(scenario, tmp_path / "out", design=3,

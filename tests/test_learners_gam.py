@@ -22,7 +22,7 @@ from stackgp.learners.gam import (
 )
 from stackgp.metrics import pearson_flagged
 from stackgp.model_io import load_model, save_model
-from stackgp.stacking import fit_design1, make_folds
+from stackgp.stacking import fit_stack, make_folds
 
 GRID = np.logspace(-4.0, 4.0, 13)
 
@@ -344,8 +344,8 @@ class TestParams:
         y = np.sin(X[:, 0]) + rng.normal(size=40) * 0.1
         loc = np.column_stack([rng.uniform(30, 31, 40), rng.uniform(-2, -1, 40),
                                rng.integers(0, 5, 40).astype(float)])
-        state = fit_design1(X, y, loc, [LearnerSpec(kind="gam", seed=4)], "cwm",
-                            make_folds(40, 4, seed=1))
+        state = fit_stack(1, X, y, loc, [LearnerSpec(kind="gam", seed=4)],
+                          make_folds(40, 4, seed=1), level1="cwm")
         path = tmp_path / "model.json"
         save_model(state, path)
         payload = json.loads(path.read_text())

@@ -9,7 +9,7 @@ from stackgp.errors import SchemaError
 from stackgp.gp import fit_gp_linear_mean
 from stackgp.learners import LearnerSpec
 from stackgp.model_io import FORMAT_VERSION, load_model, save_model
-from stackgp.stacking import fit_design1, fit_design2, fit_design3, make_folds
+from stackgp.stacking import fit_stack, make_folds
 
 FAST_GP = {"restarts": 1, "max_iter": 40}
 
@@ -49,7 +49,7 @@ def assert_same_predictions(model, clone, X, pts):
 class TestRoundTrips:
     def test_design1_cwm_stack(self, tmp_path):
         X, y, loc = make_problem(seed=1)
-        state = fit_design1(X, y, loc, [lin(1), lin(2)], "cwm", make_folds(20, 4, seed=1))
+        state = fit_stack(1, X, y, loc, [lin(1), lin(2)], make_folds(20, 4, seed=1), level1="cwm")
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
@@ -59,8 +59,8 @@ class TestRoundTrips:
 
     def test_design1_gp_stack(self, tmp_path):
         X, y, loc = make_problem(seed=2)
-        state = fit_design1(X, y, loc, [lin(1)], "gp", make_folds(20, 4, seed=2),
-                            gp_options=FAST_GP)
+        state = fit_stack(1, X, y, loc, [lin(1)], make_folds(20, 4, seed=2), level1="gp",
+                          gp_options=FAST_GP)
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
@@ -68,8 +68,8 @@ class TestRoundTrips:
 
     def test_design2_two_level_stack(self, tmp_path):
         X, y, loc = make_problem(seed=3)
-        state = fit_design2(X, y, loc, [lin(1), lin(2)], make_folds(20, 4, seed=3),
-                            gp_options=FAST_GP)
+        state = fit_stack(2, X, y, loc, [lin(1), lin(2)], make_folds(20, 4, seed=3),
+                          gp_options=FAST_GP)
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
@@ -78,8 +78,8 @@ class TestRoundTrips:
 
     def test_design3_variant_stack(self, tmp_path):
         X, y, loc = make_problem(seed=4)
-        state = fit_design3(X, y, loc, lin(1), [{"phi": 0.0}, {}],
-                            make_folds(20, 4, seed=4), gp_options=FAST_GP)
+        state = fit_stack(3, X, y, loc, [lin(1)], make_folds(20, 4, seed=4),
+                          gp_variants=[{"phi": 0.0}, {}], gp_options=FAST_GP)
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
@@ -104,7 +104,7 @@ class TestRoundTrips:
             LearnerSpec(kind="gam", params={"n_splines": 5}, seed=4),
             LearnerSpec(kind="mars", params={"max_terms": 6}, seed=5),
         ]
-        state = fit_design1(X, y, loc, specs, "cwm", make_folds(30, 3, seed=5))
+        state = fit_stack(1, X, y, loc, specs, make_folds(30, 3, seed=5), level1="cwm")
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
@@ -118,7 +118,7 @@ class TestFloatExactness:
     def test_awkward_floats_survive(self, tmp_path):
         X, y, loc = make_problem(seed=7)
         y = y * 1e-7 + 1e3   # exercise exponents and long mantissas
-        state = fit_design1(X, y, loc, [lin(1)], "cwm", make_folds(20, 4, seed=6))
+        state = fit_stack(1, X, y, loc, [lin(1)], make_folds(20, 4, seed=6), level1="cwm")
         path = tmp_path / "m.json"
         save_model(state, path)
         clone = load_model(path)
@@ -129,7 +129,7 @@ class TestFloatExactness:
 class TestSchemaGuards:
     def fitted(self, tmp_path):
         X, y, loc = make_problem(seed=8)
-        state = fit_design1(X, y, loc, [lin(1)], "cwm", make_folds(20, 4, seed=7))
+        state = fit_stack(1, X, y, loc, [lin(1)], make_folds(20, 4, seed=7), level1="cwm")
         path = tmp_path / "m.json"
         save_model(state, path)
         return path
@@ -216,11 +216,11 @@ def model_files(tmp_path_factory):
     X, y, loc = make_problem(seed=9)
     plan = make_folds(20, 4, seed=8)
     models = {
-        "cwm": fit_design1(X, y, loc, [lin(1), lin(2)], "cwm", plan),
-        "gp": fit_design1(X, y, loc, [lin(1), lin(2)], "gp", plan, gp_options=FAST_GP),
-        "design2": fit_design2(X, y, loc, [lin(1), lin(2), lin(3)], plan, gp_options=FAST_GP),
-        "design3": fit_design3(X, y, loc, lin(1), [{"phi": 0.0}, {}], plan,
-                               gp_options=FAST_GP),
+        "cwm": fit_stack(1, X, y, loc, [lin(1), lin(2)], plan, level1="cwm"),
+        "gp": fit_stack(1, X, y, loc, [lin(1), lin(2)], plan, level1="gp", gp_options=FAST_GP),
+        "design2": fit_stack(2, X, y, loc, [lin(1), lin(2), lin(3)], plan, gp_options=FAST_GP),
+        "design3": fit_stack(3, X, y, loc, [lin(1)], plan, gp_variants=[{"phi": 0.0}, {}],
+                             gp_options=FAST_GP),
         "plain": fit_gp_linear_mean(y, X, loc, fixed={"log_kappa": 0.0, "log_tau": 0.0,
                                                       "sigma_e2": 0.5, "phi": 0.0}),
     }

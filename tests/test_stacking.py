@@ -12,9 +12,8 @@ from stackgp.stacking import (
     FoldPlan,
     Level2Stack,
     StackState,
-    fit_design1,
-    fit_design2,
-    fit_design3,
+    check_stack,
+    fit_stack,
     fold_oof_gp,
     level2_mean_sd,
     make_folds,
@@ -104,9 +103,9 @@ class TestMakeFolds:
 
 class TestRunLevel0:
     def test_oof_column_is_exact_complement_mean(self):
-        X, y, _ = make_problem(seed=1, n=20)
+        X, y, loc = make_problem(seed=1, n=20)
         plan = make_folds(20, 4, seed=3)
-        state = run_level0(X, y, [mean_spec()], plan)
+        state = fit_stack(1, X, y, loc, [mean_spec()], plan, level1="cwm")
         for j in range(4):
             held = plan.fold_rows(j)
             complement_mean = y[plan.assignment != j].mean()
@@ -114,27 +113,27 @@ class TestRunLevel0:
         np.testing.assert_allclose(state.P[:, 0], y.mean(), atol=1e-12)
 
     def test_interpolator_separates_p_from_h(self):
-        X, y, _ = make_problem(seed=2, n=18)
+        X, y, loc = make_problem(seed=2, n=18)
         plan = make_folds(18, 3, seed=4)
-        state = run_level0(X, y, [interp_spec()], plan)
+        state = fit_stack(1, X, y, loc, [interp_spec()], plan, level1="cwm")
         np.testing.assert_allclose(state.P[:, 0], y, atol=1e-12)
         assert not np.allclose(state.H[:, 0], y, atol=1e-6)
 
     def test_columns_follow_spec_order(self):
-        X, y, _ = make_problem(seed=3, n=20)
+        X, y, loc = make_problem(seed=3, n=20)
         plan = make_folds(20, 4, seed=5)
-        state = run_level0(X, y, [mean_spec(), linear_spec()], plan)
+        state = fit_stack(1, X, y, loc, [mean_spec(), linear_spec()], plan, level1="cwm")
         np.testing.assert_allclose(state.P[:, 0], y.mean(), atol=1e-12)
         assert not np.allclose(state.P[:, 1], y.mean(), atol=1e-3)
 
     def test_failure_carries_learner_and_phase_context(self):
-        X, y, _ = make_problem(seed=4, n=12)
+        X, y, loc = make_problem(seed=4, n=12)
         X[0, 0] = np.nan
         plan = make_folds(12, 3, seed=6)
         with pytest.raises(DataError, match="full fit"):
-            run_level0(X, y, [mean_spec(name="meanie")], plan)
+            fit_stack(1, X, y, loc, [mean_spec(name="meanie")], plan, level1="cwm")
         try:
-            run_level0(X, y, [mean_spec(name="meanie")], plan)
+            fit_stack(1, X, y, loc, [mean_spec(name="meanie")], plan, level1="cwm")
         except DataError as exc:
             assert "meanie" in str(exc)
 
@@ -148,13 +147,20 @@ class TestRunLevel0:
                 raise DataError("refused")
             return fit(spec, X, y, rng=rng)
         monkeypatch.setattr(stacking, "fit_learner", recording_fit)
-        X, y, _ = make_problem(seed=4, n=12)
+        X, y, loc = make_problem(seed=4, n=12)
         plan = make_folds(12, 3, seed=6, repeat_index=2)
         with pytest.raises(DataError, match=r"^learner 'meanie', fold 1: refused$"):
-            run_level0(X, y, [mean_spec(seed=9, name="meanie")], plan)
+            fit_stack(1, X, y, loc, [mean_spec(seed=9, name="meanie")], plan, level1="cwm")
         assert calls == [
             (n, np.random.default_rng([9, 6, 2, key]).bit_generator.state)
             for n, key in ((12, 3), (8, 0), (8, 1))]
+
+    def test_fold_pass_is_the_h_of_the_fitted_stack(self):
+        X, y, loc = make_problem(seed=8, n=20)
+        plan = make_folds(20, 4, seed=5)
+        specs = [mean_spec(), linear_spec(), interp_spec()]
+        H = run_level0(X, y, specs, plan)
+        assert H.tobytes() == fit_stack(1, X, y, loc, specs, plan, level1="cwm").H.tobytes()
 
     def test_plan_length_mismatch(self):
         X, y, _ = make_problem(seed=5, n=12)
@@ -168,9 +174,10 @@ class TestRunLevel0:
 
     def test_covariate_matrix_stamps_layout(self):
         from stackgp.dataset import CovariateMatrix
-        X, y, _ = make_problem(seed=7, n=14)
+        X, y, loc = make_problem(seed=7, n=14)
         cm = CovariateMatrix(X, ["a", "b", "c"])
-        state = run_level0(cm, y, [linear_spec()], make_folds(14, 2, seed=1))
+        state = fit_stack(1, cm, y, loc, [linear_spec()], make_folds(14, 2, seed=1),
+                          level1="cwm")
         assert tuple(state.level0[0].columns) == ("a", "b", "c")
 
 
@@ -178,7 +185,7 @@ class TestDesign1:
     def test_single_learner_cwm_weight_one(self):
         X, y, loc = make_problem(seed=8, n=20)
         plan = make_folds(20, 4, seed=7)
-        state = fit_design1(X, y, loc, [linear_spec()], "cwm", plan)
+        state = fit_stack(1, X, y, loc, [linear_spec()], plan, level1="cwm")
         assert isinstance(state.level1, SimplexWeights)
         np.testing.assert_array_equal(state.level1.beta, [1.0])
         out = cwm_predict(state.level1, state.P)
@@ -189,8 +196,8 @@ class TestDesign1:
         plan = make_folds(24, 4, seed=8)
         specs_ab = [mean_spec(seed=1), linear_spec(seed=2)]
         specs_ba = [linear_spec(seed=2), mean_spec(seed=1)]
-        sa = fit_design1(X, y, loc, specs_ab, "cwm", plan)
-        sb = fit_design1(X, y, loc, specs_ba, "cwm", plan)
+        sa = fit_stack(1, X, y, loc, specs_ab, plan, level1="cwm")
+        sb = fit_stack(1, X, y, loc, specs_ba, plan, level1="cwm")
         np.testing.assert_allclose(cwm_predict(sa.level1, sa.P),
                                    cwm_predict(sb.level1, sb.P), atol=1e-6)
 
@@ -199,8 +206,8 @@ class TestDesign1:
         plan = make_folds(22, 2, seed=9)
         specs_ab = [mean_spec(seed=1), linear_spec(seed=2)]
         specs_ba = [linear_spec(seed=2), mean_spec(seed=1)]
-        sa = fit_design1(X, y, loc, specs_ab, "gp", plan, gp_options=FAST_GP)
-        sb = fit_design1(X, y, loc, specs_ba, "gp", plan, gp_options=FAST_GP)
+        sa = fit_stack(1, X, y, loc, specs_ab, plan, level1="gp", gp_options=FAST_GP)
+        sb = fit_stack(1, X, y, loc, specs_ba, plan, level1="gp", gp_options=FAST_GP)
         # optimiser follows a different path through a permuted space, so
         # agreement is statistical rather than bitwise
         a = gp_stacked_predict(sa.level1, sa.P, loc).mu_star
@@ -210,23 +217,22 @@ class TestDesign1:
     def test_gp_level1_binds_full_fit_matrix(self):
         X, y, loc = make_problem(seed=11, n=20)
         plan = make_folds(20, 4, seed=10)
-        state = fit_design1(X, y, loc, [linear_spec()], "gp", plan,
-                            gp_options=FAST_GP)
+        state = fit_stack(1, X, y, loc, [linear_spec()], plan, level1="gp", gp_options=FAST_GP)
         np.testing.assert_array_equal(state.level1.P_train, state.P)
         np.testing.assert_array_equal(state.level1.params.beta, [1.0])
 
     def test_unknown_level1_rejected(self):
         X, y, loc = make_problem(seed=12, n=10)
         with pytest.raises(ConfigError, match="level1"):
-            fit_design1(X, y, loc, [mean_spec()], "ols", make_folds(10, 2, seed=0))
+            fit_stack(1, X, y, loc, [mean_spec()], make_folds(10, 2, seed=0), level1="ols")
 
 
 class TestDesign2:
     def test_single_learner_collapses_to_design1_gp(self):
         X, y, loc = make_problem(seed=13, n=20)
         plan = make_folds(20, 4, seed=11)
-        d1 = fit_design1(X, y, loc, [linear_spec()], "gp", plan, gp_options=FAST_GP)
-        d2 = fit_design2(X, y, loc, [linear_spec()], plan, gp_options=FAST_GP)
+        d1 = fit_stack(1, X, y, loc, [linear_spec()], plan, level1="gp", gp_options=FAST_GP)
+        d2 = fit_stack(2, X, y, loc, [linear_spec()], plan, gp_options=FAST_GP)
         assert isinstance(d2.level1, Level2Stack)
         np.testing.assert_array_equal(d2.level1.weights.beta, [1.0])
         rng = np.random.default_rng(0)
@@ -239,9 +245,9 @@ class TestDesign2:
     def test_identical_learners_match_single_member(self):
         X, y, loc = make_problem(seed=14, n=20)
         plan = make_folds(20, 4, seed=12)
-        one = fit_design2(X, y, loc, [linear_spec(seed=5)], plan, gp_options=FAST_GP)
-        two = fit_design2(X, y, loc, [linear_spec(seed=5), linear_spec(seed=5)],
-                          plan, gp_options=FAST_GP)
+        one = fit_stack(2, X, y, loc, [linear_spec(seed=5)], plan, gp_options=FAST_GP)
+        two = fit_stack(2, X, y, loc, [linear_spec(seed=5), linear_spec(seed=5)], plan,
+                        gp_options=FAST_GP)
         rng = np.random.default_rng(1)
         pts_new = np.column_stack([rng.uniform(30, 31, 5), rng.uniform(-2, -1, 5),
                                    rng.integers(0, 5, 5).astype(float)])
@@ -253,8 +259,7 @@ class TestDesign2:
     def test_members_are_single_column(self):
         X, y, loc = make_problem(seed=15, n=20)
         plan = make_folds(20, 4, seed=13)
-        state = fit_design2(X, y, loc, [mean_spec(), linear_spec()], plan,
-                            gp_options=FAST_GP)
+        state = fit_stack(2, X, y, loc, [mean_spec(), linear_spec()], plan, gp_options=FAST_GP)
         assert len(state.level1.members) == 2
         for member in state.level1.members:
             assert member.P_train.shape[1] == 1
@@ -266,8 +271,8 @@ class TestDesign3:
     def test_single_empty_variant_matches_design1_gp(self):
         X, y, loc = make_problem(seed=16, n=20)
         plan = make_folds(20, 4, seed=14)
-        d1 = fit_design1(X, y, loc, [linear_spec()], "gp", plan, gp_options=FAST_GP)
-        d3 = fit_design3(X, y, loc, linear_spec(), [{}], plan, gp_options=FAST_GP)
+        d1 = fit_stack(1, X, y, loc, [linear_spec()], plan, level1="gp", gp_options=FAST_GP)
+        d3 = fit_stack(3, X, y, loc, [linear_spec()], plan, gp_variants=[{}], gp_options=FAST_GP)
         rng = np.random.default_rng(2)
         P_new = rng.normal(size=(6, 1))
         pts_new = np.column_stack([rng.uniform(30, 31, 6), rng.uniform(-2, -1, 6),
@@ -278,19 +283,19 @@ class TestDesign3:
     def test_variant_overrides_pinned(self):
         X, y, loc = make_problem(seed=17, n=20)
         plan = make_folds(20, 4, seed=15)
-        state = fit_design3(X, y, loc, linear_spec(),
-                            [{"phi": 0.0}, {"log_kappa": 1.0}], plan,
-                            gp_options=FAST_GP)
+        state = fit_stack(3, X, y, loc, [linear_spec()], plan,
+                          gp_variants=[{"phi": 0.0}, {"log_kappa": 1.0}],
+                          gp_options=FAST_GP)
         assert state.level1.members[0].params.phi == 0.0
         assert state.level1.members[1].params.log_kappa == 1.0
 
     def test_identical_variants_match_single(self):
         X, y, loc = make_problem(seed=18, n=20)
         plan = make_folds(20, 4, seed=16)
-        one = fit_design3(X, y, loc, linear_spec(), [{"phi": 0.3}], plan,
-                          gp_options=FAST_GP)
-        two = fit_design3(X, y, loc, linear_spec(), [{"phi": 0.3}, {"phi": 0.3}],
-                          plan, gp_options=FAST_GP)
+        one = fit_stack(3, X, y, loc, [linear_spec()], plan, gp_variants=[{"phi": 0.3}],
+                        gp_options=FAST_GP)
+        two = fit_stack(3, X, y, loc, [linear_spec()], plan,
+                        gp_variants=[{"phi": 0.3}, {"phi": 0.3}], gp_options=FAST_GP)
         rng = np.random.default_rng(3)
         P_new = rng.normal(size=(5, 1))
         pts_new = np.column_stack([rng.uniform(30, 31, 5), rng.uniform(-2, -1, 5),
@@ -301,14 +306,14 @@ class TestDesign3:
     def test_no_variants_rejected(self):
         X, y, loc = make_problem(seed=19, n=12)
         with pytest.raises(ConfigError, match="variant"):
-            fit_design3(X, y, loc, mean_spec(), [], make_folds(12, 3, seed=0))
+            fit_stack(3, X, y, loc, [mean_spec()], make_folds(12, 3, seed=0), gp_variants=[])
 
 
 class TestPredictStack:
     def test_wrong_width_rejected(self):
         X, y, loc = make_problem(seed=20, n=16)
         plan = make_folds(16, 4, seed=17)
-        state = fit_design1(X, y, loc, [mean_spec(), linear_spec()], "cwm", plan)
+        state = fit_stack(1, X, y, loc, [mean_spec(), linear_spec()], plan, level1="cwm")
         with pytest.raises(DataError, match="columns"):
             cwm_predict(state.level1, np.ones((4, 3)))
 
@@ -319,12 +324,11 @@ class TestLevel2Prediction:
         X, y, loc = make_problem(seed=25, n=20)
         plan = make_folds(20, 4, seed=21)
         if design == 2:
-            state = fit_design2(X, y, loc, [mean_spec(), linear_spec()], plan,
-                                gp_options=FAST_GP)
+            state = fit_stack(2, X, y, loc, [mean_spec(), linear_spec()], plan, gp_options=FAST_GP)
         else:
-            state = fit_design3(X, y, loc, linear_spec(),
-                                [{"log_kappa": 2.0}, {"log_kappa": -1.0}], plan,
-                                gp_options=FAST_GP)
+            state = fit_stack(3, X, y, loc, [linear_spec()], plan,
+                              gp_variants=[{"log_kappa": 2.0}, {"log_kappa": -1.0}],
+                              gp_options=FAST_GP)
         stack = state.level1
         assert len(stack.members) == 2 and np.all(stack.weights.beta > 0)
         rng = np.random.default_rng(4)
@@ -446,6 +450,22 @@ class TestRepeatCvEvaluate:
                               make_folds(20, 4, 6, r))
             assert (row.mse, row.mae) == (mse(oof, y), mae(oof, y))
 
+    def test_fits_each_learner_once_per_fold_and_repeat(self, monkeypatch):
+        # no score reads a fit on all rows, so cv makes none: repeats x v x learners fits,
+        # each on its fold's complement and its [spec.seed, seed, repeat, fold] stream
+        import stackgp.stacking as stacking
+        fit, calls = stacking.fit_learner, []
+
+        def recording_fit(spec, X, y, rng):
+            calls.append((len(y), rng.bit_generator.state))
+            return fit(spec, X, y, rng=rng)
+        monkeypatch.setattr(stacking, "fit_learner", recording_fit)
+        X, y, loc = make_problem(seed=33, n=20)
+        specs = [mean_spec(seed=1, name="m"), linear_spec(seed=2, name="lin")]
+        repeat_cv_evaluate(X, y, loc, specs, v=4, repeats=3, seed=7, gp_options=FAST_GP)
+        assert calls == [(15, np.random.default_rng([spec.seed, 7, r, j]).bit_generator.state)
+                         for r in range(3) for spec in specs for j in range(4)]
+
     def test_distinct_repeats_use_distinct_folds(self):
         X, y, loc = make_problem(seed=28, n=20)
         res = repeat_cv_evaluate(X, y, loc, [interp_spec()], v=4, repeats=2,
@@ -491,16 +511,19 @@ class TestGpFixedCheckedFirst:
         plan = make_folds(16, 4, seed=1)
         bad = {**FAST_GP, "fixed": {"phi": 1.5}}
         two = [linear_spec(1, "a"), linear_spec(2, "b")]
-        for call in (lambda: fit_design1(X, y, loc, two, "gp", plan, bad),
-                     lambda: fit_design1(X, y, loc, two, "gp", plan, {"fixed": {"beta": [1]}}),
-                     lambda: fit_design2(X, y, loc, two, plan, bad),
-                     lambda: fit_design3(X, y, loc, two[0], [{}], plan, bad),
+        for call in (lambda: fit_stack(1, X, y, loc, two, plan, level1="gp", gp_options=bad),
+                     lambda: fit_stack(1, X, y, loc, two, plan, level1="gp",
+                                       gp_options={"fixed": {"beta": [1]}}),
+                     lambda: fit_stack(2, X, y, loc, two, plan, gp_options=bad),
+                     lambda: fit_stack(3, X, y, loc, two[:1], plan, gp_variants=[{}],
+                                       gp_options=bad),
                      lambda: repeat_cv_evaluate(X, y, loc, two, v=4, repeats=1, gp_options=bad)):
             with pytest.raises(ConfigError, match=r"gp\.fixed\.(phi|beta) must be"):
                 call()
         with pytest.raises(ConfigError,
                            match=re.escape("stacking.gp_variants[1].sigma_e2 must be")):
-            fit_design3(X, y, loc, two[0], [{}, {"sigma_e2": 0.0}], plan, FAST_GP)
+            fit_stack(3, X, y, loc, two[:1], plan, gp_variants=[{}, {"sigma_e2": 0.0}],
+                      gp_options=FAST_GP)
 
     def test_unknown_gp_option_refused_before_any_level0_fit(self, monkeypatch):
         monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
@@ -508,9 +531,10 @@ class TestGpFixedCheckedFirst:
         plan = make_folds(16, 4, seed=1)
         bad = {**FAST_GP, "restart": 1}
         two = [linear_spec(1, "a"), linear_spec(2, "b")]
-        for call in (lambda: fit_design1(X, y, loc, two, "gp", plan, bad),
-                     lambda: fit_design2(X, y, loc, two, plan, bad),
-                     lambda: fit_design3(X, y, loc, two[0], [{}], plan, bad),
+        for call in (lambda: fit_stack(1, X, y, loc, two, plan, level1="gp", gp_options=bad),
+                     lambda: fit_stack(2, X, y, loc, two, plan, gp_options=bad),
+                     lambda: fit_stack(3, X, y, loc, two[:1], plan, gp_variants=[{}],
+                                       gp_options=bad),
                      lambda: repeat_cv_evaluate(X, y, loc, two, v=4, repeats=1, gp_options=bad)):
             with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['restart']")):
                 call()
@@ -520,7 +544,39 @@ class TestGpFixedCheckedFirst:
         monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
         X, y, loc = make_problem(seed=31, n=16)
         with pytest.raises(ConfigError, match="gp_variants"):
-            fit_design3(X, y, loc, linear_spec(), variants, make_folds(16, 4, seed=1))
+            fit_stack(3, X, y, loc, [linear_spec()], make_folds(16, 4, seed=1),
+                      gp_variants=variants)
+
+    @pytest.mark.parametrize("design, keys, message", [
+        (2, {"level1": "cwm"}, "stacking.level1 applies to design 1 only, not design 2"),
+        (3, {"level1": "gp", "gp_variants": [{}]},
+         "stacking.level1 applies to design 1 only, not design 3"),
+        (1, {"gp_variants": [{}]}, "stacking.gp_variants applies to design 3 only, not design 1"),
+        (2, {"gp_variants": [{"phi": 0.0}]},
+         "stacking.gp_variants applies to design 3 only, not design 2"),
+    ])
+    def test_key_of_another_design_refused_before_any_level0_fit(self, monkeypatch, design,
+                                                                 keys, message):
+        monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
+        X, y, loc = make_problem(seed=31, n=16)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fit_stack(design, X, y, loc, [linear_spec()], make_folds(16, 4, seed=1), **keys)
+
+    def test_plain_gp_reads_neither_stack_key(self):
+        for keys, name in (({"level1": "gp"}, "stacking.level1"),
+                           ({"gp_variants": [{}]}, "stacking.gp_variants")):
+            with pytest.raises(ConfigError, match=re.escape(f"{name} applies to design")):
+                check_stack("plain-gp", None, **keys)
+        check_stack("plain-gp", None, gp_options={"fixed": {"beta": [1.0]}})
+        with pytest.raises(ConfigError, match=re.escape("gp.fixed.beta must be")):
+            check_stack("plain-gp", None, gp_options={"fixed": {"beta": [0.5, 0.5]}})
+
+    @pytest.mark.parametrize("design", ["plain-gp", 4])
+    def test_fit_stack_fits_designs_1_to_3_only(self, monkeypatch, design):
+        monkeypatch.setattr("stackgp.stacking.fit_learner", refuse_fit)
+        X, y, loc = make_problem(seed=31, n=16)
+        with pytest.raises(ConfigError, match="designs 1, 2 and 3"):
+            fit_stack(design, X, y, loc, [linear_spec()], make_folds(16, 4, seed=1))
 
     def test_cv_plain_gp_ignores_a_pinned_stack_beta(self):
         X, y, loc = make_problem(seed=32, n=16)

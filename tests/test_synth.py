@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from stackgp.dataset import (assemble_design, empirical_logit,
+from stackgp.dataset import (GridGeometry, assemble_design, empirical_logit,
                              load_stack_manifest, load_surveys)
 from stackgp.errors import ConfigError
-from stackgp.synth import REGIME_SHARES, ScenarioConfig, generate, write_scenario
+from stackgp.synth import REGIME_SHARES, ScenarioConfig, _spatial_cov, generate, write_scenario
+
+from conftest import lattice_cov
 
 SMALL = dict(n_surveys=60, n_lon=8, n_lat=8, n_months=8, seed=11)
 
@@ -35,6 +37,23 @@ class TestDeterminism:
         a = generate(ScenarioConfig(**{**SMALL, "seed": 1}))
         b = generate(ScenarioConfig(**{**SMALL, "seed": 2}))
         assert not np.array_equal(a.truth["latent"], b.truth["latent"])
+
+
+class TestSpatialCovariance:
+    @pytest.mark.parametrize("n_lon, n_lat, lon0, lat0, d_lon, d_lat", [
+        (1, 7, 30.0, -1.0, 0.05, 0.05),
+        (13, 5, -17.3, 12.9, 0.0417, 0.0833),
+        (17, 29, 30.0, -1.0, 0.05, 0.05),
+        (48, 48, 30.0, -1.0, 0.05, 0.05),
+    ])
+    def test_table_equals_the_per_entry_kernel_byte_for_byte(self, n_lon, n_lat, lon0, lat0,
+                                                             d_lon, d_lat):
+        geometry = GridGeometry(lon0=lon0, lat0=lat0, d_lon=d_lon, d_lat=d_lat,
+                                n_lon=n_lon, n_lat=n_lat)
+        got = _spatial_cov(geometry, 4.0, 1.3)
+        want = lattice_cov(geometry, 4.0, 1.3)
+        assert got.shape == want.shape == (n_lon * n_lat,) * 2
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVarianceShares:
