@@ -30,40 +30,73 @@ point, distinct prediction location); only the AR(1) factor differs between
 months. The conditioning reads the cross-covariance in column blocks of
 about BLOCK_ENTRIES entries, so for n training points predict memory is
 O(n x sites + n x block + points), not O(n x points).
+
+scipy is imported on first use, name by name (_LAZY): importing this module
+loads none of it, a prediction loads scipy.linalg and scipy.special, and only
+a hyperparameter fit loads scipy.optimize. Commands that run no GP therefore
+load no scipy.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
-from scipy.special import k0, k1
 
 from .config import finite_real
 from .errors import ConfigError, DataError, NumericalError, SchemaError
 
+# scipy names this module imports on first use (PEP 562 __getattr__), so that
+# commands which run no GP load no scipy. __getattr__ is not consulted for
+# bare global names, so call sites look them up on the module, as _this.k1;
+# a wrapper set on a module attribute then sees every call.
+_LAZY = {
+    "minimize": "scipy.optimize",
+    "cholesky": "scipy.linalg", "cho_solve": "scipy.linalg",
+    "solve_triangular": "scipy.linalg", "lapack": "scipy.linalg",
+    "k0": "scipy.special", "k1": "scipy.special",
+}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import a _LAZY name from its scipy module on first use and keep it in the globals."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
+
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 LOG_2PI = math.log(2.0 * math.pi)
 PENALTY = 1e30      # objective value of a failed likelihood evaluation
+LOG_CLAMP = 700.0   # |log kappa|, |log tau| beyond this would overflow exp
 
 
 def _log_clamped(x: float) -> float:
-    return min(max(x, -700.0), 700.0)
+    return min(max(x, -LOG_CLAMP), LOG_CLAMP)
 
 
 def _log_clamped_slope(x: float) -> float:
-    return 1.0 if abs(x) < 700.0 else 0.0
+    return 1.0 if abs(x) < LOG_CLAMP else 0.0
+
+
+def _log_scale(v) -> bool:
+    return finite_real(v) and abs(v) <= LOG_CLAMP
 
 
 # Each scalar hyperparameter, in raw-coordinate order -> (natural -> raw,
 # raw -> natural, d natural / d raw, range check, description). The raw ->
 # natural maps clamp so that exp cannot overflow; past a clamp the slope is 0.
 _HYPERPARAMS = {
-    "log_kappa": (float, _log_clamped, _log_clamped_slope, finite_real, "a finite real"),
-    "log_tau": (float, _log_clamped, _log_clamped_slope, finite_real, "a finite real"),
+    "log_kappa": (float, _log_clamped, _log_clamped_slope, _log_scale,
+                  "a finite real in [-700, 700]"),
+    "log_tau": (float, _log_clamped, _log_clamped_slope, _log_scale,
+                "a finite real in [-700, 700]"),
     "sigma_e2": (math.log, lambda x: math.exp(min(x, 700.0)),
                  lambda x: math.exp(x) if x < 700.0 else 0.0,
                  lambda v: finite_real(v) and v > 0, "a finite real > 0"),
@@ -178,7 +211,7 @@ def matern1_matrix(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     x = kappa * D
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = (x / tau) * k1(np.where(x > 0, x, 1.0))
+        vals = (x / tau) * _this.k1(np.where(x > 0, x, 1.0))
     return np.where(x > 0, vals, 1.0 / tau)
 
 
@@ -189,7 +222,7 @@ def _matern1_dlog_kappa(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     """
     x = kappa * np.asarray(D, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = -(x / tau) * (x * k0(np.where(x > 0, x, 1.0)))
+        vals = -(x / tau) * (x * _this.k0(np.where(x > 0, x, 1.0)))
     return np.where(x > 0, vals, 0.0)
 
 
@@ -306,7 +339,7 @@ def _chol_with_jitter(S: np.ndarray, context: str):
     for level in JITTER_LADDER:
         jitter = level * max(scale, 1e-300)
         try:
-            L = cholesky(S + jitter * np.eye(len(S)) if jitter else S, lower=True)
+            L = _this.cholesky(S + jitter * np.eye(len(S)) if jitter else S, lower=True)
             return L, jitter
         except np.linalg.LinAlgError:
             continue
@@ -350,7 +383,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     S = K_train + sigma_e2 * np.eye(n)
     L, jitter = _chol_with_jitter(S, "gp_condition_dense")
     r = y - mean_train
-    alpha = cho_solve((L, True), r)
+    alpha = _this.cho_solve((L, True), r)
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
     mu_star, sigma_star = np.empty(p), np.empty(p)
     stop = 0
@@ -360,7 +393,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
             raise DataError("gp_condition_dense: non-conformal shapes")
         start, stop = stop, stop + block.shape[1]
         mu_star[start:stop] = mean_pred[start:stop] + block.T @ alpha
-        V = solve_triangular(L, block, lower=True)
+        V = _this.solve_triangular(L, block, lower=True)
         sigma_star[start:stop] = prior_diag[start:stop] - np.einsum("ij,ij->j", V, V)
     if stop != p:
         raise DataError("gp_condition_dense: non-conformal shapes")
@@ -385,12 +418,12 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
     n = len(y)
     S = np.asarray(K_train, dtype=float) + sigma_e2 * np.eye(n)
     L, _ = _chol_with_jitter(S, "log_marginal_likelihood")
-    alpha = cho_solve((L, True), r)
+    alpha = _this.cho_solve((L, True), r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
     if dS is None:
         return lml
-    S_inv, _ = lapack.dpotri(L, lower=1)        # lower triangle; L's upper is zero
+    S_inv, _ = _this.lapack.dpotri(L, lower=1)        # lower triangle; L's upper is zero
     W = np.outer(alpha, alpha)
     W -= S_inv
     W -= np.tril(S_inv, -1).T
@@ -493,19 +526,6 @@ def default_init(y, mean_basis, points) -> GpHyperParams:
                          sigma_e2=0.5 * var, phi=0.3, beta=beta)
 
 
-def __getattr__(name: str):
-    """Import scipy's minimize on first use (PEP 562).
-
-    Only fits need scipy.optimize, so commands that fit no GP skip its import.
-    The function is kept in the module globals, where _optimize looks it up.
-    """
-    if name == "minimize":
-        from scipy.optimize import minimize
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
               max_iter: int, seed: int) -> np.ndarray:
     """L-BFGS-B from x0, then from restarts - 1 jittered starts; best raw point.
@@ -522,8 +542,8 @@ def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
     best_raw, best_val = x0, f0
     for attempt in range(max(restarts, 1) if x0.size else 0):
         start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
-        res = sys.modules[__name__].minimize(objective, start, method="L-BFGS-B", jac=jac,
-                                             options={"maxiter": max_iter})
+        res = _this.minimize(objective, start, method="L-BFGS-B", jac=jac,
+                             options={"maxiter": max_iter})
         if res.fun < best_val:
             best_raw, best_val = res.x, float(res.fun)
     return best_raw
@@ -582,8 +602,9 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
 
     def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
         L, _ = _chol_with_jitter(K + sigma_e2 * np.eye(n), "fit_gp_linear_mean")
-        coef, *_ = np.linalg.lstsq(solve_triangular(L, M, lower=True),
-                                   solve_triangular(L, y, lower=True), rcond=None)
+        coef, *_ = np.linalg.lstsq(_this.solve_triangular(L, M, lower=True),
+                                   _this.solve_triangular(L, y, lower=True),
+                                   rcond=None)
         return coef
 
     def evaluate(params: GpHyperParams):

@@ -18,7 +18,10 @@ penalised least-squares solve,
 by QR on the bases stacked over per-term penalty roots (Wood 2017, ch. 6);
 this is the fixed point that backfitting with the same weights approaches.
 meta['residual'] is the objective's gradient at the solution relative to
-its gradient at zero.
+its gradient at zero. Everything runs on numpy alone: the triangular
+systems in a QR factor R go to np.linalg.solve. Partial pivoting exchanges
+no rows of the upper-triangular R, so that LU solve is a back substitution;
+the GCV's systems in R' do pivot, which is backward stable all the same.
 
 Features with fewer distinct values than the requested basis size get a
 reduced basis (with a warning): a smaller spline basis when at least 4
@@ -33,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
 
 SPLINE_DEGREE = 3
 MIN_UNIQUE_FOR_SPLINE = 4
@@ -208,6 +210,16 @@ def _ridge(B: np.ndarray) -> float:
     return RIDGE_REL * max(float(np.sum(B * B)) / max(B.shape[1], 1), 1.0)
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """The 2-d blocks placed corner to corner on the diagonal, zeros elsewhere."""
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def _gcv_scores(B: np.ndarray, root: np.ndarray, resid: np.ndarray, grid) -> np.ndarray:
     """Single-term GCV n RSS / (n - df)^2, df = tr(smoother) + 1, per grid lambda.
 
@@ -218,8 +230,8 @@ def _gcv_scores(B: np.ndarray, root: np.ndarray, resid: np.ndarray, grid) -> np.
     """
     n, p = B.shape
     R = np.linalg.qr(np.vstack([B, np.sqrt(_ridge(B)) * np.eye(p)]), mode="r")
-    U, sv, _ = np.linalg.svd(solve_triangular(R, root.T, trans="T"))
-    F = B @ solve_triangular(R, U)
+    U, sv, _ = np.linalg.svd(np.linalg.solve(R.T, root.T))
+    F = B @ np.linalg.solve(R, U)
     shrink = 1.0 / (1.0 + np.outer(sv**2, np.asarray(grid, dtype=float)))
     fitted = F @ (shrink * (F.T @ resid)[:, None])
     rss = np.sum((resid[:, None] - fitted) ** 2, axis=0)
@@ -256,10 +268,10 @@ def fit_gam(X, y, params: dict, rng=None) -> GamModel:
     live = [t for t in terms if t.kind != "zero"]
     residual = 0.0
     if live:
-        A = np.vstack([np.hstack(bases), block_diag(*roots)])
+        A = np.vstack([np.hstack(bases), _block_diag(roots)])
         b = np.concatenate([resid0, np.zeros(A.shape[0] - len(resid0))])
         Q, R = np.linalg.qr(A)
-        coef = solve_triangular(R, Q.T @ b)
+        coef = np.linalg.solve(R, Q.T @ b)
         # the objective's gradient at the solution, relative to that at zero
         residual = float(np.linalg.norm(A.T @ (b - A @ coef))
                          / max(np.linalg.norm(A.T @ b), 1e-300))

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DataError
+
 GAIN_EPS = 1e-12
 
 
@@ -69,6 +71,35 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
 
+    def __post_init__(self):
+        """Refuse arrays that are not a tree in preorder, so that predict always ends.
+
+        The arrays have one entry per node; a leaf has feature -1 and both
+        children -1, a split a feature >= 0 and two children, each a later
+        node inside the arrays (grow_tree numbers nodes in preorder). So every
+        path from the root ends at a leaf. Index fields must hold integers,
+        not bools or floats, and leaf values must be finite.
+        """
+        for name in ("feature", "left", "right"):
+            setattr(self, name, _index_array(name, getattr(self, name)))
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.value = np.asarray(self.value, dtype=float)
+        if not np.isfinite(self.value).all():
+            raise DataError("tree values must be finite")
+        n = self.feature.size
+        if n == 0 or any(getattr(self, name).shape != (n,) for name in
+                         ("threshold", "left", "right", "value")):
+            raise DataError("tree arrays must be non-empty and of equal length")
+        leaf = self.feature == -1
+        later = np.arange(n) < np.minimum(self.left, self.right)
+        fine = np.where(leaf, (self.left == -1) & (self.right == -1),
+                        (self.feature >= 0) & later & (np.maximum(self.left, self.right) < n))
+        if not fine.all():
+            node = int(np.argmin(fine))
+            raise DataError(f"tree node {node} (feature {self.feature[node]}, children "
+                            f"{self.left[node]}, {self.right[node]}) is neither a leaf nor "
+                            "a split into two later nodes")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0])
@@ -97,13 +128,20 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=int),
-            threshold=np.asarray(d["threshold"], dtype=float),
-            left=np.asarray(d["left"], dtype=int),
-            right=np.asarray(d["right"], dtype=int),
-            value=np.asarray(d["value"], dtype=float),
-        )
+        return cls(**{name: d[name] for name in
+                      ("feature", "threshold", "left", "right", "value")})
+
+
+def _index_array(name: str, values) -> np.ndarray:
+    """values as a 1-d int array; a DataError unless every entry is an integer."""
+    if isinstance(values, np.ndarray):
+        whole = values.dtype.kind == "i" and values.ndim == 1
+    else:
+        whole = isinstance(values, list) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values)
+    if not whole:
+        raise DataError(f"tree {name} must be a list of integers")
+    return np.asarray(values, dtype=int)
 
 
 def grow_tree(X, y, *, max_depth, min_samples_leaf, mtry=None, rng=None) -> RegressionTree:

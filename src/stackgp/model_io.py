@@ -73,5 +73,5 @@ def load_model(path):
         return model_from_dict(d)
     except SchemaError as exc:     # format_version and unknown kinds, worded without the path
         raise SchemaError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError, DataError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc!r}") from exc

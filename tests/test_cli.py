@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from stackgp.dataset import build_prediction_grid, load_stack_manifest
 from stackgp.gp import gp_stacked_predict, plain_gp_predict
 from stackgp.model_io import load_model
 from stackgp.stacking import level2_mean_sd
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_yaml(path, payload):
@@ -349,10 +355,10 @@ class TestFitAndPredict:
         assert len(rows) == 64
         assert all(np.isfinite(float(r["mean"])) for r in rows)
 
-    def edited_model(self, cwm_fit, tmp_path, edit):
+    def edited_model(self, cwm_fit, tmp_path, edit, kind="enet"):
         payload = json.loads((cwm_fit / "model.json").read_text())
-        (enet,) = [m for m in payload["level0"] if m["spec"]["kind"] == "enet"]
-        edit(enet)
+        (learner,) = [m for m in payload["level0"] if m["spec"]["kind"] == kind]
+        edit(learner)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         return path
@@ -392,6 +398,43 @@ class TestFitAndPredict:
         assert f"{path}: malformed model file" in err
         assert "learner 'enet'" in err
         assert not (tmp_path / "predictions.csv").exists()
+
+    def test_cyclic_tree_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path):
+        # the root as its own left child: predict looped forever on this file
+        path = self.edited_model(cwm_fit, tmp_path,
+                                 lambda m: m["state"]["trees"][0]["left"].__setitem__(0, 0),
+                                 kind="gbt")
+        cfg = write_yaml(tmp_path / "predict.yaml", {
+            "data": {"stack": str(scenario / "stack.yaml")},
+            "predict": {"model": str(path), "months": [6]},
+            "output_dir": str(tmp_path),
+        })
+        out = subprocess.run([sys.executable, "-m", "stackgp.cli", "predict", "--config", str(cfg)],
+                             capture_output=True, text=True, timeout=20,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.returncode == 3, out.stderr
+        assert f"{path}: malformed model file" in out.stderr and "tree node 0" in out.stderr
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_index_beyond_c_long_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path,
+                                                         capsys):
+        path = self.edited_model(cwm_fit, tmp_path,
+                                 lambda m: m["state"]["col_subsets"][0].__setitem__(0, 2 ** 70),
+                                 kind="gbt")
+        assert self.predict_into(scenario, path, tmp_path) == 3
+        assert f"{path}: malformed model file: OverflowError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["log_kappa", "log_tau"])
+    def test_log_scale_past_700_exits_3_naming_the_file(self, scenario, gp_fit, tmp_path,
+                                                        capsys, key):
+        # exp(1e308) overflowed in GpHyperParams.kappa and exited 1
+        payload = json.loads((gp_fit / "model.json").read_text())
+        payload["level1"]["params"][key] = 1e308
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert self.predict_into(scenario, path, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: malformed model file" in err and f"{key} must be" in err
 
     def test_bad_month_rejected(self, scenario, cwm_fit, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "predict.yaml", {

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+import yaml
 from scipy.optimize import OptimizeResult
 
 import stackgp.gp as gp
+from stackgp.cli import main
 from stackgp.dataset import GridGeometry
 from stackgp.errors import ConfigError, DataError, NumericalError, SchemaError
 from stackgp.gmrf import (
@@ -619,6 +622,22 @@ class TestRawCodec:
     def test_fixable_tuple_stable(self):
         assert FIXABLE == ("log_kappa", "log_tau", "sigma_e2", "phi", "beta")
 
+    @pytest.mark.parametrize("key", ["log_kappa", "log_tau"])
+    def test_log_scales_bounded_where_unpack_clamps(self, key):
+        # unpack clamps raw log scales to [-700, 700], so every fitted model
+        # passes, and kappa and tau stay finite in every model that does
+        codec = _RawCodec(1, None)
+        raw = np.zeros(codec.size())
+        for sign in (1.0, -1.0):
+            raw[codec.free.index(key)] = sign * 1e6
+            params = codec.unpack(raw)
+            assert getattr(params, key) == sign * 700.0
+            assert np.isfinite([params.kappa, params.tau]).all()
+            with pytest.raises(DataError, match=rf"{key} must be a finite real in \[-700, 700\]"):
+                replace(params, **{key: sign * 700.5})
+        with pytest.raises(ConfigError, match=f"gp.fixed.{key}"):
+            _RawCodec(1, {key: 1e308})
+
 
 class TestDefaultInit:
     def test_sensible_starting_point(self):
@@ -1124,20 +1143,91 @@ class TestPredictMemory:
                                     f"one n x (added points) block is {block / 1e6:.2f} MB")
 
 
-def _fresh_python(code: str) -> str:
+def _fresh_python(code: str, *args: str) -> str:
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     return out.stdout.strip()
 
 
-class TestImportBoundary:
-    """Only GP fits load scipy.optimize; no module loads scipy.interpolate."""
+# Runs stackgp's CLI on the JSON argv in sys.argv[1], then prints its exit code
+# and every scipy module then loaded.
+_CLI_MODULES = """
+import json, sys
+from stackgp.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
 
-    def test_cli_loads_neither_optimize_nor_interpolate(self):
-        code = ("import sys, stackgp.cli; print(sorted(m for m in "
-                "('scipy.optimize', 'scipy.interpolate') if m in sys.modules))")
+
+def _cli_in_fresh_python(tmp_path, name: str, config: dict) -> set:
+    """The scipy modules loaded by `stackgp <name>` on config, run in a fresh process."""
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+    argv = json.dumps([name.split("-")[0], "--config", str(cfg), "--seed", "3"])
+    code, modules = json.loads(_fresh_python(_CLI_MODULES, argv).splitlines()[-1])
+    assert code == 0, name
+    return set(modules)
+
+
+class TestImportBoundary:
+    """Only commands that run a GP load scipy, and only GP fits load scipy.optimize."""
+
+    def test_cli_loads_no_scipy(self):
+        code = ("import sys, stackgp.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
         assert _fresh_python(code) == "[]"
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """Command -> the scipy modules the real CLI loads running it, each in a fresh process.
+
+        synth runs in this process: it draws the field through gp.py and so loads scipy.
+        """
+        root = tmp_path_factory.mktemp("import-boundary")
+        data = root / "data"
+        synth = root / "synth.yaml"
+        synth.write_text(yaml.safe_dump({
+            "synth": {"n_surveys": 40, "n_lon": 6, "n_lat": 6, "n_months": 8,
+                      "m_covariates": 2},
+            "output_dir": str(data)}), encoding="utf-8")
+        assert main(["synth", "--config", str(synth), "--seed", "7"]) == 0
+        inputs = {"surveys": str(data / "surveys.csv"), "stack": str(data / "stack.yaml")}
+        learners = [{"kind": "gbt", "params": {"n_rounds": 5}},
+                    {"kind": "rf", "params": {"n_trees": 5}},
+                    {"kind": "enet"}, {"kind": "gam"}, {"kind": "mars"}]
+        runs = {
+            "fit-cwm": {"stacking": {"design": 1, "v": 3, "level1": "cwm",
+                                     "learners": learners}},
+            "predict-cwm": {"predict": {"model": str(root / "fit-cwm" / "model.json"),
+                                        "months": [6]}},
+            "decompose": {"decompose": {"model": str(root / "fit-cwm" / "model.json")}},
+            "eval": {"eval": {"predictions": str(root / "predict-cwm" / "predictions.csv"),
+                              "truth": str(data / "truth-grid.csv"),
+                              "truth_field": "latent"}},
+            "fit-gp": {"stacking": {"design": 1, "v": 3, "level1": "gp",
+                                    "learners": [{"kind": "enet"}]},
+                       "gp": {"restarts": 1, "max_iter": 20}},
+            "predict-gp": {"predict": {"model": str(root / "fit-gp" / "model.json"),
+                                       "months": [6]}},
+        }
+        return {name: _cli_in_fresh_python(root, name, {
+                    "data": inputs, **config, "output_dir": str(root / name)})
+                for name, config in runs.items()}
+
+    @pytest.mark.parametrize("command", ["fit-cwm", "predict-cwm", "decompose", "eval"])
+    def test_commands_without_a_gp_load_no_scipy(self, loaded, command):
+        assert loaded[command] == set()
+
+    def test_gp_stack_predict_loads_linalg_and_special_not_optimize(self, loaded):
+        assert {"scipy.linalg", "scipy.special"} <= loaded["predict-gp"]
+        assert "scipy.optimize" not in loaded["predict-gp"]
+
+    def test_gp_fit_loads_linalg_special_and_optimize(self, loaded):
+        assert {"scipy.linalg", "scipy.special", "scipy.optimize"} <= loaded["fit-gp"]
+
+    def test_no_command_loads_interpolate(self, loaded):
+        assert not any("scipy.interpolate" in modules for modules in loaded.values())
 
     def test_minimize_resolves_to_scipys_on_first_access(self):
         code = ("import sys, stackgp.gp as gp; before = 'minimize' in vars(gp); "

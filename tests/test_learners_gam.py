@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
 
 from stackgp.errors import ConfigError
 from stackgp.learners import LearnerModel, LearnerSpec, fit_learner
@@ -15,6 +16,7 @@ from stackgp.learners.gam import (
     _curvature_penalty,
     _gcv_scores,
     _penalty_root,
+    _ridge,
     _second_derivative,
     _spline_knots,
     _term_scaffold,
@@ -58,6 +60,40 @@ def reference_penalty(knots):
         D2 = d2(0.5 * (a + b) + half * nodes)
         P += (D2 * (half * weights)[:, None]).T @ D2
     return 0.5 * (P + P.T)
+
+
+def scipy_fit(X, y, n_splines):
+    """fit_gam's per-term lambdas and joint coefficients, with every triangular
+    solve by scipy.linalg.solve_triangular and the penalty roots joined by
+    scipy.linalg.block_diag."""
+    resid0 = y - y.mean()
+    lams, bases, roots = [], [], []
+    for j in range(X.shape[1]):
+        term, B = _term_scaffold(X[:, j], n_splines, f"#{j}")
+        lam = 0.0
+        if term.kind != "zero":
+            B = B - term.col_means
+            p = B.shape[1]
+            root = np.zeros((0, p))
+            if term.kind == "spline":
+                root = _penalty_root(_curvature_penalty(term.knots))
+                R = np.linalg.qr(np.vstack([B, np.sqrt(_ridge(B)) * np.eye(p)]), mode="r")
+                U, sv, _ = np.linalg.svd(solve_triangular(R, root.T, trans="T"))
+                F = B @ solve_triangular(R, U)
+                shrink = 1.0 / (1.0 + np.outer(sv**2, GRID))
+                rss = np.sum((resid0[:, None] - F @ (shrink * (F.T @ resid0)[:, None])) ** 2,
+                             axis=0)
+                df = np.sum(F * F, axis=0) @ shrink + 1.0
+                with np.errstate(divide="ignore"):
+                    lam = float(GRID[np.argmin(np.where(df < len(y),
+                                                        len(y) * rss / (len(y) - df) ** 2,
+                                                        np.inf))])
+            bases.append(B)
+            roots.append(np.vstack([np.sqrt(lam) * root, np.sqrt(_ridge(B)) * np.eye(p)]))
+        lams.append(lam)
+    A = np.vstack([np.hstack(bases), block_diag(*roots)])
+    Q, R = np.linalg.qr(A)
+    return lams, solve_triangular(R, Q.T @ np.concatenate([resid0, np.zeros(len(A) - len(y))]))
 
 
 def penalised_objective(model, X, y):
@@ -325,6 +361,31 @@ class TestJointSolve:
         ours, _ = penalised_objective(fit_gam(X, y, params), X, y)
         swept, _ = penalised_objective(backfit(X, y, fit_gam(X, y, params), 200), X, y)
         assert ours <= swept * (1.0 + 1e-12)
+
+
+class TestScipyOracle:
+    """The numpy-only solves agree with scipy's triangular solves."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lambdas_equal_and_coefficients_within_1e10(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        n, m = int(rng.integers(30, 250)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, m)) * rng.uniform(0.01, 100.0, size=m)
+        if seed % 3 == 0:       # a linear term and a reduced basis ride along
+            X[:, 0] = rng.integers(0, 3, size=n)
+            X[:, -1] = np.round(X[:, -1] / X[:, -1].std() * 2.0)
+        if seed % 3 == 1 and m > 1:     # and a constant column's dropped term
+            X[:, 0] = 1.5
+        y = np.sin(X[:, -1] / X[:, -1].std()) + rng.normal(size=n) * rng.uniform(0.05, 1.0)
+        n_splines = int(rng.integers(4, 14))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model = fit_gam(X, y, LearnerSpec(kind="gam", params={"n_splines": n_splines}).params)
+            lams, coef = scipy_fit(X, y, n_splines)
+        assert [term.lam for term in model.terms] == lams
+        np.testing.assert_allclose(np.concatenate([t.coef for t in model.terms]), coef,
+                                   rtol=1e-10, atol=0)
+        assert 0.0 <= model.meta["residual"] <= 1e-8
 
 
 class TestParams:

@@ -216,6 +216,49 @@ class TestRegressionTree:
         assert len(ref.feature) > 1
 
 
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+         "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+
+
+class TestTreeChecks:
+    """A loaded tree is refused unless every path from the root ends at a leaf."""
+
+    @pytest.mark.parametrize("field, index, value, match", [
+        ("left", 0, 0, "node 0"),               # a cycle: predict looped forever on it
+        ("left", 0, 0.5, "integers"),           # cast to 0 before the check existed
+        ("right", 0, 0.5, "integers"),
+        ("feature", 1, True, "integers"),       # a bool leaf feature read as column 1
+        ("feature", 0, False, "integers"),
+        ("left", 0, 3, "node 0"),               # past the end
+        ("right", 0, -1, "node 0"),             # a split with one child
+        ("left", 1, 2, "node 1"),               # a leaf with a child
+        ("feature", 1, -2, "node 1"),
+        ("value", 2, None, "finite"),
+    ])
+    def test_damaged_stump_is_refused(self, field, index, value, match):
+        RegressionTree.from_dict(STUMP)
+        d = {key: list(values) for key, values in STUMP.items()}
+        d[field][index] = value
+        with pytest.raises(DataError, match=match):
+            RegressionTree.from_dict(d)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["value"].pop(),
+        lambda d: d["left"].append(-1),
+        lambda d: d.update(feature=[], threshold=[], left=[], right=[], value=[]),
+    ])
+    def test_unequal_or_empty_arrays_are_refused(self, edit):
+        d = {key: list(values) for key, values in STUMP.items()}
+        edit(d)
+        with pytest.raises(DataError, match="equal length"):
+            RegressionTree.from_dict(d)
+
+    def test_float_index_array_is_refused(self):
+        with pytest.raises(DataError, match="left must be a list of integers"):
+            RegressionTree(**{**{k: np.asarray(v) for k, v in STUMP.items()},
+                              "left": np.array([1.0, -1.0, -1.0])})
+
+
 class TestGbt:
     def test_zero_rounds_predicts_mean(self):
         rng = np.random.default_rng(7)
