@@ -74,11 +74,7 @@ def _learner_specs(config: dict) -> list:
     entries = require(config, "stacking", "learners")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("stacking.learners must be a non-empty list of learner specs")
-    specs = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"each learner entry must be a mapping, got {entry!r}")
-        specs.append(LearnerSpec.from_dict(entry))
+    specs = [LearnerSpec.from_dict(entry) for entry in entries]
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"learner names must be unique, got {names}")
@@ -148,12 +144,13 @@ def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
     # one grid over all months, so that each GP is conditioned once per command
     grid = build_prediction_grid(geometry, months, covariates)
     mean, sd = _mean_sd(model, grid.design, grid.points)
-    rows = [[_fmt(lon), _fmt(lat), int(t), _fmt(m), _fmt(s)]
-            for (lon, lat, t), m, s in zip(grid.points, mean, sd)]
+    # rows are formatted as they are written, so no list of every row is held
+    rows = ([_fmt(lon), _fmt(lat), int(t), _fmt(m), _fmt(s)]
+            for (lon, lat, t), m, s in zip(grid.points, mean, sd))
 
     out_path = outdir / "predictions.csv"
     _write_csv(out_path, ["lon", "lat", "t", "mean", "sd"], rows)
-    print(f"predictions: {out_path} ({len(rows)} rows)")
+    print(f"predictions: {out_path} ({len(mean)} rows)")
 
 
 def cmd_cv(config: dict, seed: int, outdir: Path) -> None:

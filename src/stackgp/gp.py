@@ -7,13 +7,13 @@ Covariance model: a separable product of a Matern smoothness-1 spatial kernel
 with kappa = sqrt(2) / rho, and an AR(1) temporal factor normalised to unit
 marginal variance, phi^{|t_i - t_j|}, so tau is the sole scale parameter.
 Distances are planar equirectangular: longitude differences are shrunk by
-cos(reference latitude) and measured in degrees; the reference latitude must
-be shared by every block of one model (callers pass it explicitly).
-
-Conditioning works on dense covariance blocks via Cholesky solves with a
-multiplicative jitter ladder (1e-10 up to 1e-6 of the mean diagonal, then a
-hard numerical error). The lattice GMRF precision form of the same field
-lives in gmrf.py.
+cos(reference latitude) and measured in degrees. A GP's reference latitude is
+its training points' mean latitude (_ref_lat), which a fitted model derives
+from its own train_points, so fit, fold re-conditioning and prediction share
+one geometry. One function, _factor_s, forms S = K + sigma_e2 I and factors
+it by Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6 of the
+mean diagonal, then a hard numerical error). The lattice GMRF precision form
+of the same field lives in gmrf.py.
 
 Hyperparameters are fitted by L-BFGS-B on the analytic gradient of the log
 marginal likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen &
@@ -169,7 +169,8 @@ class GpHyperParams:
                 raise DataError(f"{key} must be {description}, got {value!r}")
         b = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "beta", b)
-        if b.ndim != 1 or b.size < 1 or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
+        if (b.ndim != 1 or b.size < 1 or not np.isfinite(b).all() or np.any(b < -1e-12)
+                or abs(b.sum() - 1.0) > 1e-9):
             raise DataError("beta must lie on the probability simplex")
 
     @property
@@ -267,6 +268,11 @@ def cov_block(points_a, points_b, params: GpHyperParams, ref_lat: float) -> np.n
     return matern1_matrix(D, params.kappa, params.tau) * np.power(params.phi, dT)
 
 
+def _ref_lat(points) -> float:
+    """The reference latitude of a GP trained at points: their mean latitude."""
+    return float(_split_points(points)[0][:, 1].mean())
+
+
 def _train_kernel(points):
     """params -> (K, dS) for the training points at their mean latitude.
 
@@ -282,8 +288,7 @@ def _train_kernel(points):
     looked up at call time, so a wrapper set on this module's attribute sees
     every evaluation.
     """
-    lonlat, _ = _split_points(points)
-    D, dT = _geometry(points, points, float(lonlat[:, 1].mean()))
+    D, dT = _geometry(points, points, _ref_lat(points))
     dists, inverse = np.unique(D, return_inverse=True)
     inverse = inverse.reshape(D.shape)      # NumPy 1.x returns the inverse flat
     lags = np.arange(dT.max() + 1)
@@ -349,6 +354,11 @@ def _chol_with_jitter(S: np.ndarray, context: str):
                          f"(condition estimate {cond:.3e}, min eig {eig[0]:.3e})")
 
 
+def _factor_s(K, sigma_e2: float, context: str):
+    """(L, jitter) of S = K + sigma_e2 I: every likelihood, conditioning and GLS solve."""
+    return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context)
+
+
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
                        sigma_e2: float, *, full_cov: bool = False) -> GpPosterior:
     """Predictive conditioning from covariance blocks, all solves by Cholesky.
@@ -380,8 +390,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     if full_cov and not one_array:
         raise DataError("gp_condition_dense: full_cov needs K_cross as one array")
 
-    S = K_train + sigma_e2 * np.eye(n)
-    L, jitter = _chol_with_jitter(S, "gp_condition_dense")
+    L, jitter = _factor_s(K_train, sigma_e2, "gp_condition_dense")
     r = y - mean_train
     alpha = _this.cho_solve((L, True), r)
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
@@ -416,8 +425,7 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
     y = np.asarray(y, dtype=float)
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
-    S = np.asarray(K_train, dtype=float) + sigma_e2 * np.eye(n)
-    L, _ = _chol_with_jitter(S, "log_marginal_likelihood")
+    L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
     alpha = _this.cho_solve((L, True), r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
@@ -601,7 +609,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     init = default_init(y, np.zeros((n, 1)), pts)
 
     def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
-        L, _ = _chol_with_jitter(K + sigma_e2 * np.eye(n), "fit_gp_linear_mean")
+        L, _ = _factor_s(K, sigma_e2, "fit_gp_linear_mean")
         coef, *_ = np.linalg.lstsq(_this.solve_triangular(L, M, lower=True),
                                    _this.solve_triangular(L, y, lower=True),
                                    rcond=None)
@@ -618,8 +626,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
                                     max_iter=max_iter, seed=seed))
     coef = gls_coef(kernel(params)[0], params.sigma_e2)
     mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
-    return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X,
-                        y=y, ref_lat=float(pts[:, 1].mean()))
+    return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X, y=y)
 
 
 def linear_mean(mean_state: dict, X) -> np.ndarray:
@@ -693,14 +700,27 @@ def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior
                               np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
 
 
-def _check_shapes(owner: str, **expected) -> None:
-    """Raise a DataError naming the first field whose shape is not the expected one.
+def _check_arrays(owner: str, **expected) -> None:
+    """Raise a DataError naming the first field whose shape is not the expected one,
+    or that holds a NaN or an infinity.
 
     A size of -1 stands for a count that could not be read, so it matches no shape.
     """
     for name, (value, shape) in expected.items():
         if np.shape(value) != shape:
             raise DataError(f"{owner}: {name} has shape {np.shape(value)}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise DataError(f"{owner}: {name} holds a non-finite value")
+
+
+def _check_ref_lat(model, d: dict):
+    """model, once the ref_lat stored in its file d is its training points' mean latitude."""
+    stored = d["ref_lat"]
+    if not (finite_real(stored)
+            and math.isclose(stored, model.ref_lat, rel_tol=1e-12, abs_tol=1e-12)):
+        raise DataError(f"ref_lat {stored!r} is not the training points' mean latitude "
+                        f"{model.ref_lat!r}")
+    return model
 
 
 @dataclass
@@ -716,12 +736,13 @@ class StackedGpModel:
     train_points: np.ndarray
     P_train: np.ndarray
     y: np.ndarray
-    ref_lat: float
+    ref_lat: float = field(init=False)     # train_points' mean latitude, never passed
 
     def __post_init__(self):
         n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
-        _check_shapes("stacked GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
+        _check_arrays("stacked GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
                       P_train=(self.P_train, (n, self.params.beta.size)))
+        self.ref_lat = _ref_lat(self.train_points)
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),
@@ -732,11 +753,10 @@ class StackedGpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StackedGpModel":
-        return cls(params=GpHyperParams.from_dict(d["params"]),
-                   train_points=np.asarray(d["train_points"], dtype=float),
-                   P_train=np.asarray(d["P_train"], dtype=float),
-                   y=np.asarray(d["y"], dtype=float),
-                   ref_lat=float(d["ref_lat"]))
+        return _check_ref_lat(cls(params=GpHyperParams.from_dict(d["params"]),
+                                  train_points=np.asarray(d["train_points"], dtype=float),
+                                  P_train=np.asarray(d["P_train"], dtype=float),
+                                  y=np.asarray(d["y"], dtype=float)), d)
 
 
 def gp_stacked_predict(model: StackedGpModel, P_pred, pred_points) -> GpPosterior:
@@ -762,16 +782,21 @@ class PlainGpModel:
     train_points: np.ndarray
     X_train: np.ndarray
     y: np.ndarray
-    ref_lat: float
+    ref_lat: float = field(init=False)     # train_points' mean latitude, never passed
 
     def __post_init__(self):
+        state = self.mean_state
+        if not isinstance(state, dict):
+            raise DataError(f"plain GP: mean_state must be a mapping, got {state!r}")
         n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
         m = np.shape(self.X_train)[1] if np.ndim(self.X_train) == 2 else -1
-        _check_shapes("plain GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
-                      X_train=(self.X_train, (n, m)),
-                      x_mean=(self.mean_state.get("x_mean"), (m,)),
-                      x_sd=(self.mean_state.get("x_sd"), (m,)),
-                      coef=(self.mean_state.get("coef"), (m + 1,)))
+        _check_arrays("plain GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
+                      X_train=(self.X_train, (n, m)), x_mean=(state.get("x_mean"), (m,)),
+                      x_sd=(state.get("x_sd"), (m,)), coef=(state.get("coef"), (m + 1,)))
+        with np.errstate(all="ignore"):     # an overflowing mean is refused just below
+            mean_train = linear_mean(state, self.X_train)
+        _check_arrays("plain GP", mean_train=(mean_train, (n,)))
+        self.ref_lat = _ref_lat(self.train_points)
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),
@@ -784,13 +809,13 @@ class PlainGpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlainGpModel":
-        return cls(params=GpHyperParams.from_dict(d["params"]),
-                   mean_state={k: np.asarray(v, dtype=float)
-                               for k, v in d["mean_state"].items()},
-                   train_points=np.asarray(d["train_points"], dtype=float),
-                   X_train=np.asarray(d["X_train"], dtype=float),
-                   y=np.asarray(d["y"], dtype=float),
-                   ref_lat=float(d["ref_lat"]))
+        state = d["mean_state"]
+        if isinstance(state, dict):
+            state = {k: np.asarray(v, dtype=float) for k, v in state.items()}
+        return _check_ref_lat(cls(params=GpHyperParams.from_dict(d["params"]), mean_state=state,
+                                  train_points=np.asarray(d["train_points"], dtype=float),
+                                  X_train=np.asarray(d["X_train"], dtype=float),
+                                  y=np.asarray(d["y"], dtype=float)), d)
 
 
 def plain_gp_predict(model: PlainGpModel, X_pred, pred_points) -> GpPosterior:

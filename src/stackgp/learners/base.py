@@ -111,6 +111,8 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"each learner entry must be a mapping, got {d!r}")
         unknown = sorted(map(str, set(d) - {"kind", "params", "seed", "name"}))
         if unknown:
             raise ConfigError(f"learner entry: unknown key(s) {unknown}; "
@@ -157,12 +159,14 @@ class LearnerModel:
         columns = d.get("columns")
         if columns is not None:
             columns = tuple(ColumnInfo(str(n), int(lag), str(k)) for n, lag, k in columns)
-            # a state that cannot predict one row of its own width is malformed
+            # a state that cannot predict one row of its own width is malformed, and
+            # so is a tree state that splits on a column past that width
             try:
                 probe = np.asarray(model.predict(np.zeros((1, len(columns)))), dtype=float)
             except (IndexError, TypeError, ValueError):
                 probe = None
-            if probe is None or probe.shape != (1,) or not np.isfinite(probe[0]):
+            if (probe is None or probe.shape != (1,) or not np.isfinite(probe[0])
+                    or getattr(model, "n_features", 0) > len(columns)):
                 raise DataError(f"learner '{spec.name}': stored state does not predict "
                                 f"from its {len(columns)} columns")
         return cls(spec=spec, model=model, columns=columns)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import RegressionTree, grow_tree
+from ..errors import DataError
+from .trees import RegressionTree, _index_array, grow_tree
 
 
 @dataclass
@@ -21,6 +22,23 @@ class GbtModel:
     learning_rate: float
     trees: list
     col_subsets: list   # per-tree column indices into the full design
+
+    def __post_init__(self):
+        """Refuse a tree that splits on a column past its subset, or a negative column."""
+        if len(self.trees) != len(self.col_subsets):
+            raise DataError(f"gbt has {len(self.trees)} trees but "
+                            f"{len(self.col_subsets)} column subsets")
+        for i, (tree, cols) in enumerate(zip(self.trees, self.col_subsets)):
+            if cols.size and cols.min() < 0:
+                raise DataError(f"gbt column subset {i} holds a negative column: {cols.tolist()}")
+            if tree.n_features > cols.size:
+                raise DataError(f"gbt tree {i} splits on column {tree.n_features - 1} of "
+                                f"its column subset {cols.tolist()}")
+
+    @property
+    def n_features(self) -> int:
+        """Columns a design needs for this model: its largest subset column plus one."""
+        return max((int(cols.max()) + 1 for cols in self.col_subsets if cols.size), default=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -43,7 +61,7 @@ class GbtModel:
             base=float(state["base"]),
             learning_rate=float(state["learning_rate"]),
             trees=[RegressionTree.from_dict(t) for t in state["trees"]],
-            col_subsets=[np.asarray(c, dtype=int) for c in state["col_subsets"]],
+            col_subsets=[_index_array("col_subsets", c) for c in state["col_subsets"]],
         )
 
 

@@ -20,6 +20,11 @@ from .trees import RegressionTree, grow_tree
 class ForestModel:
     trees: list
 
+    @property
+    def n_features(self) -> int:
+        """Columns a design needs for this forest: its largest split feature plus one."""
+        return max((tree.n_features for tree in self.trees), default=0)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.zeros(X.shape[0])

@@ -100,6 +100,11 @@ class RegressionTree:
                             f"{self.left[node]}, {self.right[node]}) is neither a leaf nor "
                             "a split into two later nodes")
 
+    @property
+    def n_features(self) -> int:
+        """Columns a design needs for this tree: its largest split feature plus one."""
+        return int(self.feature.max()) + 1
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0])

@@ -18,7 +18,8 @@ For designs 2/3 the level-2 CWM is fitted on leave-one-fold-out level-1
 predictions obtained by re-conditioning each GP per fold with its
 hyperparameters held fixed: they are fitted once on all rows and never
 re-optimised per fold. repeat_cv_evaluate applies the same re-conditioning
-protocol to score the GP stack and the plain-GP baseline out of fold.
+protocol to score the GP stack and the plain-GP baseline out of fold, each
+fold reading the fitted model's own training geometry.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import numpy as np
 from .cwm import SimplexWeights, cwm_predict, fit_cwm
 from .dataset import CovariateMatrix
 from .errors import ConfigError, DataError, SchemaError, StackGpError
-from .gp import (GpHyperParams, StackedGpModel, check_fixed, check_gp_options, cov_block,
-                 fit_gp_linear_mean, fit_hyperparams, gp_condition_dense, gp_stacked_predict,
-                 linear_mean)
+from .gp import (StackedGpModel, check_fixed, check_gp_options, cov_block, fit_gp_linear_mean,
+                 fit_hyperparams, gp_condition_dense, gp_stacked_predict, linear_mean)
 from .learners import LearnerModel, LearnerSpec, fit_learner
 from .metrics import mae, mse, pearson_flagged
 
@@ -203,30 +203,22 @@ def run_level0(X, y, specs, plan: FoldPlan) -> np.ndarray:
     return H
 
 
-def _points_array(locations) -> np.ndarray:
-    pts = np.asarray(locations, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DataError(f"locations must be (n, 3) rows of (lon, lat, t), got {pts.shape}")
-    return pts
+def fold_oof_gp(model, mean_all, plan: FoldPlan) -> np.ndarray:
+    """Leave-one-fold-out predictions of a fitted GP model by re-conditioning per fold.
 
-
-def fold_oof_gp(y, mean_all, params: GpHyperParams, points, plan: FoldPlan) -> np.ndarray:
-    """Leave-one-fold-out GP predictions by re-conditioning per fold.
-
-    Hyperparameters stay fixed; only the conditioning set changes. mean_all
-    is the GP mean evaluated at every row.
+    model is a StackedGpModel or PlainGpModel; its y, training points,
+    hyperparameters and reference latitude stay fixed, and only the
+    conditioning set changes. mean_all is the GP mean evaluated at every row.
     """
-    points = _points_array(points)
-    ref_lat = float(points[:, 1].mean())
-    K = cov_block(points, points, params, ref_lat)
+    params = model.params
+    K = cov_block(model.train_points, model.train_points, params, model.ref_lat)
     mean_all = np.asarray(mean_all, dtype=float)
-    y = np.asarray(y, dtype=float)
-    oof = np.empty(len(y))
+    oof = np.empty(len(model.y))
     for j in range(plan.v):
         held = plan.fold_rows(j)
         train = np.flatnonzero(plan.assignment != j)
         post = gp_condition_dense(
-            y[train], mean_all[train], mean_all[held],
+            model.y[train], mean_all[train], mean_all[held],
             K[np.ix_(train, train)], K[np.ix_(train, held)],
             np.diag(K)[held], params.sigma_e2)
         oof[held] = post.mu_star
@@ -280,13 +272,11 @@ def fit_stack(design, X, y, locations, specs, plan: FoldPlan, *, level1=None,
         return StackState(P=P, H=H, plan=plan, level0=level0, level1=fit_cwm(H, y))
     opts = dict(gp_options or {})
     fixed = opts.pop("fixed", None) or {}
-    points = _points_array(locations)
-    ref_lat = float(points[:, 1].mean())
+    points = np.asarray(locations, dtype=float)
 
     def fit_gp(cols, variant: dict) -> StackedGpModel:
         params = fit_hyperparams(y, H[:, cols], points, fixed={**fixed, **variant}, **opts)
-        return StackedGpModel(params=params, train_points=points, P_train=P[:, cols], y=y,
-                              ref_lat=ref_lat)
+        return StackedGpModel(params=params, train_points=points, P_train=P[:, cols], y=y)
 
     if design == 1:
         return StackState(P=P, H=H, plan=plan, level0=level0,
@@ -296,7 +286,7 @@ def fit_stack(design, X, y, locations, specs, plan: FoldPlan, *, level1=None,
     models, oof = [], []
     for col, variant in members:
         models.append(fit_gp([col], variant))
-        oof.append(fold_oof_gp(y, H[:, col], models[-1].params, points, plan))
+        oof.append(fold_oof_gp(models[-1], H[:, col], plan))
     return StackState(P=P, H=H, plan=plan, level0=level0, design=design,
                       level1=Level2Stack(members=models, weights=fit_cwm(np.column_stack(oof), y),
                                          member_columns=[col for col, _ in members]))
@@ -393,7 +383,7 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
         X = X.values
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    points = _points_array(locations)
+    points = np.asarray(locations, dtype=float)
     result = CvResult()
 
     def score(method, repeat, yhat):
@@ -416,8 +406,9 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
             score(CV_METHOD_CWM, r, cwm_predict(weights, H))
         if CV_METHOD_GP in methods:
             params = fit_hyperparams(y, H, points, **gp_options)
-            score(CV_METHOD_GP, r, fold_oof_gp(y, H @ params.beta, params, points, plan))
+            model = StackedGpModel(params=params, train_points=points, P_train=H, y=y)
+            score(CV_METHOD_GP, r, fold_oof_gp(model, H @ params.beta, plan))
         if CV_METHOD_PLAIN in methods:
-            score(CV_METHOD_PLAIN, r, fold_oof_gp(y, plain_mean, plain.params, points, plan))
+            score(CV_METHOD_PLAIN, r, fold_oof_gp(plain, plain_mean, plan))
     result.summary = _summarise(result.rows, region)
     return result

@@ -276,7 +276,7 @@ def test_c08_gp_stack_equals_cwm_stack_without_covariance_contribution():
                              restarts=1, max_iter=120, seed=8)
     assert params.phi == 0.0
     model = StackedGpModel(params=params, train_points=pts_train, P_train=H,
-                           y=y, ref_lat=float(pts_train[:, 1].mean()))
+                           y=y)
 
     p = 40
     pts_pred = random_points(rng, p)

@@ -48,6 +48,7 @@ from stackgp.gp import (
     pairwise_planar_dist,
     plain_gp_predict,
 )
+from stackgp.stacking import fold_oof_gp, make_folds
 
 from conftest import build_joint_cov, matern1_cov
 
@@ -883,8 +884,7 @@ class TestStackedGpModel:
         beta = np.full(L, 1.0 / L)
         y = P @ beta + rng.normal(size=n) * 0.3
         prm = params_of(kappa=2.0, tau=1.0, sigma_e2=sigma_e2, phi=0.4, beta=beta)
-        return StackedGpModel(params=prm, train_points=pts, P_train=P, y=y,
-                              ref_lat=float(pts[:, 1].mean())), rng
+        return StackedGpModel(params=prm, train_points=pts, P_train=P, y=y), rng
 
     def test_round_trip(self):
         model, rng = self.make_model()
@@ -895,6 +895,33 @@ class TestStackedGpModel:
         b = gp_stacked_predict(clone, P_new, pts_new)
         np.testing.assert_array_equal(a.mu_star, b.mu_star)
         np.testing.assert_array_equal(a.sigma_star, b.sigma_star)
+
+    def test_ref_lat_is_the_training_points_mean_latitude_not_an_argument(self):
+        model, _ = self.make_model()
+        assert model.ref_lat == float(model.train_points[:, 1].mean())
+        assert model.to_dict()["ref_lat"] == model.ref_lat
+        with pytest.raises(TypeError, match="ref_lat"):
+            StackedGpModel(params=model.params, train_points=model.train_points,
+                           P_train=model.P_train, y=model.y, ref_lat=0.0)
+
+    @pytest.mark.parametrize("stored", [lambda lat: None, lambda lat: "x", lambda lat: True,
+                                        lambda lat: 0.0, lambda lat: lat + 1e-9])
+    def test_stored_ref_lat_must_be_the_training_points_mean_latitude(self, stored):
+        model, _ = self.make_model()
+        d = model.to_dict()
+        d["ref_lat"] = model.ref_lat * (1 + 1e-15)     # last-digit noise is tolerated
+        assert StackedGpModel.from_dict(d).ref_lat == model.ref_lat
+        d["ref_lat"] = stored(model.ref_lat)
+        with pytest.raises(DataError, match="mean latitude"):
+            StackedGpModel.from_dict(d)
+
+    @pytest.mark.parametrize("field", ["y", "P_train", "train_points"])
+    def test_non_finite_array_is_refused(self, field):
+        model, _ = self.make_model()
+        d = model.to_dict()
+        d[field][3] = np.inf if field == "y" else [np.nan] * len(d[field][3])
+        with pytest.raises(DataError, match=f"{field} holds a non-finite value"):
+            StackedGpModel.from_dict(d)
 
     def test_column_count_schema_error(self):
         model, rng = self.make_model()
@@ -931,8 +958,7 @@ class TestStackedGpModel:
         outs = []
         for beta in ([0.5, 0.5], [0.9, 0.1]):
             prm = params_of(beta=beta)
-            model = StackedGpModel(params=prm, train_points=pts, P_train=P,
-                                   y=y, ref_lat=float(pts[:, 1].mean()))
+            model = StackedGpModel(params=prm, train_points=pts, P_train=P, y=y)
             pts_new = random_points(np.random.default_rng(21), 5)
             P_new_col = np.random.default_rng(22).normal(size=5)
             P_new = np.column_stack([P_new_col, P_new_col])
@@ -973,6 +999,29 @@ class TestPlainGpModel:
         np.testing.assert_array_equal(a.mu_star, b.mu_star)
         np.testing.assert_array_equal(a.sigma_star, b.sigma_star)
 
+    def fitted(self):
+        rng = np.random.default_rng(25)
+        pts = random_points(rng, 20)
+        X = rng.normal(size=(20, 2))
+        return fit_gp_linear_mean(X[:, 0], X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                          "sigma_e2": 0.5, "phi": 0.0})
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d.update(mean_state=[1, 2]), "mean_state must be a mapping"),
+        (lambda d: d["y"].__setitem__(0, np.nan), "y holds a non-finite"),
+        (lambda d: d["X_train"][0].__setitem__(1, np.inf), "X_train holds a non-finite"),
+        (lambda d: d["mean_state"]["coef"].__setitem__(0, np.nan), "coef holds a non-finite"),
+        (lambda d: d["mean_state"]["x_sd"].__setitem__(0, 0.0), "mean_train holds a non-finite"),
+        (lambda d: d["mean_state"]["coef"].__setitem__(2, 1e308), "mean_train holds a non-finite"),
+        (lambda d: d.update(ref_lat=d["ref_lat"] + 0.5), "mean latitude"),
+    ], ids=["mean_state-list", "y", "X_train", "coef", "x_sd-zero", "coef-overflow", "ref_lat"])
+    def test_damaged_model_is_refused(self, edit, match):
+        d = self.fitted().to_dict()
+        PlainGpModel.from_dict(d)
+        edit(d)
+        with pytest.raises(DataError, match=match):
+            PlainGpModel.from_dict(d)
+
     def test_prediction_schema_errors(self):
         rng = np.random.default_rng(24)
         pts = random_points(rng, 20)
@@ -984,6 +1033,42 @@ class TestPlainGpModel:
             plain_gp_predict(model, np.ones((3, 5)), random_points(rng, 3))
         with pytest.raises(DataError):
             plain_gp_predict(model, np.ones((3, 2)), random_points(rng, 4))
+
+
+class TestOneFactorOfS:
+    """S = K + sigma_e2 I is formed and factored in one function, gp._factor_s."""
+
+    def test_every_gp_path_factors_s_through_one_function(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        n = 24
+        pts = random_points(rng, n)
+        X = rng.normal(size=(n, 2))
+        y = X @ [0.6, 0.4] + rng.normal(size=n) * 0.3
+        stacked = StackedGpModel(params=params_of(beta=(0.5, 0.5)), train_points=pts,
+                                 P_train=X, y=y)
+        plain = fit_gp_linear_mean(y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                     "sigma_e2": 0.5, "phi": 0.0})
+        # every Cholesky of a GP path goes through the jitter ladder; each must come
+        # from _factor_s
+        calls = {"_factor_s": 0, "_chol_with_jitter": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(gp, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(gp, name, counting)
+        paths = {
+            "fit_hyperparams": lambda: fit_hyperparams(y, X, pts, restarts=1, max_iter=3),
+            "fit_gp_linear_mean": lambda: fit_gp_linear_mean(y, X, pts, restarts=1, max_iter=3),
+            "fold_oof_gp": lambda: fold_oof_gp(stacked, X @ stacked.params.beta,
+                                               make_folds(n, 4, seed=3)),
+            "gp_stacked_predict": lambda: gp_stacked_predict(stacked, X[:5], pts[:5]),
+            "plain_gp_predict": lambda: plain_gp_predict(plain, X[:5], pts[:5]),
+        }
+        for name, run in paths.items():
+            calls.update(dict.fromkeys(calls, 0))
+            run()
+            assert calls["_factor_s"] > 0, name
+            assert calls["_factor_s"] == calls["_chol_with_jitter"], (name, calls)
 
 
 class TestPredictOverMonths:
@@ -1006,8 +1091,7 @@ class TestPredictOverMonths:
         P = rng.normal(size=(len(train), 2))
         prm = params_of(kappa=3.0, tau=0.7, sigma_e2=0.2, phi=0.6, beta=(0.3, 0.7))
         model = StackedGpModel(params=prm, train_points=train, P_train=P,
-                               y=P @ prm.beta + rng.normal(size=len(train)) * 0.3,
-                               ref_lat=float(train[:, 1].mean()))
+                               y=P @ prm.beta + rng.normal(size=len(train)) * 0.3)
         P_pred = rng.normal(size=(len(pred), 2))
         return (gp_stacked_predict, model, P_pred,
                 model.P_train @ prm.beta, P_pred @ prm.beta)
@@ -1018,8 +1102,7 @@ class TestPredictOverMonths:
                  "coef": np.array([0.3, 1.0, -0.5])}
         model = PlainGpModel(params=params_of(kappa=3.0, tau=0.7, sigma_e2=0.2, phi=-0.5),
                              mean_state=state, train_points=train, X_train=X,
-                             y=X[:, 0] + rng.normal(size=len(train)) * 0.3,
-                             ref_lat=float(train[:, 1].mean()))
+                             y=X[:, 0] + rng.normal(size=len(train)) * 0.3)
         X_pred = rng.normal(size=(len(pred), 2))
         return plain_gp_predict, model, X_pred, linear_mean(state, X), linear_mean(state, X_pred)
 
@@ -1087,8 +1170,7 @@ class TestPredictMemory:
         pts = random_points(rng, self.N_TRAIN)
         P = rng.normal(size=(self.N_TRAIN, 2))
         model = StackedGpModel(params=params_of(kappa=2.0, phi=0.4, beta=(0.5, 0.5)),
-                               train_points=pts, P_train=P, y=P.mean(axis=1),
-                               ref_lat=float(pts[:, 1].mean()))
+                               train_points=pts, P_train=P, y=P.mean(axis=1))
         return gp_stacked_predict, model, rng.normal(size=(self.N_CELLS, 2))
 
     def plain(self, rng):
@@ -1097,8 +1179,7 @@ class TestPredictMemory:
         model = PlainGpModel(params=params_of(kappa=2.0, phi=0.4),
                              mean_state={"x_mean": np.zeros(2), "x_sd": np.ones(2),
                                          "coef": np.array([0.1, 1.0, -0.5])},
-                             train_points=pts, X_train=X, y=X[:, 0],
-                             ref_lat=float(pts[:, 1].mean()))
+                             train_points=pts, X_train=X, y=X[:, 0])
         return plain_gp_predict, model, rng.normal(size=(self.N_CELLS, 2))
 
     @pytest.mark.parametrize("build", ["stacked", "plain"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stackgp.errors import DataError
-from stackgp.learners import LearnerSpec, fit_learner
+from stackgp.learners import LearnerModel, LearnerSpec, fit_learner
 from stackgp.learners.boosting import GbtModel, fit_gbt
 from stackgp.learners.forest import ForestModel, fit_rf
 from stackgp.learners.trees import GAIN_EPS, RegressionTree, grow_tree
@@ -257,6 +257,50 @@ class TestTreeChecks:
         with pytest.raises(DataError, match="left must be a list of integers"):
             RegressionTree(**{**{k: np.asarray(v) for k, v in STUMP.items()},
                               "left": np.array([1.0, -1.0, -1.0])})
+
+
+# the root sends a row of zeros left, to a leaf, so it never reaches the split on column 1
+DEEP = {"feature": [0, -1, 1, -1, -1], "threshold": [-0.5, 0.0, 0.5, 0.0, 0.0],
+        "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
+        "value": [0.0, -1.0, 0.0, 1.0, 2.0]}
+LAYOUT = [[f"c{j}", 0, "static"] for j in range(3)]
+
+
+def gbt_state(*col_subsets, tree=DEEP):
+    return {"base": 0.0, "learning_rate": 0.1, "trees": [tree] * len(col_subsets),
+            "col_subsets": [list(cols) for cols in col_subsets]}
+
+
+class TestTreeLayoutChecks:
+    """A split on a column past the learner's columns is refused at load, reached or not."""
+
+    def test_gbt_split_past_its_column_subset_is_refused(self):
+        assert GbtModel.from_state(gbt_state([0, 2])).n_features == 3
+        with pytest.raises(DataError, match=r"gbt tree 1 splits on column 1 of .* \[2\]"):
+            GbtModel.from_state(gbt_state([0, 1], [2]))
+
+    @pytest.mark.parametrize("cols, match", [
+        ([-1, 0], "negative column"), ([0.5, 1], "integers"), ([True, 1], "integers")])
+    def test_gbt_bad_column_subset_is_refused(self, cols, match):
+        with pytest.raises(DataError, match=match):
+            GbtModel.from_state(gbt_state(cols))
+
+    def test_gbt_needs_one_column_subset_per_tree(self):
+        state = gbt_state([0, 1])
+        state["col_subsets"].append([0, 1])
+        with pytest.raises(DataError, match="1 trees but 2 column subsets"):
+            GbtModel.from_state(state)
+
+    @pytest.mark.parametrize("kind, state", [
+        ("gbt", gbt_state([0, 3])),
+        ("rf", {"trees": [{**DEEP, "feature": [0, -1, 3, -1, -1]}]}),
+    ])
+    def test_split_past_the_layout_is_refused_at_load(self, kind, state):
+        # a zero-row probe predicts fine: the split on column 3 is never reached
+        model = {"gbt": GbtModel, "rf": ForestModel}[kind].from_state(state)
+        assert np.isfinite(model.predict(np.zeros((1, 4)))).all()
+        with pytest.raises(DataError, match="does not predict from its 3 columns"):
+            LearnerModel.from_dict({"spec": {"kind": kind}, "state": state, "columns": LAYOUT})
 
 
 class TestGbt:

@@ -5,7 +5,8 @@ import pytest
 
 from stackgp.cwm import SimplexWeights, cwm_predict
 from stackgp.errors import ConfigError, DataError
-from stackgp.gp import GpHyperParams, cov_block, gp_condition_dense, gp_stacked_predict
+from stackgp.gp import (GpHyperParams, StackedGpModel, cov_block, gp_condition_dense,
+                        gp_stacked_predict)
 from stackgp.learners import LearnerSpec
 from stackgp.stacking import (
     CvResult,
@@ -352,7 +353,8 @@ class TestFoldOofGp:
         params = GpHyperParams(log_kappa=0.5, log_tau=0.0, sigma_e2=0.3,
                                phi=0.4, beta=np.array([1.0]))
         mean_all = np.full(15, y.mean())
-        oof = fold_oof_gp(y, mean_all, params, loc, plan)
+        model = StackedGpModel(params=params, train_points=loc, P_train=mean_all[:, None], y=y)
+        oof = fold_oof_gp(model, mean_all, plan)
         ref_lat = float(loc[:, 1].mean())
         K = cov_block(loc, loc, params, ref_lat)
         for j in range(3):
@@ -369,7 +371,8 @@ class TestFoldOofGp:
         plan = make_folds(14, 4, seed=20)
         params = GpHyperParams(log_kappa=0.0, log_tau=0.0, sigma_e2=0.5,
                                phi=0.0, beta=np.array([1.0]))
-        oof = fold_oof_gp(y, np.zeros(14), params, loc, plan)
+        model = StackedGpModel(params=params, train_points=loc, P_train=np.zeros((14, 1)), y=y)
+        oof = fold_oof_gp(model, np.zeros(14), plan)
         assert np.all(np.isfinite(oof))
 
 
@@ -446,8 +449,7 @@ class TestRepeatCvEvaluate:
         rows = [r for r in res.rows if r.method == "plain-gp"]
         assert [r.repeat for r in rows] == [0, 1, 2]
         for r, row in enumerate(rows):
-            oof = fold_oof_gp(y, linear_mean(plain.mean_state, X), plain.params, loc,
-                              make_folds(20, 4, 6, r))
+            oof = fold_oof_gp(plain, linear_mean(plain.mean_state, X), make_folds(20, 4, 6, r))
             assert (row.mse, row.mae) == (mse(oof, y), mae(oof, y))
 
     def test_fits_each_learner_once_per_fold_and_repeat(self, monkeypatch):
