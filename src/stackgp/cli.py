@@ -25,7 +25,7 @@ import numpy as np
 from .config import load_config, require, write_resolved
 from .cwm import cwm_predict
 from .dataset import assemble_design, build_prediction_grid, load_stack_manifest, load_surveys
-from .errors import ConfigError, DataError, StackGpError
+from .errors import ConfigError, DataError, NumericalError, SchemaError, StackGpError
 from .gp import fit_gp_linear_mean, gp_stacked_predict, plain_gp_predict, PlainGpModel
 from .learners import LearnerSpec
 from .metrics import ambiguity_decomposition, mae, mse, pearson_flagged
@@ -143,7 +143,12 @@ def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
 
     # one grid over all months, so that each GP is conditioned once per command
     grid = build_prediction_grid(geometry, months, covariates)
-    mean, sd = _mean_sd(model, grid.design, grid.points)
+    try:
+        mean, sd = _mean_sd(model, grid.design, grid.points)
+    except SchemaError as exc:      # a model that does not fit the covariate stack
+        raise SchemaError(f"{model_path}: {exc}") from exc
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise NumericalError(f"{model_path}: a predicted mean or sd is not finite")
     # rows are formatted as they are written, so no list of every row is held
     rows = ([_fmt(lon), _fmt(lat), int(t), _fmt(m), _fmt(s)]
             for (lon, lat, t), m, s in zip(grid.points, mean, sd))
@@ -154,10 +159,12 @@ def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_cv(config: dict, seed: int, outdir: Path) -> None:
-    specs = _learner_specs(config)
+    section, specs = config.get("stacking", {}), _learner_specs(config)
+    # the stacking section as fit checks it, before any data file is read
+    check_stack(section.get("design", 1), specs, section.get("level1"), section.get("gp_variants"))
     X, y, points = _load_training(config)
     # the cv keys (repeats, region, methods) are repeat_cv_evaluate's arguments
-    result = repeat_cv_evaluate(X, y, points, specs, v=config.get("stacking", {}).get("v", 5),
+    result = repeat_cv_evaluate(X, y, points, specs, v=section.get("v", 5),
                                 seed=seed, gp_options=config.get("gp", {}),
                                 **config.get("cv", {}))
 

@@ -31,6 +31,10 @@ months. The conditioning reads the cross-covariance in column blocks of
 about BLOCK_ENTRIES entries, so for n training points predict memory is
 O(n x sites + n x block + points), not O(n x points).
 
+The stacked and the plain GP are one fitted model (_FittedGp, one predict
+function) that differ only in their mean: beta-weighted level-0 predictions,
+or a GLS linear mean whose training-row values the model holds (mean_train).
+
 scipy is imported on first use, name by name (_LAZY): importing this module
 loads none of it, a prediction loads scipy.linalg and scipy.special, and only
 a hyperparameter fit loads scipy.optimize. Commands that run no GP therefore
@@ -594,7 +598,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     the likelihood, so the simplex machinery never sees them; by the envelope
     theorem the profiled gradient is the gradient at the GLS mean. The returned
     model's params have beta = [1]; its mean_state holds the standardisation
-    and coefficients for `linear_mean`.
+    and coefficients of its mean (PlainGpModel.mean).
     """
     y, X, pts = _fit_inputs("fit_gp_linear_mean", y, X, points, "X (n x p)")
     kernel = _train_kernel(pts)
@@ -627,13 +631,6 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     coef = gls_coef(kernel(params)[0], params.sigma_e2)
     mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
     return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X, y=y)
-
-
-def linear_mean(mean_state: dict, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Z = (X - mean_state["x_mean"]) / mean_state["x_sd"]
-    coef = mean_state["coef"]
-    return coef[0] + Z @ coef[1:]
 
 
 # Entries of one n x b block of the prediction cross-covariance; see _block_width.
@@ -685,21 +682,6 @@ def _cross_blocks(model, pred_points):
     return blocks()
 
 
-def _predict_marginals(model, mean_train, mean_pred, pred_points) -> GpPosterior:
-    """Condition a fitted GP on its training data; marginal mean and variance at pred_points.
-
-    One conditioning covers every point, whatever months they span. It reads
-    the cross-covariance in column blocks (_cross_blocks), so memory is
-    O(n x sites + n x block + points) for n training points. Every point's
-    prior variance is k(0) * phi^0 = 1/tau, so no p x p prior block is built.
-    """
-    prm = model.params
-    K_train = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
-    return gp_condition_dense(model.y, mean_train, mean_pred, K_train,
-                              _cross_blocks(model, pred_points),
-                              np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
-
-
 def _check_arrays(owner: str, **expected) -> None:
     """Raise a DataError naming the first field whose shape is not the expected one,
     or that holds a NaN or an infinity.
@@ -713,18 +695,64 @@ def _check_arrays(owner: str, **expected) -> None:
             raise DataError(f"{owner}: {name} holds a non-finite value")
 
 
-def _check_ref_lat(model, d: dict):
-    """model, once the ref_lat stored in its file d is its training points' mean latitude."""
-    stored = d["ref_lat"]
-    if not (finite_real(stored)
-            and math.isclose(stored, model.ref_lat, rel_tol=1e-12, abs_tol=1e-12)):
-        raise DataError(f"ref_lat {stored!r} is not the training points' mean latitude "
-                        f"{model.ref_lat!r}")
-    return model
+def _each(value, convert):
+    """convert(value), or a mapping (a plain GP's mean_state) converted value by value."""
+    return {k: convert(v) for k, v in value.items()} if isinstance(value, dict) else convert(value)
 
 
 @dataclass
-class StackedGpModel:
+class _FittedGp:
+    """A fitted GP over its training data; the kinds differ only in their mean.
+
+    A kind declares its arrays (FILE_KEYS in file order, shapes from _arrays),
+    the design matrix of its training rows (DESIGN) and _mean over a design
+    matrix. ref_lat and mean_train, the mean at the training rows, are derived.
+    """
+
+    params: GpHyperParams
+    train_points: np.ndarray
+    y: np.ndarray
+    ref_lat: float = field(init=False)      # train_points' mean latitude, never passed
+    mean_train: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
+        _check_arrays(self.KIND, y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
+                      **self._arrays(n))
+        with np.errstate(all="ignore"):     # an overflowing mean is refused just below
+            self.mean_train = self.mean(getattr(self, self.DESIGN))
+        _check_arrays(self.KIND, mean_train=(self.mean_train, (n,)))
+        self.ref_lat = _ref_lat(self.train_points)
+
+    def mean(self, design) -> np.ndarray:
+        """The GP mean at the rows of design, whose columns must be DESIGN's."""
+        design = np.asarray(design, dtype=float)
+        width = np.shape(getattr(self, self.DESIGN))[1]
+        if design.ndim != 2 or design.shape[1] != width:
+            raise SchemaError(f"{self.DESIGN_NAME} must have {width} columns, got {design.shape}")
+        return self._mean(design)
+
+    def to_dict(self) -> dict:
+        return {"params": self.params.to_dict(),
+                **{k: _each(getattr(self, k), lambda v: np.asarray(v).tolist())
+                   for k in self.FILE_KEYS}, "ref_lat": self.ref_lat}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The model in file d, once its stored ref_lat is its training points' mean latitude."""
+        model = cls(params=GpHyperParams.from_dict(d["params"]),
+                    **{k: _each(d[k], lambda v: np.asarray(v, dtype=float))
+                       for k in cls.FILE_KEYS})
+        stored = d["ref_lat"]
+        if not (finite_real(stored)
+                and math.isclose(stored, model.ref_lat, rel_tol=1e-12, abs_tol=1e-12)):
+            raise DataError(f"ref_lat {stored!r} is not the training points' mean latitude "
+                            f"{model.ref_lat!r}")
+        return model
+
+
+@dataclass
+class StackedGpModel(_FittedGp):
     """A fitted level-1 GP bound to full-fit level-0 predictions.
 
     Hyperparameters (including beta) come from fitting against the
@@ -732,100 +760,63 @@ class StackedGpModel:
     P at training points without refitting anything.
     """
 
-    params: GpHyperParams
-    train_points: np.ndarray
     P_train: np.ndarray
-    y: np.ndarray
-    ref_lat: float = field(init=False)     # train_points' mean latitude, never passed
+    KIND, DESIGN, DESIGN_NAME = "stacked GP", "P_train", "level-0 prediction matrix"
+    FILE_KEYS = ("train_points", "P_train", "y")
 
-    def __post_init__(self):
-        n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
-        _check_arrays("stacked GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
-                      P_train=(self.P_train, (n, self.params.beta.size)))
-        self.ref_lat = _ref_lat(self.train_points)
+    def _arrays(self, n: int) -> dict:
+        return {"P_train": (self.P_train, (n, self.params.beta.size))}
 
-    def to_dict(self) -> dict:
-        return {"params": self.params.to_dict(),
-                "train_points": self.train_points.tolist(),
-                "P_train": self.P_train.tolist(),
-                "y": self.y.tolist(),
-                "ref_lat": self.ref_lat}
+    def _mean(self, P) -> np.ndarray:
+        return P @ self.params.beta
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StackedGpModel":
-        return _check_ref_lat(cls(params=GpHyperParams.from_dict(d["params"]),
-                                  train_points=np.asarray(d["train_points"], dtype=float),
-                                  P_train=np.asarray(d["P_train"], dtype=float),
-                                  y=np.asarray(d["y"], dtype=float)), d)
+
+@dataclass
+class PlainGpModel(_FittedGp):
+    """Baseline GP with a GLS-profiled linear mean on standardised covariates."""
+
+    mean_state: dict
+    X_train: np.ndarray
+    KIND, DESIGN, DESIGN_NAME = "plain GP", "X_train", "covariate matrix"
+    FILE_KEYS = ("mean_state", "train_points", "X_train", "y")
+
+    def _arrays(self, n: int) -> dict:
+        state = self.mean_state
+        if not isinstance(state, dict):
+            raise DataError(f"plain GP: mean_state must be a mapping, got {state!r}")
+        m = np.shape(self.X_train)[1] if np.ndim(self.X_train) == 2 else -1
+        return {"X_train": (self.X_train, (n, m)), "x_mean": (state.get("x_mean"), (m,)),
+                "x_sd": (state.get("x_sd"), (m,)), "coef": (state.get("coef"), (m + 1,))}
+
+    def _mean(self, X) -> np.ndarray:
+        state = self.mean_state
+        return state["coef"][0] + (X - state["x_mean"]) / state["x_sd"] @ state["coef"][1:]
+
+
+def _gp_predict(model: _FittedGp, design, pred_points) -> GpPosterior:
+    """Condition a fitted GP on its data; marginal mean and variance at pred_points,
+    the rows of design.
+
+    One conditioning covers every month. It reads the cross-covariance in
+    column blocks (_cross_blocks), so memory is O(n x sites + n x block +
+    points); every prior variance is k(0) * phi^0 = 1/tau, so no p x p block.
+    """
+    mean_pred = model.mean(design)
+    pred_points = np.asarray(pred_points, dtype=float)
+    if len(mean_pred) != len(pred_points):
+        raise DataError(f"{model.DESIGN_NAME} rows must match pred_points rows")
+    prm = model.params
+    K_train = cov_block(model.train_points, model.train_points, prm, model.ref_lat)
+    return gp_condition_dense(model.y, model.mean_train, mean_pred, K_train,
+                              _cross_blocks(model, pred_points),
+                              np.full(len(pred_points), 1.0 / prm.tau), prm.sigma_e2)
 
 
 def gp_stacked_predict(model: StackedGpModel, P_pred, pred_points) -> GpPosterior:
     """Predict at new points given their level-0 predictions P_pred."""
-    P_pred = np.asarray(P_pred, dtype=float)
-    L = model.params.beta.size
-    if P_pred.ndim != 2 or P_pred.shape[1] != L:
-        raise SchemaError(f"level-0 prediction matrix must have {L} columns, "
-                          f"got {P_pred.shape}")
-    pred_points = np.asarray(pred_points, dtype=float)
-    if P_pred.shape[0] != pred_points.shape[0]:
-        raise DataError("P_pred rows must match pred_points rows")
-    return _predict_marginals(model, model.P_train @ model.params.beta,
-                              P_pred @ model.params.beta, pred_points)
-
-
-@dataclass
-class PlainGpModel:
-    """Baseline GP with a GLS-profiled linear mean, ready for prediction."""
-
-    params: GpHyperParams
-    mean_state: dict
-    train_points: np.ndarray
-    X_train: np.ndarray
-    y: np.ndarray
-    ref_lat: float = field(init=False)     # train_points' mean latitude, never passed
-
-    def __post_init__(self):
-        state = self.mean_state
-        if not isinstance(state, dict):
-            raise DataError(f"plain GP: mean_state must be a mapping, got {state!r}")
-        n = len(self.train_points) if np.ndim(self.train_points) == 2 else -1
-        m = np.shape(self.X_train)[1] if np.ndim(self.X_train) == 2 else -1
-        _check_arrays("plain GP", y=(self.y, (n,)), train_points=(self.train_points, (n, 3)),
-                      X_train=(self.X_train, (n, m)), x_mean=(state.get("x_mean"), (m,)),
-                      x_sd=(state.get("x_sd"), (m,)), coef=(state.get("coef"), (m + 1,)))
-        with np.errstate(all="ignore"):     # an overflowing mean is refused just below
-            mean_train = linear_mean(state, self.X_train)
-        _check_arrays("plain GP", mean_train=(mean_train, (n,)))
-        self.ref_lat = _ref_lat(self.train_points)
-
-    def to_dict(self) -> dict:
-        return {"params": self.params.to_dict(),
-                "mean_state": {k: np.asarray(v).tolist()
-                               for k, v in self.mean_state.items()},
-                "train_points": self.train_points.tolist(),
-                "X_train": self.X_train.tolist(),
-                "y": self.y.tolist(),
-                "ref_lat": self.ref_lat}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlainGpModel":
-        state = d["mean_state"]
-        if isinstance(state, dict):
-            state = {k: np.asarray(v, dtype=float) for k, v in state.items()}
-        return _check_ref_lat(cls(params=GpHyperParams.from_dict(d["params"]), mean_state=state,
-                                  train_points=np.asarray(d["train_points"], dtype=float),
-                                  X_train=np.asarray(d["X_train"], dtype=float),
-                                  y=np.asarray(d["y"], dtype=float)), d)
+    return _gp_predict(model, P_pred, pred_points)
 
 
 def plain_gp_predict(model: PlainGpModel, X_pred, pred_points) -> GpPosterior:
     """Predict the plain-GP baseline at new points with their covariates."""
-    X_pred = np.asarray(X_pred, dtype=float)
-    if X_pred.ndim != 2 or X_pred.shape[1] != model.X_train.shape[1]:
-        raise SchemaError(f"covariate matrix must have {model.X_train.shape[1]} columns, "
-                          f"got {X_pred.shape}")
-    pred_points = np.asarray(pred_points, dtype=float)
-    if X_pred.shape[0] != pred_points.shape[0]:
-        raise DataError("X_pred rows must match pred_points rows")
-    return _predict_marginals(model, linear_mean(model.mean_state, model.X_train),
-                              linear_mean(model.mean_state, X_pred), pred_points)
+    return _gp_predict(model, X_pred, pred_points)

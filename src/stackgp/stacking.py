@@ -32,7 +32,7 @@ from .cwm import SimplexWeights, cwm_predict, fit_cwm
 from .dataset import CovariateMatrix
 from .errors import ConfigError, DataError, SchemaError, StackGpError
 from .gp import (StackedGpModel, check_fixed, check_gp_options, cov_block, fit_gp_linear_mean,
-                 fit_hyperparams, gp_condition_dense, gp_stacked_predict, linear_mean)
+                 fit_hyperparams, gp_condition_dense, gp_stacked_predict)
 from .learners import LearnerModel, LearnerSpec, fit_learner
 from .metrics import mae, mse, pearson_flagged
 
@@ -394,7 +394,6 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
 
     if CV_METHOD_PLAIN in methods:
         plain = fit_gp_linear_mean(y, X, points, **plain_options)
-        plain_mean = linear_mean(plain.mean_state, X)
     for r in range(repeats):
         plan = make_folds(len(y), v, seed, repeat_index=r)
         H = run_level0(X, y, specs, plan)
@@ -407,8 +406,8 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
         if CV_METHOD_GP in methods:
             params = fit_hyperparams(y, H, points, **gp_options)
             model = StackedGpModel(params=params, train_points=points, P_train=H, y=y)
-            score(CV_METHOD_GP, r, fold_oof_gp(model, H @ params.beta, plan))
+            score(CV_METHOD_GP, r, fold_oof_gp(model, model.mean_train, plan))
         if CV_METHOD_PLAIN in methods:
-            score(CV_METHOD_PLAIN, r, fold_oof_gp(plain, plain_mean, plan))
+            score(CV_METHOD_PLAIN, r, fold_oof_gp(plain, plain.mean_train, plan))
     result.summary = _summarise(result.rows, region)
     return result

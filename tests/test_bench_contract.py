@@ -31,6 +31,13 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         assert callable(target), f"{module}.{attr} is not a callable"
 
 
+def test_the_two_gp_predict_targets_are_distinct_functions():
+    # spans.install wraps each TARGETS entry wherever its function object is
+    # bound; were one predict an alias of the other, both entries would wrap
+    # it and one call would record two gp.predict spans
+    assert gp.gp_stacked_predict is not gp.plain_gp_predict
+
+
 def test_bench_span_binding_check_passes(monkeypatch):
     # the check `pytest bench` runs: a src refactor that drops a caller's
     # `from .x import y` binding (say stackgp.cli.gp_stacked_predict) fails here

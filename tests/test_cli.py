@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,20 @@ class TestFitAndPredict:
         assert "learner 'enet'" in err
         assert not (tmp_path / "predictions.csv").exists()
 
+    def test_non_finite_prediction_exits_4_naming_the_file(self, scenario, cwm_fit, tmp_path,
+                                                          capsys):
+        # finite but huge: X @ coef overflows for some cells, which wrote inf and nan rows
+        path = self.edited_model(cwm_fit, tmp_path,
+                                 lambda m: m["state"]["coef"].__setitem__(0, 1e308))
+        # the command's own warning filters, not the suite's error::RuntimeWarning, under
+        # which the overflow would exit 1
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert self.predict_into(scenario, path, tmp_path) == 4
+        err = capsys.readouterr().err
+        assert f"category=numerical: {path}: a predicted mean or sd is not finite" in err, err
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_cyclic_tree_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path):
         # the root as its own left child: predict looped forever on this file
         path = self.edited_model(cwm_fit, tmp_path,
@@ -610,6 +625,24 @@ class TestCv:
         assert main(["cv", "--config", str(cfg), "--seed", "1"]) == 2
         assert "cwm-stack" in capsys.readouterr().err
         assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("stacking, key", [
+        ({"design": 3, "level1": "cwm", "gp_variants": [{"phi": 0.0}]}, "stacking.level1"),
+        ({"design": 3, "gp_variants": [{"phi": 0.0}]}, "design 3 takes exactly one learner"),
+        ({"design": 2, "gp_variants": [{}]}, "stacking.gp_variants"),
+    ], ids=["level1-in-design-3", "design-3-roster", "gp_variants-in-design-2"])
+    def test_stacking_section_that_fit_refuses_exits_2_before_reading_data(
+            self, tmp_path, capsys, stacking, key):
+        # the data files do not exist: a check after reading them would exit 3
+        cfg = write_yaml(tmp_path / "cv.yaml", {
+            "data": {"surveys": str(tmp_path / "missing.csv"),
+                     "stack": str(tmp_path / "missing.yaml")},
+            "stacking": {**stacking, "learners": [{"kind": "enet"}, {"kind": "mars"}]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["cv", "--config", str(cfg), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "category=config" in err and key in err, err
 
 
 class TestDecompose:

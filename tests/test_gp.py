@@ -42,7 +42,6 @@ from stackgp.gp import (
     fit_hyperparams,
     gp_condition_dense,
     gp_stacked_predict,
-    linear_mean,
     log_marginal_likelihood,
     matern1_matrix,
     pairwise_planar_dist,
@@ -830,8 +829,7 @@ class TestLinearMeanGp:
         model = fit_gp_linear_mean(
             y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
                               "sigma_e2": 1.0, "phi": 0.0})
-        fitted = linear_mean(model.mean_state, X)
-        np.testing.assert_allclose(fitted, y, atol=1e-8)
+        np.testing.assert_allclose(model.mean_train, y, atol=1e-8)
 
     def test_beta_always_single_one(self):
         rng = np.random.default_rng(18)
@@ -1071,6 +1069,35 @@ class TestOneFactorOfS:
             assert calls["_factor_s"] == calls["_chol_with_jitter"], (name, calls)
 
 
+class TestOnePredictFunction:
+    """The stacked and the plain GP predict through one function, gp._gp_predict."""
+
+    def test_each_predict_reaches_the_shared_function_once_per_call(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        n = 24
+        pts = random_points(rng, n)
+        X = rng.normal(size=(n, 2))
+        y = X @ [0.6, 0.4] + rng.normal(size=n) * 0.3
+        stacked = StackedGpModel(params=params_of(beta=(0.5, 0.5)), train_points=pts,
+                                 P_train=X, y=y)
+        plain = fit_gp_linear_mean(y, X, pts, fixed={"log_kappa": 0.0, "log_tau": 0.0,
+                                                     "sigma_e2": 0.5, "phi": 0.0})
+        calls = []
+
+        def counting(model, *args, _real=gp._gp_predict):
+            calls.append(model)
+            return _real(model, *args)
+        monkeypatch.setattr(gp, "_gp_predict", counting)
+        for predict, model in ((gp_stacked_predict, stacked), (plain_gp_predict, plain)):
+            calls.clear()
+            post = predict(model, X[:5], pts[:5])
+            assert calls == [model], predict.__name__
+            assert post.mu_star.shape == (5,)
+        # the mean at the training rows is the model's own, computed once on construction
+        np.testing.assert_array_equal(stacked.mean_train, X @ stacked.params.beta)
+        np.testing.assert_array_equal(plain.mean_train, plain.mean(X))
+
+
 class TestPredictOverMonths:
     """One conditioning over a lattice at several months equals the hand-assembled one."""
 
@@ -1104,7 +1131,9 @@ class TestPredictOverMonths:
                              mean_state=state, train_points=train, X_train=X,
                              y=X[:, 0] + rng.normal(size=len(train)) * 0.3)
         X_pred = rng.normal(size=(len(pred), 2))
-        return plain_gp_predict, model, X_pred, linear_mean(state, X), linear_mean(state, X_pred)
+        def linear(X):
+            return state["coef"][0] + (X - state["x_mean"]) / state["x_sd"] @ state["coef"][1:]
+        return plain_gp_predict, model, X_pred, linear(X), linear(X_pred)
 
     def predict_counted(self, predict, model, inputs, pred, monkeypatch):
         """predict(model, inputs, pred) and the Matern entries it evaluated."""

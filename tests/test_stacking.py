@@ -435,7 +435,6 @@ class TestRepeatCvEvaluate:
 
     def test_plain_gp_fitted_once_per_call(self, monkeypatch):
         import stackgp.stacking as stacking
-        from stackgp.gp import linear_mean
         from stackgp.metrics import mae, mse
         fit, fits = stacking.fit_gp_linear_mean, []
         monkeypatch.setattr(stacking, "fit_gp_linear_mean",
@@ -449,7 +448,7 @@ class TestRepeatCvEvaluate:
         rows = [r for r in res.rows if r.method == "plain-gp"]
         assert [r.repeat for r in rows] == [0, 1, 2]
         for r, row in enumerate(rows):
-            oof = fold_oof_gp(plain, linear_mean(plain.mean_state, X), make_folds(20, 4, 6, r))
+            oof = fold_oof_gp(plain, plain.mean_train, make_folds(20, 4, 6, r))
             assert (row.mse, row.mae) == (mse(oof, y), mae(oof, y))
 
     def test_fits_each_learner_once_per_fold_and_repeat(self, monkeypatch):
