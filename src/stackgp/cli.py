@@ -145,8 +145,8 @@ def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
     grid = build_prediction_grid(geometry, months, covariates)
     try:
         mean, sd = _mean_sd(model, grid.design, grid.points)
-    except SchemaError as exc:      # a model that does not fit the covariate stack
-        raise SchemaError(f"{model_path}: {exc}") from exc
+    except (SchemaError, NumericalError) as exc:    # a model that fails on the covariate stack
+        raise type(exc)(f"{model_path}: {exc}") from exc
     if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
         raise NumericalError(f"{model_path}: a predicted mean or sd is not finite")
     # rows are formatted as they are written, so no list of every row is held

@@ -5,8 +5,9 @@ at every level it owns: unknown top-level keys, unknown keys inside any known
 section and every plain value that fails its check in KEYS are configuration
 errors, raised when the config loads, before any input file is read. Keys
 whose values are domain objects (learner specs, GP overrides, scenario
-fields) are checked by the code that uses them. The value predicates here
-are shared with the learner and scenario schemas.
+fields) are checked by the code that uses them. They share the value
+predicates here and check_keys, the one check of a mapping's keys: it refuses
+a non-mapping and names every unknown key as text, an integer key too.
 
 ``--set a.b.c=value`` overrides parse the value as YAML, so ``v=10`` is an
 int, ``months=[6,7]`` a list, and ``region=north`` a string. Every command
@@ -50,11 +51,11 @@ def finite_real(v) -> bool:
 
 
 def positive_real(v) -> bool:
-    return real(v) and v > 0
+    return finite_real(v) and v > 0
 
 
 def non_negative_real(v) -> bool:
-    return real(v) and v >= 0
+    return finite_real(v) and v >= 0
 
 
 def fraction(v) -> bool:
@@ -120,23 +121,23 @@ YamlLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"""^[-+]
     |[0-9]+[eE][-+]?[0-9]+)$""", re.X), list("-+0123456789."))
 
 
+def check_keys(where: str, given, allowed) -> dict:
+    """given, once it is a mapping with no key outside allowed; where names it in errors."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a mapping, got {given!r}")
+    unknown = sorted(map(str, given.keys() - set(allowed)))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; "
+                          f"valid keys are {sorted(map(str, allowed))}")
+    return given
+
+
 def validate_config(config: dict) -> dict:
     """Reject unknown keys, malformed sections and values failing KEYS; returns the config."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"config must be a mapping, got {type(config).__name__}")
-    unknown = sorted(set(config) - TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown}; valid keys are {sorted(TOP_KEYS)}")
+    check_keys("config", config, TOP_KEYS)
     for section, allowed in SECTION_KEYS.items():
-        if section not in config:
-            continue
-        body = config[section]
-        if not isinstance(body, dict):
-            raise ConfigError(f"section '{section}' must be a mapping")
-        bad = sorted(set(body) - allowed)
-        if bad:
-            raise ConfigError(f"section '{section}': unknown key(s) {bad}; "
-                              f"valid keys are {sorted(allowed)}")
+        if section in config:
+            check_keys(f"section '{section}'", config[section], allowed)
     for key, entry in KEYS.items():
         section, _, name = key.rpartition(".")
         body = config.get(section, {}) if section else config

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import finite_real
+from .config import check_keys, finite_real
 from .errors import ConfigError, DataError, NumericalError, SchemaError
 
 # scipy names this module imports on first use (PEP 562 __getattr__), so that
@@ -116,12 +116,7 @@ def check_fixed(fixed, width: int, where: str = "gp.fixed") -> dict:
     width is the number of mean-basis columns a pinned beta weights; where
     names the mapping in error messages.
     """
-    if not isinstance(fixed, dict):
-        raise ConfigError(f"{where} must be a mapping of parameter overrides, got {fixed!r}")
-    bad = sorted(set(fixed) - set(FIXABLE))
-    if bad:
-        raise ConfigError(f"{where}: cannot fix {bad}; allowed {list(FIXABLE)}")
-    for key, value in fixed.items():
+    for key, value in check_keys(where, fixed, FIXABLE).items():
         if key == "beta":
             items = value.tolist() if isinstance(value, np.ndarray) else value
             ok = (isinstance(items, (list, tuple)) and len(items) == width
@@ -147,12 +142,7 @@ def check_gp_options(gp_options, width: int) -> dict:
     Library fits call it before any level-0 fit, so that a misspelt option
     fails at once, not after every learner has been fitted.
     """
-    options = {} if gp_options is None else gp_options
-    if not isinstance(options, dict):
-        raise ConfigError(f"gp_options must be a mapping, got {gp_options!r}")
-    bad = sorted(map(str, set(options) - set(_GP_OPTIONS)))
-    if bad:
-        raise ConfigError(f"gp_options: unknown key(s) {bad}; valid keys are {list(_GP_OPTIONS)}")
+    options = check_keys("gp_options", {} if gp_options is None else gp_options, _GP_OPTIONS)
     return check_fixed(options.get("fixed", {}), width)
 
 

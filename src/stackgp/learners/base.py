@@ -1,6 +1,6 @@
 """Learner registry: specs, validation, fitting, and serialisation.
 
-A LearnerSpec is (kind, params). Params are validated strictly: unknown keys
+A LearnerSpec is (kind, params). Params are validated strictly: unknown params
 and out-of-range values are configuration errors, not warnings, so a typo in
 a run config fails before any compute happens. fit_learner dispatches to the
 per-kind fit functions and wraps the result with the design-column layout it
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import fraction, int_at_least, non_negative_real, optional, positive_real
+from ..config import (check_keys, fraction, int_at_least, non_negative_real, optional,
+                      positive_real)
 from ..dataset import ColumnInfo, CovariateMatrix
 from ..errors import ConfigError, DataError, SchemaError
 from .boosting import GbtModel, fit_gbt
@@ -86,15 +87,10 @@ class LearnerSpec:
             raise ConfigError(f"unknown learner kind {self.kind!r}, expected one of {sorted(PARAM_SCHEMAS)}")
         if not int_at_least(0)(self.seed):
             raise ConfigError(f"learner '{self.kind}': seed must be an unsigned integer, got {self.seed!r}")
-        if not isinstance(self.params, dict):
-            raise ConfigError(f"learner '{self.kind}': params must be a mapping, got {self.params!r}")
         if not isinstance(self.name, str):
             raise ConfigError(f"learner '{self.kind}': name must be a string, got {self.name!r}")
         schema = PARAM_SCHEMAS[self.kind]
-        unknown = sorted(set(self.params) - set(schema))
-        if unknown:
-            raise ConfigError(f"learner '{self.kind}': unknown parameter(s) {unknown}; "
-                              f"valid keys are {sorted(schema)}")
+        check_keys(f"learner '{self.kind}' params", self.params, schema)
         resolved = {}
         for key, (default, check, description) in schema.items():
             value = self.params.get(key, default)
@@ -111,12 +107,7 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"each learner entry must be a mapping, got {d!r}")
-        unknown = sorted(map(str, set(d) - {"kind", "params", "seed", "name"}))
-        if unknown:
-            raise ConfigError(f"learner entry: unknown key(s) {unknown}; "
-                              "valid keys are ['kind', 'name', 'params', 'seed']")
+        check_keys("learner entry", d, ("kind", "params", "seed", "name"))
         return cls(kind=d.get("kind"), params=d.get("params", {}),
                    seed=d.get("seed", 0), name=d.get("name", ""))
 

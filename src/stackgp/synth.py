@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import finite_real, integer
+from .config import check_keys, finite_real, integer
 from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
                       SurveyRecord, assemble_at, save_grid_csv, save_surveys)
 from .errors import ConfigError
@@ -111,11 +111,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown scenario key(s) {unknown}; valid keys are {sorted(known)}")
-        d = dict(d)
+        d = dict(check_keys("synth", d, [f.name for f in fields(cls)]))
         if isinstance(d.get("n_tested_range"), list):
             d["n_tested_range"] = tuple(d["n_tested_range"])
         return cls(**d)

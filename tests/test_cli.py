@@ -120,6 +120,41 @@ class TestConfigFailures:
         assert main(["synth", "--config", str(cfg), "--seed", "1"]) == 2
         assert "stackgp: error category=config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, keys", [
+        ("synth", {1: "x", "stackign": 2}, ["1", "stackign"]),
+        ("fit", {"stacking": {1: "a", "lvl1": "b"}}, ["1", "lvl1"]),
+        ("fit", {"stacking": {"learners": [{"kind": "enet", "params": {1: 2, "depth": 3}}]}},
+         ["1", "depth"]),
+        ("synth", {"synth": {1: 2, "mystery": 3}}, ["1", "mystery"]),
+        ("fit", {"stacking": {"learners": [{"kind": "enet"}]}, "gp": {"fixed": {1: 2, "range": 3}}},
+         ["1", "range"]),
+    ], ids=["top-level", "stacking", "learner-params", "synth", "gp-fixed"])
+    def test_integer_key_beside_a_text_key_exits_2_naming_both(self, tmp_path, capsys,
+                                                                command, config, keys):
+        # sorting the raw keys compared an int with a str and exited 1
+        cfg = {"data": {"surveys": str(tmp_path / "absent.csv"),
+                        "stack": str(tmp_path / "absent.yaml")},
+               "output_dir": str(tmp_path / "out"), **config}
+        assert main([command, "--config", str(write_yaml(tmp_path / "run.yaml", cfg)),
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err and f"unknown key(s) {keys}" in err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("enet", "lambda1", float("inf")), ("enet", "lambda2", float("inf")),
+        ("mars", "gcv_penalty", float("inf")), ("gbt", "learning_rate", float("inf")),
+        ("gam", "lambda_grid", [1.0, float("inf")])])
+    def test_infinite_learner_param_exits_2_before_inputs_are_read(self, tmp_path, capsys,
+                                                                   kind, key, value):
+        # lambda1 and gcv_penalty fitted and then could not be saved; lambda2 failed a solve
+        cfg = {"data": {"surveys": str(tmp_path / "absent.csv"),
+                        "stack": str(tmp_path / "absent.yaml")},
+               "stacking": {"learners": [{"kind": kind, "params": {key: value}}]},
+               "output_dir": str(tmp_path / "out")}
+        assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err and f"parameter '{key}' = {value}" in err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "absent.yaml"),
                      "--seed", "1"]) == 2
@@ -380,7 +415,7 @@ class TestFitAndPredict:
         cfg["stacking"]["learners"][0]["params"]["tol"] = 1e-10
         assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", cfg))]) == 2
         err = capsys.readouterr().err
-        assert "category=config" in err and "unknown parameter(s) ['tol']" in err
+        assert "category=config" in err and "unknown key(s) ['tol']" in err
 
     @pytest.mark.parametrize("key, value", [("max_backfit", 30), ("tol", 1e-8)])
     def test_retired_gam_param_in_run_config_exits_2(self, scenario, tmp_path, capsys,
@@ -390,7 +425,7 @@ class TestFitAndPredict:
         cfg["stacking"]["learners"].append({"kind": "gam", "params": {key: value}})
         assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", cfg))]) == 2
         err = capsys.readouterr().err
-        assert "category=config" in err and f"unknown parameter(s) ['{key}']" in err
+        assert "category=config" in err and f"unknown key(s) ['{key}']" in err
 
     def test_short_enet_state_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path, capsys):
         path = self.edited_model(cwm_fit, tmp_path, lambda m: m["state"]["coef"].pop())
@@ -412,6 +447,19 @@ class TestFitAndPredict:
             assert self.predict_into(scenario, path, tmp_path) == 4
         err = capsys.readouterr().err
         assert f"category=numerical: {path}: a predicted mean or sd is not finite" in err, err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_numerical_failure_exits_4_naming_the_file(self, scenario, gp_fit, tmp_path, capsys):
+        # a training point far off the grid loads, then fails in the covariance at predict
+        payload = json.loads((gp_fit / "model.json").read_text())
+        payload["level1"]["train_points"][0][0] = 1e308
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            assert self.predict_into(scenario, path, tmp_path) == 4
+        err = capsys.readouterr().err
+        assert f"category=numerical: {path}: " in err, err
         assert not (tmp_path / "predictions.csv").exists()
 
     def test_cyclic_tree_exits_3_naming_the_file(self, scenario, cwm_fit, tmp_path):

@@ -1,9 +1,55 @@
+import ast
+from pathlib import Path
+
 import pytest
 import yaml
 
-from stackgp.config import (apply_overrides, load_config, require,
+import stackgp
+from stackgp.config import (apply_overrides, check_keys, load_config, require,
                             validate_config, write_resolved)
 from stackgp.errors import ConfigError
+
+SRC = Path(stackgp.__file__).resolve().parent
+
+
+def _unknown_key_strings(tree: ast.Module) -> list:
+    """Line of every string constant, f-string parts included, that says "unknown key"."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "unknown key" in node.value)
+
+
+class TestCheckKeys:
+    def test_returns_a_mapping_of_known_keys(self):
+        given = {"a": 1}
+        assert check_keys("where", given, ("a", "b")) is given
+
+    def test_non_mapping_named(self):
+        with pytest.raises(ConfigError, match=r"^where must be a mapping, got \[1\]$"):
+            check_keys("where", [1], ("a",))
+
+    def test_every_unknown_key_named_as_text(self):
+        with pytest.raises(ConfigError, match=r"^where: unknown key\(s\) \['1', 'c'\]; "
+                                              r"valid keys are \['a', 'b'\]$"):
+            check_keys("where", {1: 0, "c": 0, "a": 0}, ("b", "a"))
+
+    def test_config_is_the_only_home_of_the_refusal(self):
+        # a copy elsewhere drifts: five copies sorted raw keys and crashed on an int key
+        offenders = {}
+        for path in sorted(SRC.rglob("*.py")):
+            rel = str(path.relative_to(SRC))
+            hits = _unknown_key_strings(ast.parse(path.read_text(encoding="utf-8")))
+            if hits and rel != "config.py":
+                offenders[rel] = hits
+        assert not offenders, f"'unknown key' messages outside config.py {offenders}; " \
+                              "call config.check_keys"
+
+    def test_the_scan_sees_f_strings_and_docstrings(self):
+        tree = ast.parse('"""No unknown keys."""\n'
+                         'def f(w):\n    raise ValueError(f"{w}: unknown key(s)")\n'
+                         'x = "unknown kind"\n')
+        assert _unknown_key_strings(tree) == [1, 3]
+        assert _unknown_key_strings(ast.parse((SRC / "config.py").read_text(encoding="utf-8")))
 
 
 class TestValidateConfig:

@@ -616,8 +616,12 @@ class TestRawCodec:
         np.testing.assert_array_equal(q.beta, [1.0])
 
     def test_unknown_fixed_key_rejected(self):
-        with pytest.raises(ConfigError, match="cannot fix"):
+        with pytest.raises(ConfigError, match=r"gp.fixed: unknown key\(s\) \['range'\]"):
             _RawCodec(1, {"range": 2.0})
+
+    def test_integer_gp_option_key_named_beside_a_text_key(self):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['1', 'restart'\]"):
+            gp.check_gp_options({1: 2, "restart": 1}, 1)
 
     def test_fixable_tuple_stable(self):
         assert FIXABLE == ("log_kappa", "log_tau", "sigma_e2", "phi", "beta")

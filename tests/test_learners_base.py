@@ -24,7 +24,7 @@ class TestSpecValidation:
                 LearnerSpec(kind=kind)
 
     def test_unknown_param(self):
-        with pytest.raises(ConfigError, match="unknown parameter"):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['depth'\]"):
             LearnerSpec(kind="gbt", params={"depth": 3})
 
     def test_out_of_range_param(self):
@@ -52,10 +52,11 @@ class TestSpecValidation:
         ({"kind": "enet", "params": [1, 2]}, "params"),
         ({"kind": "enet", "name": 5}, "name"),
         ({"kind": "enet", "parms": {"lambda1": 0.1}}, "parms"),
+        ({"kind": "enet", 1: 2, "parms": {}}, r"unknown key\(s\) \['1', 'parms'\]"),
         ({"name": "e"}, "kind"),
         ({"kind": ["enet"]}, "kind"),
     ], ids=["string-seed", "float-seed", "int-params", "list-params", "int-name",
-            "unknown-key", "no-kind", "list-kind"])
+            "unknown-key", "int-key", "no-kind", "list-kind"])
     def test_bad_entry_from_dict_is_config_error(self, entry, key):
         with pytest.raises(ConfigError, match=key):
             LearnerSpec.from_dict(entry)

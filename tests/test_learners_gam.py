@@ -391,7 +391,7 @@ class TestScipyOracle:
 class TestParams:
     @pytest.mark.parametrize("key, value", [("max_backfit", 30), ("tol", 1e-8)])
     def test_backfitting_params_are_unknown(self, key, value):
-        with pytest.raises(ConfigError, match=rf"unknown parameter\(s\) \['{key}'\]"):
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
             LearnerSpec(kind="gam", params={key: value})
 
     def test_empty_lambda_grid_is_a_config_error(self):
