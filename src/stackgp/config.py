@@ -5,9 +5,11 @@ at every level it owns: unknown top-level keys, unknown keys inside any known
 section and every plain value that fails its check in KEYS are configuration
 errors, raised when the config loads, before any input file is read. Keys
 whose values are domain objects (learner specs, GP overrides, scenario
-fields) are checked by the code that uses them. They share the value
-predicates here and check_keys, the one check of a mapping's keys: it refuses
-a non-mapping and names every unknown key as text, an integer key too.
+fields, manifest entries) are checked by the code that uses them. They share
+the value predicates here, check_keys, the one check of a mapping's keys (it
+names every unknown key as text), and check_values, the one check of values
+against a table of rules ending in (check, description): it raises
+``<where><key> must be <description>, got <value>`` as the caller's error class.
 
 ``--set a.b.c=value`` overrides parse the value as YAML, so ``v=10`` is an
 int, ``months=[6,7]`` a list, and ``region=north`` a string. Every command
@@ -132,17 +134,23 @@ def check_keys(where: str, given, allowed) -> dict:
     return given
 
 
+def check_values(where: str, given: dict, rules, error=ConfigError) -> dict:
+    """given, once each value that rules names passes its rule's check; see the module doc."""
+    for key, (*_, check, description) in rules.items():
+        if key in given and not check(given[key]):
+            raise error(f"{where}{key} must be {description}, got {given[key]!r}")
+    return given
+
+
 def validate_config(config: dict) -> dict:
     """Reject unknown keys, malformed sections and values failing KEYS; returns the config."""
     check_keys("config", config, TOP_KEYS)
     for section, allowed in SECTION_KEYS.items():
         if section in config:
             check_keys(f"section '{section}'", config[section], allowed)
-    for key, entry in KEYS.items():
-        section, _, name = key.rpartition(".")
-        body = config.get(section, {}) if section else config
-        if entry is not None and name in body and not entry[0](body[name]):
-            raise ConfigError(f"{key} must be {entry[1]}, got {body[name]!r}")
+    check_values("", {**config, **{f"{section}.{k}": v for section in SECTION_KEYS
+                                   for k, v in config.get(section, {}).items()}},
+                 {key: rule for key, rule in KEYS.items() if rule is not None})
     if "seed" in config.get("synth", {}):
         raise ConfigError("section 'synth' must not set 'seed'; pass --seed instead")
     return config

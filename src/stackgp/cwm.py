@@ -16,6 +16,16 @@ from .errors import DataError, NumericalError
 from .qp import nonneg_qp
 
 KKT_TOL = 1e-8   # largest relative KKT residual accepted as the optimum
+SIMPLEX_TOL = 1e-9   # largest |sum(beta) - 1| accepted as on the simplex
+
+
+def on_simplex(beta) -> np.ndarray:
+    """beta as a float vector, once it is finite, >= 0 and sums to 1 (to SIMPLEX_TOL)."""
+    b = np.asarray(beta, dtype=float)
+    if (b.ndim != 1 or b.size < 1 or not np.isfinite(b).all() or np.any(b < -1e-12)
+            or abs(b.sum() - 1.0) > SIMPLEX_TOL):
+        raise DataError("beta must lie on the probability simplex")
+    return b
 
 
 @dataclass(frozen=True)
@@ -27,12 +37,7 @@ class SimplexWeights:
     meta: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "beta", b)
-        if b.ndim != 1 or b.size < 1:
-            raise DataError("beta must be a non-empty vector")
-        if np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-12:
-            raise DataError("beta outside the probability simplex")
+        object.__setattr__(self, "beta", on_simplex(self.beta))
 
     def to_dict(self) -> dict:
         return {"beta": self.beta.tolist(), "degenerate": bool(self.degenerate),

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import YamlLoader, int_at_least, text
+from .config import YamlLoader, check_values, int_at_least, text
 from .errors import DataError, SchemaError
 
 EMPIRICAL_LOGIT_C = 0.5
@@ -207,20 +207,21 @@ class Covariate:
         return self.slices[(t - self.t_start) // months_per_slice, row, col]
 
 
-def _manifest_field(path, name, entry, key, check, description):
-    """entry[key] if it passes check, else a SchemaError naming the file, covariate and key."""
-    value = entry.get(key)
-    if not check(value):
-        raise SchemaError(f"{path}: covariate '{name}': '{key}' must be {description}, got {value!r}")
-    return value
-
-
 def _path_template(v) -> bool:
     """A non-empty string whose only replacement field is {t}."""
     try:
         return text(v) and isinstance(v.format(t=0), str)
     except (KeyError, IndexError, ValueError, AttributeError, TypeError):
         return False
+
+
+# covariate entry key -> (check, description); a missing key is checked as None
+_ENTRY_FIELDS = {
+    "path": (text, "a path string"),
+    "t_start": (int_at_least(0), "a non-negative integer"),
+    "t_end": (int_at_least(0), "a non-negative integer"),
+    "path_template": (_path_template, "a path template string whose only field is {t}"),
+}
 
 
 def load_stack_manifest(path) -> list[Covariate]:
@@ -251,17 +252,16 @@ def load_stack_manifest(path) -> list[Covariate]:
             geometry = GridGeometry(**entry["grid"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{path}: covariate '{name}': bad grid geometry: {exc}") from exc
-        if kind in ("static", "synoptic"):
-            grid_path = _manifest_field(path, name, entry, "path", text, "a path string")
-            slices = load_grid_csv(base / grid_path, geometry)[None]
+        keys = ("path",) if kind in ("static", "synoptic") else ("t_start", "t_end", "path_template")
+        found = check_values(f"{path}: covariate '{name}': ", {key: entry.get(key) for key in keys},
+                             _ENTRY_FIELDS, SchemaError)
+        if "path" in found:
+            slices = load_grid_csv(base / found["path"], geometry)[None]
             covariates.append(Covariate(name, kind, geometry, slices))
             continue
-        t_start, t_end = (_manifest_field(path, name, entry, key, int_at_least(0),
-                                          "a non-negative integer") for key in ("t_start", "t_end"))
+        t_start, t_end, template = found.values()
         if t_end < t_start:
             raise SchemaError(f"{path}: covariate '{name}': t_end < t_start")
-        template = _manifest_field(path, name, entry, "path_template", _path_template,
-                                   "a path template string whose only field is {t}")
         n_slices = (t_end - t_start + 1) if kind == "dynamic-monthly" else (t_end - t_start) // 12 + 1
         slices = np.stack([load_grid_csv(base / template.format(t=s), geometry)
                            for s in range(n_slices)])

@@ -50,8 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_keys, finite_real
-from .errors import ConfigError, DataError, NumericalError, SchemaError
+from .config import check_keys, check_values, finite_real
+from .cwm import on_simplex
+from .errors import DataError, NumericalError, SchemaError
 
 # scipy names this module imports on first use (PEP 562 __getattr__), so that
 # commands which run no GP load no scipy. __getattr__ is not consulted for
@@ -116,18 +117,14 @@ def check_fixed(fixed, width: int, where: str = "gp.fixed") -> dict:
     width is the number of mean-basis columns a pinned beta weights; where
     names the mapping in error messages.
     """
-    for key, value in check_keys(where, fixed, FIXABLE).items():
-        if key == "beta":
-            items = value.tolist() if isinstance(value, np.ndarray) else value
-            ok = (isinstance(items, (list, tuple)) and len(items) == width
-                  and all(finite_real(b) and b >= 0 for b in items) and sum(items) > 0)
-            want = f"a list of {width} non-negative finite numbers with a positive sum"
-        else:
-            *_, check, want = _HYPERPARAMS[key]
-            ok = check(value)
-        if not ok:
-            raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
-    out = dict(fixed)
+    def beta(v) -> bool:
+        items = v.tolist() if isinstance(v, np.ndarray) else v
+        return (isinstance(items, (list, tuple)) and len(items) == width
+                and all(finite_real(b) and b >= 0 for b in items) and sum(items) > 0)
+
+    out = dict(check_values(f"{where}.", check_keys(where, fixed, FIXABLE), {
+        **_HYPERPARAMS,
+        "beta": (beta, f"a list of {width} non-negative finite numbers with a positive sum")}))
     if "beta" in out:
         out["beta"] = np.asarray(out["beta"], dtype=float)
     return out
@@ -157,15 +154,8 @@ class GpHyperParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        for key, (*_, check, description) in _HYPERPARAMS.items():
-            value = getattr(self, key)
-            if not check(value):
-                raise DataError(f"{key} must be {description}, got {value!r}")
-        b = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "beta", b)
-        if (b.ndim != 1 or b.size < 1 or not np.isfinite(b).all() or np.any(b < -1e-12)
-                or abs(b.sum() - 1.0) > 1e-9):
-            raise DataError("beta must lie on the probability simplex")
+        check_values("", vars(self), _HYPERPARAMS, DataError)
+        object.__setattr__(self, "beta", on_simplex(self.beta))
 
     @property
     def kappa(self) -> float:
@@ -445,7 +435,7 @@ class _RawCodec:
     """Pack/unpack the free raw coordinates given fixed overrides."""
 
     def __init__(self, L: int, fixed: dict | None):
-        self.fixed = check_fixed(fixed or {}, L)
+        self.fixed = check_fixed({} if fixed is None else fixed, L)
         self.L = L
         self.free: list[str] = [k for k in _HYPERPARAMS if k not in self.fixed]
         self.free_beta = L > 1 and "beta" not in self.fixed

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import (check_keys, fraction, int_at_least, non_negative_real, optional,
-                      positive_real)
+from ..config import (check_keys, check_values, fraction, int_at_least, non_negative_real,
+                      optional, positive_real)
 from ..dataset import ColumnInfo, CovariateMatrix
 from ..errors import ConfigError, DataError, SchemaError
 from .boosting import GbtModel, fit_gbt
@@ -31,38 +31,40 @@ def _lambda_grid(v):
     return bool(values) and all(non_negative_real(x) for x in values)
 
 
-# kind -> {param: (default, validator, description)}
+# kind -> {param: (default, check, description)}
 PARAM_SCHEMAS = {
     "gbt": {
-        "n_rounds": (150, int_at_least(0), "number of boosting rounds (>= 0)"),
-        "learning_rate": (0.1, positive_real, "shrinkage per round (> 0)"),
-        "max_depth": (3, int_at_least(1), "tree depth limit (>= 1)"),
-        "min_samples_leaf": (5, int_at_least(1), "minimum rows per leaf (>= 1)"),
-        "subsample_rows": (0.8, fraction, "row fraction per round ((0, 1])"),
-        "subsample_cols": (1.0, fraction, "column fraction per round ((0, 1])"),
+        "n_rounds": (150, int_at_least(0), "an integer >= 0"),
+        "learning_rate": (0.1, positive_real, "a finite real > 0"),
+        "max_depth": (3, int_at_least(1), "an integer >= 1"),
+        "min_samples_leaf": (5, int_at_least(1), "an integer >= 1"),
+        "subsample_rows": (0.8, fraction, "a real in (0, 1]"),
+        "subsample_cols": (1.0, fraction, "a real in (0, 1]"),
     },
     "rf": {
-        "n_trees": (60, int_at_least(1), "number of bootstrap trees (>= 1)"),
-        "max_depth": (12, optional(int_at_least(1)), "tree depth limit or null"),
-        "min_samples_leaf": (5, int_at_least(1), "minimum rows per leaf (>= 1)"),
-        "max_features": (None, optional(int_at_least(1)), "columns tried per split; null = ceil(m/3)"),
-        "bootstrap": (True, lambda v: isinstance(v, bool), "resample rows per tree; false = identity resample"),
+        "n_trees": (60, int_at_least(1), "an integer >= 1"),
+        "max_depth": (12, optional(int_at_least(1)), "an integer >= 1 or null"),
+        "min_samples_leaf": (5, int_at_least(1), "an integer >= 1"),
+        "max_features": (None, optional(int_at_least(1)), "an integer >= 1 or null (ceil(m/3))"),
+        "bootstrap": (True, lambda v: isinstance(v, bool), "true or false"),
     },
     "enet": {
-        "lambda1": (1.0, non_negative_real, "l1 penalty weight (>= 0)"),
-        "lambda2": (1.0, non_negative_real, "l2 penalty weight (>= 0)"),
+        "lambda1": (1.0, non_negative_real, "a finite real >= 0"),
+        "lambda2": (1.0, non_negative_real, "a finite real >= 0"),
     },
     "gam": {
-        "n_splines": (8, int_at_least(4), "basis functions per smooth term (>= 4)"),
-        "lambda_grid": (None, _lambda_grid, "non-empty list of candidate smoothing weights; null = logspace(-4, 4, 13)"),
+        "n_splines": (8, int_at_least(4), "an integer >= 4"),
+        "lambda_grid": (None, _lambda_grid, "a non-empty list of finite reals >= 0, or null"),
     },
     "mars": {
-        "max_terms": (15, int_at_least(2), "basis-function cap including intercept"),
-        "max_degree": (2, int_at_least(1), "hinge factors per basis function"),
-        "max_knots": (15, int_at_least(1), "candidate knots per (parent, variable) search"),
-        "gcv_penalty": (3.0, non_negative_real, "effective parameters charged per knot"),
+        "max_terms": (15, int_at_least(2), "an integer >= 2"),
+        "max_degree": (2, int_at_least(1), "an integer >= 1"),
+        "max_knots": (15, int_at_least(1), "an integer >= 1"),
+        "gcv_penalty": (3.0, non_negative_real, "a finite real >= 0"),
     },
 }
+_SPEC_FIELDS = {"seed": (int_at_least(0), "a non-negative integer"),
+                "name": (lambda v: isinstance(v, str), "a string")}
 
 _FIT = {"gbt": fit_gbt, "rf": fit_rf, "enet": fit_enet, "gam": fit_gam, "mars": fit_mars}
 _MODEL_CLS = {"gbt": GbtModel, "rf": ForestModel, "enet": EnetModel, "gam": GamModel,
@@ -85,20 +87,13 @@ class LearnerSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in PARAM_SCHEMAS:
             raise ConfigError(f"unknown learner kind {self.kind!r}, expected one of {sorted(PARAM_SCHEMAS)}")
-        if not int_at_least(0)(self.seed):
-            raise ConfigError(f"learner '{self.kind}': seed must be an unsigned integer, got {self.seed!r}")
-        if not isinstance(self.name, str):
-            raise ConfigError(f"learner '{self.kind}': name must be a string, got {self.name!r}")
+        where = f"learner '{self.kind}': "
+        check_values(where, vars(self), _SPEC_FIELDS)
         schema = PARAM_SCHEMAS[self.kind]
         check_keys(f"learner '{self.kind}' params", self.params, schema)
-        resolved = {}
-        for key, (default, check, description) in schema.items():
-            value = self.params.get(key, default)
-            if not check(value):
-                raise ConfigError(f"learner '{self.kind}': parameter '{key}' = {value!r} "
-                                  f"is invalid ({description})")
-            resolved[key] = value
-        object.__setattr__(self, "params", resolved)
+        object.__setattr__(self, "params", check_values(
+            where, {key: self.params.get(key, default) for key, (default, *_) in schema.items()},
+            schema))
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cwm import on_simplex
 from .errors import DataError
 
 DEGENERATE_CORRELATION = 0.0
@@ -75,12 +76,10 @@ def ambiguity_decomposition(predictions, beta, f) -> DecompositionReport:
     f           : target values (length n)
     """
     P = np.asarray(predictions, dtype=float)
-    b = np.asarray(getattr(beta, "beta", beta), dtype=float)
+    b = on_simplex(getattr(beta, "beta", beta))
     f = np.asarray(f, dtype=float)
     if P.ndim != 2 or P.shape[1] != b.size or P.shape[0] != f.size:
         raise DataError(f"shape mismatch: predictions {P.shape}, beta {b.shape}, f {f.shape}")
-    if np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
-        raise DataError("beta must lie on the probability simplex")
 
     ens = P @ b
     eps_i = (P - f[:, None]) ** 2          # member squared errors

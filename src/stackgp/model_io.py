@@ -3,7 +3,8 @@
 Every file carries ``format_version``; loading a file written by a newer
 format fails loudly instead of guessing. Floats are written with Python's
 shortest-repr JSON encoding, which round-trips every finite double exactly,
-and non-finite values are rejected at save time (``allow_nan=False``).
+and non-finite values are refused when saving (``allow_nan=False``) and when
+loading (``NaN``, ``Infinity`` or an overflowing ``1e999``).
 
 This module is only the envelope around a model's own ``to_dict`` layout:
 the top-level ``kind``, ``stack`` (a StackState from any of the three designs)
@@ -13,6 +14,7 @@ or ``plain-gp`` (the GP with a GLS linear mean), and ``format_version``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +63,17 @@ def save_model(model, path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _finite(token: str) -> float:
+    if math.isfinite(value := float(token)):
+        return value
+    raise ValueError(f"model files hold only finite numbers, got {token}")
+
+
 def load_model(path):
     path = Path(path)
     try:
-        d = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        d = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:     # JSONDecodeError or a non-finite number
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise SchemaError(f"{path}: model file must hold a JSON object")

@@ -26,16 +26,16 @@ has cov(F[t1,s1], F[t2,s2]) = K_time[t1,t2] * K_space[s1,s2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .config import check_keys, finite_real, integer
+from .config import (check_keys, check_values, finite_real, int_at_least, integer,
+                     non_negative_real, positive_real)
 from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
                       SurveyRecord, assemble_at, save_grid_csv, save_surveys)
-from .errors import ConfigError
 from .gp import _chol_with_jitter, matern1_matrix
 
 REGIME_SHARES = {
@@ -44,13 +44,27 @@ REGIME_SHARES = {
     "balanced": (0.5, 0.5),
 }
 MAX_LAG = max(MONTHLY_LAGS)
-# ScenarioConfig field annotation -> (check, description)
-_FIELD_TYPES = {
-    "int": (integer, "an integer"),
-    "float": (finite_real, "a finite real"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(integer, v)),
-              "a pair of integers"),
+_AT_LEAST_1 = (int_at_least(1), "an integer >= 1")
+_AT_LEAST_0 = (int_at_least(0), "an integer >= 0")
+_REAL = (finite_real, "a finite real")
+_POSITIVE = (positive_real, "a finite real > 0")
+# ScenarioConfig field -> (check, description)
+_FIELDS = {
+    "n_surveys": _AT_LEAST_1, "m_covariates": _AT_LEAST_1,
+    "n_lon": _AT_LEAST_1, "n_lat": _AT_LEAST_1,
+    "lon0": _REAL, "lat0": _REAL, "d_lon": _POSITIVE, "d_lat": _POSITIVE,
+    "n_months": (int_at_least(MAX_LAG + 1), f"an integer above the maximum lag {MAX_LAG}"),
+    "regime": (lambda v: isinstance(v, str) and v in REGIME_SHARES,
+               f"one of {sorted(REGIME_SHARES)}"),
+    "kappa": _POSITIVE, "tau": _POSITIVE,
+    "phi": (lambda v: finite_real(v) and abs(v) < 1, "a finite real in (-1, 1)"),
+    "noise_sd": (non_negative_real, "a finite real >= 0"),
+    "n_hinge": _AT_LEAST_0, "n_smooth": _AT_LEAST_0, "n_interactions": _AT_LEAST_0,
+    # rng.integers(lo, hi + 1) draws int64s
+    "n_tested_range": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(integer, v))
+                       and 1 <= v[0] <= v[1] < 2 ** 63,
+                       "a pair of integers 1 <= lo <= hi < 2**63"),
+    "intercept": _REAL, "signal_variance": _POSITIVE, "seed": _AT_LEAST_0,
 }
 
 
@@ -81,28 +95,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            check, description = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if not check(value):
-                raise ConfigError(f"{f.name} must be {description}, got {value!r}")
-        if self.regime not in REGIME_SHARES:
-            raise ConfigError(f"regime must be one of {sorted(REGIME_SHARES)}, got {self.regime!r}")
-        for key in ("n_surveys", "m_covariates", "n_lon", "n_lat", "n_months"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if self.n_months <= MAX_LAG:
-            raise ConfigError(f"n_months must exceed the maximum lag {MAX_LAG}")
-        if self.kappa <= 0 or self.tau <= 0 or not abs(self.phi) < 1:
-            raise ConfigError("GP parameters need kappa > 0, tau > 0, |phi| < 1")
-        if self.noise_sd < 0 or self.signal_variance <= 0:
-            raise ConfigError("noise_sd must be >= 0 and signal_variance > 0")
-        for count in ("n_hinge", "n_smooth", "n_interactions"):
-            if getattr(self, count) < 0:
-                raise ConfigError(f"{count} must be >= 0")
-        lo, hi = self.n_tested_range
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"n_tested_range must be 1 <= lo <= hi, got {self.n_tested_range}")
+        check_values("", vars(self), _FIELDS)
 
     @property
     def geometry(self) -> GridGeometry:
@@ -111,7 +104,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(check_keys("synth", d, [f.name for f in fields(cls)]))
+        d = dict(check_keys("synth", d, _FIELDS))
         if isinstance(d.get("n_tested_range"), list):
             d["n_tested_range"] = tuple(d["n_tested_range"])
         return cls(**d)

@@ -153,7 +153,20 @@ class TestConfigFailures:
                "output_dir": str(tmp_path / "out")}
         assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", cfg))]) == 2
         err = capsys.readouterr().err
-        assert "stackgp: error category=config:" in err and f"parameter '{key}' = {value}" in err
+        assert "stackgp: error category=config:" in err
+        assert f"learner '{kind}': {key} must be" in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_lon", 0), ("d_lat", -0.05), ("n_tested_range", [1, 10000000000000000000])])
+    def test_out_of_range_synth_field_exits_2(self, tmp_path, capsys, key, value):
+        # d_lon 0 exited 3 as invalid grid geometry; the huge range exited 1 from numpy
+        cfg = write_yaml(tmp_path / "synth.yaml", {
+            "synth": {"n_surveys": 10, "n_lon": 4, "n_lat": 4, "n_months": 8, key: value},
+            "output_dir": str(tmp_path / "out")})
+        assert main(["synth", "--config", str(cfg), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "stackgp: error category=config:" in err and f"{key} must be" in err
+        assert not (tmp_path / "out" / "surveys.csv").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "absent.yaml"),

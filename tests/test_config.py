@@ -5,9 +5,9 @@ import pytest
 import yaml
 
 import stackgp
-from stackgp.config import (apply_overrides, check_keys, load_config, require,
+from stackgp.config import (apply_overrides, check_keys, check_values, load_config, require,
                             validate_config, write_resolved)
-from stackgp.errors import ConfigError
+from stackgp.errors import ConfigError, SchemaError
 
 SRC = Path(stackgp.__file__).resolve().parent
 
@@ -17,6 +17,14 @@ def _unknown_key_strings(tree: ast.Module) -> list:
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and "unknown key" in node.value)
+
+
+def _must_be_formatted(tree: ast.Module) -> list:
+    """Line of every f-string whose text "must be " comes just before a formatted value."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                  for part, after in zip(node.values, node.values[1:])
+                  if isinstance(part, ast.Constant) and part.value.endswith("must be ")
+                  and isinstance(after, ast.FormattedValue))
 
 
 class TestCheckKeys:
@@ -50,6 +58,47 @@ class TestCheckKeys:
                          'x = "unknown kind"\n')
         assert _unknown_key_strings(tree) == [1, 3]
         assert _unknown_key_strings(ast.parse((SRC / "config.py").read_text(encoding="utf-8")))
+
+
+class TestCheckValues:
+    RULES = {"a": (lambda v: v < 3, "below 3"), "b": (None, lambda v: v == "x", "'x'")}
+
+    def test_returns_given_once_every_value_passes(self):
+        given = {"a": 2, "b": "x", "c": object()}   # c: no rule, not checked
+        assert check_values("where.", given, self.RULES) is given
+
+    def test_names_the_key_the_description_and_the_value(self):
+        with pytest.raises(ConfigError, match=r"^where\.a must be below 3, got 5$"):
+            check_values("where.", {"a": 5}, self.RULES)
+
+    def test_a_rule_ends_in_check_and_description(self):
+        with pytest.raises(ConfigError, match=r"^b must be 'x', got 'y'$"):
+            check_values("", {"b": "y"}, self.RULES)
+
+    def test_absent_keys_are_skipped(self):
+        assert check_values("", {}, {"a": (lambda v: False, "never")}) == {}
+
+    def test_raises_the_given_error_class(self):
+        with pytest.raises(SchemaError, match="a must be below 3"):
+            check_values("", {"a": 3}, self.RULES, SchemaError)
+
+    def test_config_is_the_only_home_of_the_refusal(self):
+        # six hand-written copies had drifted in wording, order and error class
+        offenders = {}
+        for path in sorted(SRC.rglob("*.py")):
+            rel = str(path.relative_to(SRC))
+            hits = _must_be_formatted(ast.parse(path.read_text(encoding="utf-8")))
+            if hits and rel != "config.py":
+                offenders[rel] = hits
+        assert not offenders, f"'must be {{...}}' messages outside config.py {offenders}; " \
+                              "call config.check_values"
+
+    def test_the_scan_sees_a_formatted_description(self):
+        tree = ast.parse('def f(k, d, v):\n    raise ValueError(f"{k} must be {d}, got {v!r}")\n'
+                         'x = f"{k} must be a list, got {v}"\n'
+                         'y = "must be {d}"\n')
+        assert _must_be_formatted(tree) == [2]
+        assert _must_be_formatted(ast.parse((SRC / "config.py").read_text(encoding="utf-8")))
 
 
 class TestValidateConfig:

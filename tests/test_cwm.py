@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from stackgp import cwm, qp
 from stackgp.cwm import KKT_TOL, SimplexWeights, cwm_predict, fit_cwm, project_simplex
 from stackgp.errors import DataError, NumericalError
+from stackgp.gp import GpHyperParams
+from stackgp.metrics import ambiguity_decomposition
 
 
 def simplex_grid(L, step):
@@ -79,6 +81,22 @@ class TestSimplexWeights:
             SimplexWeights(beta=np.array([-0.1, 1.1]), degenerate=False)
         w = SimplexWeights(beta=np.array([0.25, 0.75]), degenerate=False)
         assert not w.degenerate
+
+    @pytest.mark.parametrize("beta", [[np.nan], [np.inf, 0.0], [], [[1.0]], [0.5, 0.5 + 2e-9],
+                                      [-1e-9, 1.0 + 1e-9]])
+    def test_one_simplex_check_for_every_beta(self, beta):
+        # three copies had drifted: two let a NaN through, one summed to 1e-12
+        def gp(b):
+            return GpHyperParams(log_kappa=0.0, log_tau=0.0, sigma_e2=1.0, phi=0.0, beta=b)
+
+        def decompose(b):
+            return ambiguity_decomposition(np.zeros((2, np.size(b))), b, np.zeros(2))
+
+        for build in (SimplexWeights, gp, decompose):
+            with pytest.raises(DataError, match="^beta must lie on the probability simplex$"):
+                build(np.array(beta))
+        for build in (SimplexWeights, gp, decompose):
+            build(np.array([0.5, 0.5 + 0.5 * cwm.SIMPLEX_TOL]))
 
 
 class TestFitCwm:

@@ -306,18 +306,18 @@ class TestManifest:
     @pytest.mark.parametrize("old, new, names", [
         ("covariates:\n", "covariates: 5\nrest:\n", ["'covariates'"]),
         ("- name: rain\n", "- 5\n- name: rain\n", ["entry 1", "mapping"]),
-        ("  path: grids/elev.csv\n", "", ["elev", "'path'"]),
-        ("  t_start: 0\n", "", ["rain", "'t_start'"]),
-        ("  t_end: 9\n", "", ["rain", "'t_end'"]),
-        ("  path_template: grids/rain_{t}.csv\n", "", ["rain", "'path_template'"]),
-        ("t_start: 0", "t_start: -3", ["rain", "'t_start'"]),
-        ("t_start: 0", "t_start: 0.5", ["rain", "'t_start'"]),
-        ("t_end: 9", "t_end: abc", ["rain", "'t_end'"]),
-        ("rain_{t}", "rain_{x}", ["rain", "'path_template'"]),
-        ("rain_{t}", "rain_{0}", ["rain", "'path_template'"]),
-        ("rain_{t}", "rain_{t", ["rain", "'path_template'"]),
-        ("rain_{t}", "rain_{t.foo}", ["rain", "'path_template'"]),
-        ("rain_{t}", "rain_{t[0]}", ["rain", "'path_template'"]),
+        ("  path: grids/elev.csv\n", "", ["elev", "path must be"]),
+        ("  t_start: 0\n", "", ["rain", "t_start must be"]),
+        ("  t_end: 9\n", "", ["rain", "t_end must be"]),
+        ("  path_template: grids/rain_{t}.csv\n", "", ["rain", "path_template must be"]),
+        ("t_start: 0", "t_start: -3", ["rain", "t_start must be"]),
+        ("t_start: 0", "t_start: 0.5", ["rain", "t_start must be"]),
+        ("t_end: 9", "t_end: abc", ["rain", "t_end must be"]),
+        ("rain_{t}", "rain_{x}", ["rain", "path_template must be"]),
+        ("rain_{t}", "rain_{0}", ["rain", "path_template must be"]),
+        ("rain_{t}", "rain_{t", ["rain", "path_template must be"]),
+        ("rain_{t}", "rain_{t.foo}", ["rain", "path_template must be"]),
+        ("rain_{t}", "rain_{t[0]}", ["rain", "path_template must be"]),
     ], ids=["covariates-not-list", "entry-not-mapping", "no-path", "no-t_start", "no-t_end",
             "no-path_template", "negative-t_start", "float-t_start", "string-t_end",
             "template-other-field", "template-positional", "template-unclosed",

@@ -715,6 +715,13 @@ class TestFitHyperparams:
         with pytest.raises(ConfigError, match=rf"gp\.fixed\.{key} must be"):
             fit(y, basis, pts, fixed=fixed, restarts=1, max_iter=20)
 
+    @pytest.mark.parametrize("fit", [fit_hyperparams, fit_gp_linear_mean])
+    def test_empty_non_mapping_pins_refused(self, fit):
+        # an empty list once fitted as if no pins were given
+        y, basis, pts = self.make_data()
+        with pytest.raises(ConfigError, match=r"^gp\.fixed must be a mapping, got \[\]$"):
+            fit(y, basis, pts, fixed=[], restarts=1, max_iter=20)
+
     def test_beta_lands_on_simplex(self):
         y, basis, pts = self.make_data()
         params = fit_hyperparams(y, basis, pts, restarts=1, max_iter=80)

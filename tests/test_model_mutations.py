@@ -119,11 +119,11 @@ def time_cap(seconds):
 
 
 def predict(cfg, doc, capsys):
-    """(exit code or "hung", stderr, model path) of stackgp predict on doc, written to the
-    config's model path."""
+    """(exit code or "hung", stderr, model path) of stackgp predict on doc (a dict, or the
+    text of a file), written to the config's model path."""
     model = yaml.safe_load(cfg.read_text(encoding="utf-8"))["predict"]["model"]
     with open(model, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(doc if isinstance(doc, str) else json.dumps(doc))
     capsys.readouterr()
     try:
         with time_cap(CAP_S), warnings.catch_warnings(record=True):
@@ -221,3 +221,28 @@ def test_named_damage_exits_3_naming_the_file(fitted, capsys, case):
         assert f"{model}: malformed model file" in err and message in err, err
     else:
         assert f"category=schema: {model}: {message}" in err, err
+
+
+# numbers JSON can hold that no double can: json.loads reads them as nan or inf
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999")
+SENTINEL = 0.123456789012345
+NUMBER_AT = {
+    # decompose summarised a nan or inf H, and predict exited 4 on a NaN beta
+    "cwm H": ("cwm", lambda d: d["H"][0].__setitem__(0, SENTINEL)),
+    "cwm beta": ("cwm", lambda d: d["level1"]["beta"].__setitem__(0, SENTINEL)),
+    "design-1 y": ("gp", lambda d: d["level1"]["y"].__setitem__(0, SENTINEL)),
+}
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("case", NUMBER_AT)
+def test_non_finite_number_exits_3_naming_the_file(fitted, capsys, case, token):
+    kind, edit = NUMBER_AT[case]
+    doc, cfg = fitted[kind]
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    text = json.dumps(doc)
+    assert text.count(repr(SENTINEL)) == 1
+    code, err, model = predict(cfg, text.replace(repr(SENTINEL), token), capsys)
+    assert code == 3, err
+    assert f"{model}: not valid JSON: model files hold only finite numbers, got {token}" in err

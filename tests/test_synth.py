@@ -1,10 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from stackgp.dataset import (GridGeometry, assemble_design, empirical_logit,
                              load_stack_manifest, load_surveys)
 from stackgp.errors import ConfigError
-from stackgp.synth import REGIME_SHARES, ScenarioConfig, _spatial_cov, generate, write_scenario
+from stackgp.synth import (_FIELDS, REGIME_SHARES, ScenarioConfig, _spatial_cov, generate,
+                           write_scenario)
 
 from conftest import lattice_cov
 
@@ -172,10 +175,20 @@ class TestScenarioConfigValidation:
         ("n_surveys", "abc"), ("n_surveys", 2.5), ("n_lon", True), ("kappa", "abc"),
         ("lon0", "abc"), ("intercept", "abc"), ("regime", [1]),
         ("n_tested_range", 5), ("n_tested_range", [1, 2, 3]),
+        # out of range
+        ("d_lon", 0.0), ("d_lat", -0.05), ("n_surveys", 0), ("n_hinge", -1), ("noise_sd", -0.1),
+        ("signal_variance", 0.0), ("tau", float("inf")), ("phi", -1.0), ("seed", -1),
+        ("n_tested_range", [0, 5]), ("n_tested_range", [1, 2 ** 63]),
     ])
     def test_wrong_typed_field_named(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be"):
             ScenarioConfig.from_dict({key: value})
+
+    def test_every_field_has_a_rule(self):
+        assert list(_FIELDS) == [f.name for f in fields(ScenarioConfig)]
+
+    def test_largest_tested_range_accepted(self):
+        assert ScenarioConfig(n_tested_range=(1, 2 ** 63 - 1)).n_tested_range[1] == 2 ** 63 - 1
 
     def test_tested_range_ordering(self):
         with pytest.raises(ConfigError):
