@@ -1,15 +1,27 @@
 """Lattice GMRF precision route for the Matern x AR(1) field of gp.py.
 
-The SPDE representation of Lindgren, Rue & Lindstrom (2011) on a regular
-lattice: Q_space = tau^2 h^2 (kappa^2 I - L)^T (kappa^2 I - L) with L the
-5-point graph Laplacian (spacing h = d_lat degrees, natural boundaries),
-Q = Q_time kron Q_space ordered time-major, observations mapped by a sparse
-convex-row matrix A, and solves done by sparse LU. No command runs this
-route; the acceptance suite checks it against dense conditioning.
+The SPDE representation of Lindgren, Rue & Lindstrom (2011) with alpha = 2
+in two dimensions, discretised on the regular covariate lattice by finite
+differences with natural boundaries:
+
+    Q_space = tau_s^2 h_lon h_lat (kappa^2 I - L)^T (kappa^2 I - L)
+
+with L the 5-point graph Laplacian, spaced h_lat = d_lat degrees between
+rows and h_lon = d_lon cos(ref_lat) between columns, as gp.py measures
+distance. The SPDE field has the Matern covariance sigma^2 (kappa d)
+K1(kappa d) with sigma^2 = 1 / (4 pi kappa^2 tau_s^2); tau_s^2 = tau /
+(4 pi kappa^2) makes sigma^2 gp.py's 1/tau. Q = Q_time kron Q_space, ordered
+time-major, with Q_time the AR(1) precision, so Q^-1 approximates gp.py's
+covariance away from the lattice edges (natural boundaries inflate the
+variance near them; see the tests for the interior tolerance).
+Observations are mapped by a sparse convex-row matrix A, and solves are done
+by sparse LU. No command runs this route; the acceptance suite checks its
+conditioning against dense conditioning under the same Q^-1 (c03).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,17 +89,26 @@ def _lattice_laplacian(n_lat: int, n_lon: int, h: float) -> sp.csr_matrix:
 def lattice_gmrf_precision(geometry, params: GpHyperParams, n_months: int = 1) -> SparsePrecision:
     """Spatio-temporal GMRF precision on a regular lattice.
 
-    Q_space = tau^2 h^2 (kappa^2 I - L)^T (kappa^2 I - L), h = d_lat;
-    Q = ar1_precision(n_months, phi) kron Q_space, latent index time-major
-    (site = t * n_space + lattice row-major index). A defaults to the
-    identity selection of every latent site.
+    Q_space = tau / (4 pi kappa^2) h_lon h_lat (kappa^2 I - L)^T (kappa^2 I - L),
+    L the Kronecker sum of the longitude and latitude path Laplacians with
+    h_lon = d_lon cos(ref_lat) and h_lat = d_lat, ref_lat the lattice's mean
+    cell latitude. Q = ar1_precision(n_months, phi) kron
+    Q_space, latent index time-major (site = t * n_space + lattice row-major
+    index). A defaults to the identity selection of every latent site.
     """
     if geometry.n_lat < 3 or geometry.n_lon < 3:
         raise DataError("lattice must be at least 3x3")
-    h = geometry.d_lat
-    L = _lattice_laplacian(geometry.n_lat, geometry.n_lon, h)
-    M = params.kappa ** 2 * sp.identity(L.shape[0], format="csr") - L
-    Q_space = (params.tau ** 2) * (h ** 2) * (M.T @ M)
+    ref_lat = float(np.mean(geometry.cell_centers()[1]))
+    h_lat = geometry.d_lat
+    h_lon = geometry.d_lon * math.cos(math.radians(ref_lat))
+    # each axis's path Laplacian is the Laplacian of a one-row or one-column lattice
+    L = (sp.kron(sp.identity(geometry.n_lat), _lattice_laplacian(1, geometry.n_lon, h_lon),
+                 format="csr")
+         + sp.kron(_lattice_laplacian(geometry.n_lat, 1, h_lat), sp.identity(geometry.n_lon),
+                   format="csr"))
+    kappa2 = params.kappa ** 2
+    M = kappa2 * sp.identity(L.shape[0], format="csr") - L
+    Q_space = (params.tau / (4.0 * math.pi * kappa2)) * (h_lon * h_lat) * (M.T @ M)
     Q_time = ar1_precision(n_months, params.phi)
     Q = sp.kron(Q_time, Q_space, format="csc") if n_months > 1 else Q_space.tocsc()
     return SparsePrecision(Q=Q, A=sp.identity(Q.shape[0], format="csr"))

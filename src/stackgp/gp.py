@@ -12,8 +12,10 @@ its training points' mean latitude (_ref_lat), which a fitted model derives
 from its own train_points, so fit, fold re-conditioning and prediction share
 one geometry. One function, _factor_s, forms S = K + sigma_e2 I and factors
 it by Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6 of the
-mean diagonal, then a hard numerical error). The lattice GMRF precision form
-of the same field lives in gmrf.py.
+mean diagonal, then a hard numerical error): numpy's Cholesky when
+conditioning, scipy's LAPACK potrf (_potrf) in a fit, where it is the faster
+of the two. The lattice GMRF precision form of the same field lives in
+gmrf.py.
 
 Hyperparameters are fitted by L-BFGS-B on the analytic gradient of the log
 marginal likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen &
@@ -29,16 +31,18 @@ whatever months they span, and evaluates the Matern once per (training
 point, distinct prediction location); only the AR(1) factor differs between
 months. The conditioning reads the cross-covariance in column blocks of
 about BLOCK_ENTRIES entries, so for n training points predict memory is
-O(n x sites + n x block + points), not O(n x points).
+O(n x sites + n x block + points), not O(n x points). Each predicted point's
+mean and variance have the same bytes whatever block holds it: the solve
+and the sums down the training rows treat every column alike.
 
 The stacked and the plain GP are one fitted model (_FittedGp, one predict
 function) that differ only in their mean: beta-weighted level-0 predictions,
 or a GLS linear mean whose training-row values the model holds (mean_train).
 
-scipy is imported on first use, name by name (_LAZY): importing this module
-loads none of it, a prediction loads scipy.linalg and scipy.special, and only
-a hyperparameter fit loads scipy.optimize. Commands that run no GP therefore
-load no scipy.
+Only a hyperparameter fit loads scipy. K1 (_k1) and the conditioning run on
+numpy alone, so prediction and synth import no scipy; the likelihood, its
+K0 gradient, the GLS solve and the optimizer import theirs on first use,
+name by name (_LAZY). Importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -54,15 +58,15 @@ from .config import check_keys, check_values, finite_real
 from .cwm import on_simplex
 from .errors import DataError, NumericalError, SchemaError
 
-# scipy names this module imports on first use (PEP 562 __getattr__), so that
-# commands which run no GP load no scipy. __getattr__ is not consulted for
-# bare global names, so call sites look them up on the module, as _this.k1;
-# a wrapper set on a module attribute then sees every call.
+# scipy names this module imports on first use (PEP 562 __getattr__): only a
+# hyperparameter fit reaches them, so prediction and synth load no scipy.
+# __getattr__ is not consulted for bare global names, so call sites look them
+# up on the module, as _this.k0; a wrapper set on a module attribute then sees
+# every call.
 _LAZY = {
     "minimize": "scipy.optimize",
-    "cholesky": "scipy.linalg", "cho_solve": "scipy.linalg",
-    "solve_triangular": "scipy.linalg", "lapack": "scipy.linalg",
-    "k0": "scipy.special", "k1": "scipy.special",
+    "cho_solve": "scipy.linalg", "solve_triangular": "scipy.linalg", "lapack": "scipy.linalg",
+    "k0": "scipy.special",
 }
 _this = sys.modules[__name__]
 
@@ -191,12 +195,105 @@ class GpPosterior:
         return np.sqrt(np.maximum(var, 0.0))
 
 
+def _k1_series_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, highest power first, of K1's ascending series in t = x^2 / 4.
+
+    K1(x) = 1/x + (x/2) (ln(x/2) sum_k a_k t^k - sum_k b_k t^k) with
+    a_k = 1 / (k! (k+1)!) and b_k = a_k (H_k + 1 / (2 (k+1)) - gamma), H_k the
+    k-th harmonic number (Abramowitz & Stegun 9.6.11). It keeps k = 0..12: for
+    x <= 2 (t <= 1) the first term left out is below 1e-20.
+    """
+    euler_gamma = 0.5772156649015329
+    a = [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(13)]
+    b = [a[k] * (math.fsum(1.0 / j for j in range(1, k + 1)) + 0.5 / (k + 1) - euler_gamma)
+         for k in range(13)]
+    return np.array(a[::-1]), np.array(b[::-1])
+
+
+_K1_SERIES = _k1_series_coefficients()
+# Chebyshev coefficients c_0..c_25 of sqrt(x) e^x K1(x) in u = 4/x - 1, for
+# x > 2 (u in (-1, 1)); |c_26| < 1e-18. Computed with mpmath at 40 digits:
+# c_j = (2 - [j == 0]) / M sum_k f(cos th_k) cos(j th_k) with
+# th_k = pi (k + 1/2) / M over M = 96 Chebyshev nodes and
+# f(u) = sqrt(x) exp(x) besselk(1, x) at x = 4 / (u + 1), each rounded to
+# the nearest double. mpmath is not a dependency: the literals are the result.
+_K1_CHEB = (
+    1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
+    0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
+    -3.5019606030878126e-07, 5.7410841254500495e-08, -1.0345762465678097e-08,
+    2.0150497551970347e-09, -4.1903547593419254e-10, 9.218315187605315e-11,
+    -2.129967838427791e-11, 5.139639673482343e-12, -1.2891739609498229e-12,
+    3.348419666052243e-13, -8.976705182010146e-14, 2.4771544242195988e-14,
+    -7.0198370892147685e-15, 2.038703166239861e-15, -6.057047270643018e-16,
+    1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
+    -5.7567444820733025e-18, 1.8778651901623268e-18,
+)
+
+
+_K1_CHUNK = 1 << 13     # entries per pass of _k1, so that its temporaries stay small
+
+
+def _k1(x) -> np.ndarray:
+    """Modified Bessel function K1 of an array of x > 0, in numpy alone.
+
+    The ascending series for x <= 2 and the Chebyshev series of
+    sqrt(x) e^x K1(x) above; within a few ulp of scipy.special.k1. It works
+    through _K1_CHUNK entries at a time, and each branch gathers its entries
+    into a fresh contiguous array, so an entry's bytes depend only on its x,
+    not on the array around it: numpy's exp and log round some strided
+    entries differently.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _K1_CHUNK):
+        chunk = flat[start:start + _K1_CHUNK]
+        small = chunk <= 2.0
+        lo, hi = np.flatnonzero(small), np.flatnonzero(~small)
+        part = out[start:start + _K1_CHUNK]
+        part.put(lo, _k1_series_sum(chunk.take(lo)))
+        part.put(hi, _k1_cheb_sum(chunk.take(hi)))
+    return out.reshape(x.shape)
+
+
+def _k1_series_sum(x: np.ndarray) -> np.ndarray:
+    """K1 of x <= 2 by its ascending series (_K1_SERIES)."""
+    t = 0.25 * x * x
+    a_coef, b_coef = _K1_SERIES
+    pa, pb = np.full(x.shape, a_coef[0]), np.full(x.shape, b_coef[0])
+    for a, b in zip(a_coef[1:], b_coef[1:]):
+        pa *= t
+        pa += a
+        pb *= t
+        pb += b
+    out = np.log(0.5 * x)
+    out *= pa
+    out -= pb
+    out *= 0.5 * x
+    out += 1.0 / x
+    return out
+
+
+def _k1_cheb_sum(x: np.ndarray) -> np.ndarray:
+    """K1 of x > 2 by Clenshaw's recurrence over _K1_CHEB in 2u = 8/x - 2."""
+    y2 = 8.0 / x - 2.0
+    b0, b1, b2 = np.empty(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    for c in _K1_CHEB[:0:-1]:
+        np.multiply(y2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    out = 0.5 * y2 * b1 - b2 + _K1_CHEB[0]
+    out *= np.exp(-x) / np.sqrt(x)
+    return out
+
+
 def matern1_matrix(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     """Smoothness-1 Matern covariance over a distance array (zero-safe)."""
     D = np.asarray(D, dtype=float)
     x = kappa * D
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = (x / tau) * _this.k1(np.where(x > 0, x, 1.0))
+        vals = (x / tau) * _k1(np.where(x > 0, x, 1.0))
     return np.where(x > 0, vals, 1.0 / tau)
 
 
@@ -318,8 +415,23 @@ def _fit_inputs(fit: str, y, mean, points, mean_name: str):
     return y, mean, pts
 
 
-def _chol_with_jitter(S: np.ndarray, context: str):
-    """Lower Cholesky with a multiplicative jitter ladder; returns (L, jitter)."""
+def _potrf(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor by scipy's LAPACK potrf, the bytes of scipy.linalg.cholesky.
+
+    A fit's choice: at n = 250 it is about twice as fast as numpy's.
+    """
+    L, info = _this.lapack.dpotrf(S, lower=1, clean=1)
+    if info:
+        raise np.linalg.LinAlgError(f"potrf: leading minor {info} is not positive definite")
+    return L
+
+
+def _chol_with_jitter(S: np.ndarray, context: str, cholesky=np.linalg.cholesky):
+    """Lower Cholesky with a multiplicative jitter ladder; returns (L, jitter).
+
+    cholesky(A) returns A's lower factor or raises LinAlgError; numpy's by
+    default, so that conditioning and synth load no scipy.
+    """
     scale = float(np.mean(np.diag(S)))
     if not np.isfinite(scale):
         raise NumericalError(f"{context}: non-finite covariance diagonal")
@@ -328,7 +440,7 @@ def _chol_with_jitter(S: np.ndarray, context: str):
     for level in JITTER_LADDER:
         jitter = level * max(scale, 1e-300)
         try:
-            L = _this.cholesky(S + jitter * np.eye(len(S)) if jitter else S, lower=True)
+            L = cholesky(S + jitter * np.eye(len(S)) if jitter else S)
             return L, jitter
         except np.linalg.LinAlgError:
             continue
@@ -338,14 +450,36 @@ def _chol_with_jitter(S: np.ndarray, context: str):
                          f"(condition estimate {cond:.3e}, min eig {eig[0]:.3e})")
 
 
-def _factor_s(K, sigma_e2: float, context: str):
-    """(L, jitter) of S = K + sigma_e2 I: every likelihood, conditioning and GLS solve."""
-    return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context)
+def _factor_s(K, sigma_e2: float, context: str, cholesky=np.linalg.cholesky):
+    """(L, jitter) of S = K + sigma_e2 I: every likelihood, conditioning and GLS solve.
+
+    Fits pass cholesky=_potrf; conditioning keeps numpy's.
+    """
+    return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context, cholesky)
+
+
+def _forward_solve(L: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """L^-1 block by np.linalg.solve, one column's bytes whatever block holds it.
+
+    np.linalg.solve gives a column the same bytes in any block of two or more
+    columns, but solves a lone column by another path; so a 1-column block is
+    solved as two copies of itself.
+    """
+    if block.shape[1] == 1:
+        return np.linalg.solve(L, np.repeat(block, 2, axis=1))[:, :1]
+    return np.linalg.solve(L, block)
+
+
+def _column_sums(A: np.ndarray) -> np.ndarray:
+    """Sums down axis 0, added strictly in row order: a column's sum never
+    depends on the columns beside it, as a matrix-vector product's does."""
+    return A.cumsum(axis=0)[-1]
 
 
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
                        sigma_e2: float, *, full_cov: bool = False) -> GpPosterior:
-    """Predictive conditioning from covariance blocks, all solves by Cholesky.
+    """Predictive conditioning from covariance blocks, all solves against
+    K_train's Cholesky factor.
 
     K_cross is the (n_train, n_pred) cross-covariance: one array, or an
     iterable of (n_train, b) column blocks in prediction-point order. K_train
@@ -353,9 +487,10 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     slices of the mean and variance are written, so with blocks of width b
     memory is O(n_train^2 + n_train * b + n_pred); prediction's blocks
     (_cross_blocks) make it O(n x sites + n x block + points) beyond the
-    n x n factor. With full_cov False
-    (default) sigma_star is the predictive variance vector; K_pred may then
-    be a full matrix or just its diagonal. full_cov needs K_cross as one
+    n x n factor. A point's mean and variance have the same bytes however
+    K_cross is cut into blocks (_forward_solve, _column_sums). With full_cov
+    False (default) sigma_star is the predictive variance vector; K_pred may
+    then be a full matrix or just its diagonal. full_cov needs K_cross as one
     array.
     """
     y = np.asarray(y, dtype=float)
@@ -375,8 +510,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
         raise DataError("gp_condition_dense: full_cov needs K_cross as one array")
 
     L, jitter = _factor_s(K_train, sigma_e2, "gp_condition_dense")
-    r = y - mean_train
-    alpha = _this.cho_solve((L, True), r)
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y - mean_train))
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
     mu_star, sigma_star = np.empty(p), np.empty(p)
     stop = 0
@@ -385,9 +519,9 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
         if block.ndim != 2 or block.shape[0] != n or stop + block.shape[1] > p:
             raise DataError("gp_condition_dense: non-conformal shapes")
         start, stop = stop, stop + block.shape[1]
-        mu_star[start:stop] = mean_pred[start:stop] + block.T @ alpha
-        V = _this.solve_triangular(L, block, lower=True)
-        sigma_star[start:stop] = prior_diag[start:stop] - np.einsum("ij,ij->j", V, V)
+        mu_star[start:stop] = mean_pred[start:stop] + _column_sums(block * alpha[:, None])
+        V = _forward_solve(L, block)
+        sigma_star[start:stop] = prior_diag[start:stop] - _column_sums(V * V)
     if stop != p:
         raise DataError("gp_condition_dense: non-conformal shapes")
     if full_cov:
@@ -409,7 +543,8 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
     y = np.asarray(y, dtype=float)
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
-    L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
+    L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood",
+                     _potrf)
     alpha = _this.cho_solve((L, True), r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
@@ -593,7 +728,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     init = default_init(y, np.zeros((n, 1)), pts)
 
     def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
-        L, _ = _factor_s(K, sigma_e2, "fit_gp_linear_mean")
+        L, _ = _factor_s(K, sigma_e2, "fit_gp_linear_mean", _potrf)
         coef, *_ = np.linalg.lstsq(_this.solve_triangular(L, M, lower=True),
                                    _this.solve_triangular(L, y, lower=True),
                                    rcond=None)
@@ -618,13 +753,10 @@ BLOCK_ENTRIES = 1 << 16
 
 
 def _block_width(n: int) -> int:
-    """Columns per cross-covariance block for n training points.
-
-    A multiple of 64: OpenBLAS's matrix-vector product rounds the last few
-    columns of a block differently when its width is not a multiple of its
-    vector width, so other widths would change the predictive mean's bytes.
-    """
-    return max(64, BLOCK_ENTRIES // n // 64 * 64)
+    """Columns per cross-covariance block for n training points: BLOCK_ENTRIES / n,
+    and at least 64, since each block's solve LU-factors the n x n Cholesky factor
+    anew. Any width gives the same predictions (gp_condition_dense)."""
+    return max(64, BLOCK_ENTRIES // n)
 
 
 def _cross_blocks(model, pred_points):

@@ -593,24 +593,50 @@ class TestPredictMonthOrder:
     """Predicting several months in one command writes each month's rows, in config
     order, exactly as a one-month command writes them."""
 
-    @pytest.mark.parametrize("design", [2, "plain-gp"])
-    def test_rows_are_the_single_month_runs_in_config_order(self, scenario18, tmp_path, design):
-        model = tmp_path / "model"
-        fit = write_yaml(tmp_path / "fit.yaml", fit_config(scenario18, model, design=design))
-        assert main(["fit", "--config", str(fit)]) == 0
+    @staticmethod
+    def predict_months(data, model, tmp_path) -> dict:
+        """Months -> predictions.csv bytes of predicting [17, 16], [17] and [16]."""
         written = {}
         for months in ([17, 16], [17], [16]):
             out = tmp_path / "-".join(map(str, months))
             cfg = write_yaml(tmp_path / "predict.yaml", {
-                "data": {"stack": str(scenario18 / "stack.yaml")},
+                "data": {"stack": str(data / "stack.yaml")},
                 "predict": {"model": str(model / "model.json"), "months": months},
                 "output_dir": str(out),
             })
             assert main(["predict", "--config", str(cfg)]) == 0
             written[tuple(months)] = (out / "predictions.csv").read_bytes()
+        return written
+
+    @pytest.mark.parametrize("design", [2, "plain-gp"])
+    def test_rows_are_the_single_month_runs_in_config_order(self, scenario18, tmp_path, design):
+        model = tmp_path / "model"
+        fit = write_yaml(tmp_path / "fit.yaml", fit_config(scenario18, model, design=design))
+        assert main(["fit", "--config", str(fit)]) == 0
+        written = self.predict_months(scenario18, model, tmp_path)
         month16_rows = written[(16,)].split(b"\n", 1)[1]
         assert written[(17, 16)] == written[(17,)] + month16_rows
         assert len(read_csv(tmp_path / "17-16" / "predictions.csv")) == 2 * 36
+
+    def test_ragged_blocks_keep_the_single_month_rows(self, tmp_path):
+        # 300 surveys and 225 cells a month: the two-month run cuts its 450
+        # points into blocks of other widths than either one-month run, and
+        # some rows fell at other places in their blocks; the predictive mean
+        # of 2 rows once differed in its last digits
+        data = tmp_path / "data"
+        synth = write_yaml(tmp_path / "synth.yaml", {
+            "synth": {"n_surveys": 300, "n_lon": 15, "n_lat": 15, "n_months": 18,
+                      "m_covariates": 2, "noise_sd": 0.2},
+            "output_dir": str(data)})
+        assert main(["synth", "--config", str(synth), "--seed", "8"]) == 0
+        model = tmp_path / "model"
+        config = fit_config(data, model, design="plain-gp")
+        config["gp"] = {"restarts": 1, "max_iter": 30}
+        assert main(["fit", "--config", str(write_yaml(tmp_path / "fit.yaml", config))]) == 0
+        written = self.predict_months(data, model, tmp_path)
+        month16_rows = written[(16,)].split(b"\n", 1)[1]
+        assert written[(17, 16)] == written[(17,)] + month16_rows
+        assert len(read_csv(tmp_path / "17-16" / "predictions.csv")) == 2 * 225
 
 
 class TestCv:

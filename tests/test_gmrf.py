@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from stackgp.dataset import GridGeometry
 from stackgp.gmrf import _lattice_laplacian, lattice_gmrf_precision
-from stackgp.gp import GpHyperParams
+from stackgp.gp import GpHyperParams, cov_block
 
 
 # A loop build of the lattice Laplacian: the reference that the array code in
@@ -71,6 +72,44 @@ class TestLoopOracles:
         monkeypatch.setattr(gmrf, "_lattice_laplacian", loop_lattice_laplacian)
         ref = lattice_gmrf_precision(geo, prm, n_months=n_months).Q
         assert_csr_bytes_equal(ours, ref)
+
+
+class TestMaternField:
+    """Away from the lattice edges, Q^-1 is gp.py's Matern x AR(1) covariance.
+
+    Tolerance: every entry within 8 cells of the centre cell, at every month,
+    is within 0.04 / tau of cov_block. Spacing 0.05 deg against a range of 0.3
+    deg puts the finite-difference error and the natural-boundary inflation at
+    about 0.03 / tau there (the centre variance is 1.03 / tau).
+    """
+
+    @pytest.mark.parametrize("n_lon, lat0, tau, phi", [
+        (41, -1.0, 1.0, 0.5),
+        (41, -1.0, 4.0, -0.3),
+        # at 61 deg a 0.05 deg longitude step is 0.024 deg of distance
+        (61, 61.0, 1.0, 0.5),
+    ])
+    def test_interior_entries_match_the_dense_covariance(self, n_lon, lat0, tau, phi):
+        n_lat, months, radius = 41, 3, 8
+        geo = GridGeometry(lon0=30.0, lat0=lat0, d_lon=0.05, d_lat=0.05,
+                           n_lon=n_lon, n_lat=n_lat)
+        prm = GpHyperParams(log_kappa=math.log(math.sqrt(2.0) / 0.3), log_tau=math.log(tau),
+                            sigma_e2=0.1, phi=phi, beta=np.ones(1))
+        Q = lattice_gmrf_precision(geo, prm, n_months=months).Q
+        lons, lats = geo.cell_centers()
+        n_space = lons.size
+        centre = 1 * n_space + (n_lat // 2) * n_lon + n_lon // 2      # month 1, centre cell
+        unit = np.zeros(Q.shape[0])
+        unit[centre] = 1.0
+        column = splu(Q.tocsc()).solve(unit)
+        pts = np.column_stack([np.tile(lons, months), np.tile(lats, months),
+                               np.repeat(np.arange(months), n_space)])
+        dense = cov_block(pts[[centre]], pts, prm, float(lats.mean()))[0]
+        row, col = np.divmod(np.arange(n_space), n_lon)
+        near = np.tile((np.abs(row - n_lat // 2) <= radius)
+                       & (np.abs(col - n_lon // 2) <= radius), months)
+        assert np.abs(column - dense)[near].max() <= 0.04 / tau
+        assert column[centre] == pytest.approx(1.0 / tau, rel=0.04)
 
 
 class TestImportBoundary:

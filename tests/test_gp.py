@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
+import scipy.special
 import yaml
 from scipy.optimize import OptimizeResult
 
 import stackgp.gp as gp
-from stackgp.cli import main
 from stackgp.dataset import GridGeometry
 from stackgp.errors import ConfigError, DataError, NumericalError, SchemaError
 from stackgp.gmrf import (
@@ -90,6 +91,38 @@ class TestMaternKernel:
         K = matern1_matrix(D, 1.3, 0.8)
         assert K[0, 0] == pytest.approx(1 / 0.8, abs=1e-15)
         assert K[0, 1] == pytest.approx(matern1_cov(0.7, 1.3, 0.8), abs=1e-15)
+
+
+class TestBesselK1:
+    """gp._k1, the numpy K1 behind matern1_matrix, against scipy's."""
+
+    def test_within_5e_15_relative_of_scipy_on_a_log_grid(self):
+        x = np.geomspace(1e-10, 700.0, 20001)
+        want = scipy.special.k1(x)
+        rel = np.abs(gp._k1(x) - want) / want
+        assert rel.max() <= 5e-15, f"worst at x = {x[np.argmax(rel)]!r}: {rel.max():.2e}"
+
+    def test_entries_do_not_depend_on_the_array_around_them(self):
+        rng = np.random.default_rng(71)
+        # two and a bit of _k1's passes
+        x = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), size=2 * gp._K1_CHUNK + 3))
+        whole = gp._k1(x)
+        assert gp._k1(x[::-1])[::-1].tobytes() == whole.tobytes()
+        assert gp._k1(x[1::3]).tobytes() == whole[1::3].tobytes()
+        assert gp._k1(x.reshape(-1, 1)).reshape(-1).tobytes() == whole.tobytes()
+        for lo in [*range(0, 64, 5), gp._K1_CHUNK - 7, 2 * gp._K1_CHUNK - 1]:
+            piece = slice(lo, lo + int(rng.integers(1, 20)))
+            assert gp._k1(x[piece]).tobytes() == whole[piece].tobytes(), piece
+        assert all(gp._k1(np.array([v]))[0] == w for v, w in zip(x[:50], whole[:50]))
+
+    def test_finite_positive_and_continuous_across_the_series_seam(self):
+        seam = np.array([np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])
+        x = np.concatenate([seam, 2.0 + np.linspace(-1e-6, 1e-6, 21)])
+        vals = gp._k1(x)
+        assert np.isfinite(vals).all() and (vals > 0).all()
+        np.testing.assert_allclose(vals, scipy.special.k1(x), rtol=5e-15, atol=0)
+        # the two sides of the seam meet to within their accuracy
+        assert abs(vals[2] - vals[1]) <= 5e-15 * vals[1]
 
 
 class TestPlanarDistance:
@@ -306,6 +339,17 @@ class TestCholeskyJitterLadder:
     def test_non_finite_diagonal_rejected(self):
         with pytest.raises(NumericalError):
             _chol_with_jitter(np.array([[np.nan, 0.0], [0.0, 1.0]]), "test")
+
+    def test_fit_factor_is_scipys_cholesky(self):
+        # fits factor S by scipy's LAPACK potrf, through the same jitter ladder
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(60, 60))
+        S = A @ A.T + 60 * np.eye(60)
+        L, jitter = _chol_with_jitter(S, "test", gp._potrf)
+        assert jitter == 0.0
+        assert L.tobytes() == scipy.linalg.cholesky(S, lower=True).tobytes()
+        with pytest.raises(NumericalError, match="condition estimate"):
+            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), "test", gp._potrf)
 
 
 class TestAr1Precision:
@@ -1199,6 +1243,54 @@ class TestPredictOverMonths:
         np.testing.assert_array_equal(post.sigma_star, direct.sigma_star)
 
 
+class TestBlockCuts:
+    """gp_condition_dense gives each point the same bytes however K_cross is cut."""
+
+    def test_random_cuts_give_the_one_array_bytes(self):
+        rng = np.random.default_rng(67)
+        differ = []
+        for case in range(150):
+            n, p = int(rng.integers(5, 130)), int(rng.integers(2, 120))
+            train, pred = random_points(rng, n), random_points(rng, p)
+            prm = params_of(kappa=float(rng.uniform(0.5, 8.0)), tau=float(rng.uniform(0.3, 3.0)),
+                            sigma_e2=float(rng.uniform(0.01, 0.5)),
+                            phi=float(rng.uniform(-0.9, 0.9)))
+            ref = float(train[:, 1].mean())
+            y, mean_pred = rng.normal(size=n), rng.normal(size=p)
+            args = (y, 0.3 * y, mean_pred, cov_block(train, train, prm, ref))
+            K_cross = cov_block(train, pred, prm, ref)
+            prior = np.full(p, 1.0 / prm.tau)
+            whole = gp_condition_dense(*args, K_cross, prior, prm.sigma_e2)
+            # every other case ends in a 1-column block
+            cuts = np.sort(rng.choice(np.arange(1, p), size=int(rng.integers(1, min(p, 6))),
+                                      replace=False))
+            if case % 2:
+                cuts = np.union1d(cuts, [p - 1])
+            blocks = [np.ascontiguousarray(b) if case % 3 else b
+                      for b in np.split(K_cross, cuts, axis=1)]
+            cut = gp_condition_dense(*args, iter(blocks), prior, prm.sigma_e2)
+            if (cut.mu_star.tobytes() != whole.mu_star.tobytes()
+                    or cut.sigma_star.tobytes() != whole.sigma_star.tobytes()):
+                differ.append((case, n, p, cuts.tolist()))
+        assert not differ, f"{len(differ)} of 150 cuts differ: {differ[:5]}"
+
+    def test_any_block_width_gives_the_same_prediction(self, monkeypatch):
+        rng = np.random.default_rng(69)
+        train, pred = random_points(rng, 90), random_points(rng, 700)
+        P = rng.normal(size=(90, 2))
+        prm = params_of(kappa=2.5, tau=0.8, sigma_e2=0.2, phi=0.6, beta=(0.4, 0.6))
+        model = StackedGpModel(params=prm, train_points=train, P_train=P,
+                               y=P @ prm.beta + rng.normal(size=90) * 0.3)
+        P_pred = rng.normal(size=(700, 2))
+        posts = []
+        for entries in (1 << 16, 90 * 97, 90 * 64 + 1):
+            monkeypatch.setattr(gp, "BLOCK_ENTRIES", entries)
+            posts.append(gp_stacked_predict(model, P_pred, pred))
+        for post in posts[1:]:
+            assert post.mu_star.tobytes() == posts[0].mu_star.tobytes()
+            assert post.sigma_star.tobytes() == posts[0].sigma_star.tobytes()
+
+
 class TestPredictMemory:
     """Prediction memory grows linearly with the number of cells, not with its square,
     and by O(points), not O(n_train x points), with the number of months."""
@@ -1292,7 +1384,7 @@ def _cli_in_fresh_python(tmp_path, name: str, config: dict) -> set:
 
 
 class TestImportBoundary:
-    """Only commands that run a GP load scipy, and only GP fits load scipy.optimize."""
+    """Only a GP hyperparameter fit loads scipy, and it loads scipy.optimize."""
 
     def test_cli_loads_no_scipy(self):
         code = ("import sys, stackgp.cli; print(sorted(m for m in sys.modules "
@@ -1301,22 +1393,18 @@ class TestImportBoundary:
 
     @pytest.fixture(scope="class")
     def loaded(self, tmp_path_factory):
-        """Command -> the scipy modules the real CLI loads running it, each in a fresh process.
-
-        synth runs in this process: it draws the field through gp.py and so loads scipy.
-        """
+        """Command -> the scipy modules the real CLI loads running it, each in a fresh process."""
         root = tmp_path_factory.mktemp("import-boundary")
         data = root / "data"
-        synth = root / "synth.yaml"
-        synth.write_text(yaml.safe_dump({
+        synth = _cli_in_fresh_python(root, "synth", {
             "synth": {"n_surveys": 40, "n_lon": 6, "n_lat": 6, "n_months": 8,
                       "m_covariates": 2},
-            "output_dir": str(data)}), encoding="utf-8")
-        assert main(["synth", "--config", str(synth), "--seed", "7"]) == 0
+            "output_dir": str(data)})
         inputs = {"surveys": str(data / "surveys.csv"), "stack": str(data / "stack.yaml")}
         learners = [{"kind": "gbt", "params": {"n_rounds": 5}},
                     {"kind": "rf", "params": {"n_trees": 5}},
                     {"kind": "enet"}, {"kind": "gam"}, {"kind": "mars"}]
+        gp_options = {"restarts": 1, "max_iter": 20}
         runs = {
             "fit-cwm": {"stacking": {"design": 1, "v": 3, "level1": "cwm",
                                      "learners": learners}},
@@ -1327,22 +1415,27 @@ class TestImportBoundary:
                               "truth": str(data / "truth-grid.csv"),
                               "truth_field": "latent"}},
             "fit-gp": {"stacking": {"design": 1, "v": 3, "level1": "gp",
-                                    "learners": [{"kind": "enet"}]},
-                       "gp": {"restarts": 1, "max_iter": 20}},
-            "predict-gp": {"predict": {"model": str(root / "fit-gp" / "model.json"),
-                                       "months": [6]}},
+                                    "learners": [{"kind": "enet"}]}, "gp": gp_options},
+            "fit-design2": {"stacking": {"design": 2, "v": 3,
+                                         "learners": [{"kind": "enet"}, {"kind": "gam"}]},
+                            "gp": gp_options},
+            "fit-plain": {"stacking": {"design": "plain-gp"}, "gp": gp_options},
         }
-        return {name: _cli_in_fresh_python(root, name, {
+        for fit in ("gp", "design2", "plain"):
+            runs[f"predict-{fit}"] = {"predict": {
+                "model": str(root / f"fit-{fit}" / "model.json"), "months": [6]}}
+        return {"synth": synth, **{name: _cli_in_fresh_python(root, name, {
                     "data": inputs, **config, "output_dir": str(root / name)})
-                for name, config in runs.items()}
+                for name, config in runs.items()}}
 
     @pytest.mark.parametrize("command", ["fit-cwm", "predict-cwm", "decompose", "eval"])
     def test_commands_without_a_gp_load_no_scipy(self, loaded, command):
         assert loaded[command] == set()
 
-    def test_gp_stack_predict_loads_linalg_and_special_not_optimize(self, loaded):
-        assert {"scipy.linalg", "scipy.special"} <= loaded["predict-gp"]
-        assert "scipy.optimize" not in loaded["predict-gp"]
+    @pytest.mark.parametrize("command", ["predict-gp", "predict-design2", "predict-plain",
+                                         "synth"])
+    def test_gp_predicts_and_synth_load_no_scipy(self, loaded, command):
+        assert loaded[command] == set()
 
     def test_gp_fit_loads_linalg_special_and_optimize(self, loaded):
         assert {"scipy.linalg", "scipy.special", "scipy.optimize"} <= loaded["fit-gp"]
