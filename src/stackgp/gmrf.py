@@ -70,20 +70,20 @@ def ar1_precision(T: int, phi: float) -> sp.csc_matrix:
     return sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csc")
 
 
-def _lattice_laplacian(n_lat: int, n_lon: int, h: float) -> sp.csr_matrix:
+def _lattice_laplacian(n_lat: int, n_lon: int, h_lat: float, h_lon: float) -> sp.csr_matrix:
     """5-point graph Laplacian on the lattice, row-major, natural boundaries.
 
     The Kronecker sum of the latitude and longitude path Laplacians,
-    tridiag(1, -degree, 1) / h^2.
+    tridiag(1, -degree, 1) / h^2 with h the axis's spacing: h_lat between
+    rows, h_lon between columns.
     """
-    inv_h2 = 1.0 / (h * h)
-
-    def path(n: int) -> sp.csr_matrix:
+    def path(n: int, h: float) -> sp.csr_matrix:
+        inv_h2 = 1.0 / (h * h)
         degree = 2.0 - (np.arange(n) == 0) - (np.arange(n) == n - 1)
         off = np.full(n - 1, inv_h2)
         return sp.diags([off, -degree * inv_h2, off], offsets=(-1, 0, 1), format="csr")
-    return (sp.kron(sp.identity(n_lat), path(n_lon), format="csr")
-            + sp.kron(path(n_lat), sp.identity(n_lon), format="csr"))
+    return (sp.kron(sp.identity(n_lat), path(n_lon, h_lon), format="csr")
+            + sp.kron(path(n_lat, h_lat), sp.identity(n_lon), format="csr"))
 
 
 def lattice_gmrf_precision(geometry, params: GpHyperParams, n_months: int = 1) -> SparsePrecision:
@@ -101,11 +101,7 @@ def lattice_gmrf_precision(geometry, params: GpHyperParams, n_months: int = 1) -
     ref_lat = float(np.mean(geometry.cell_centers()[1]))
     h_lat = geometry.d_lat
     h_lon = geometry.d_lon * math.cos(math.radians(ref_lat))
-    # each axis's path Laplacian is the Laplacian of a one-row or one-column lattice
-    L = (sp.kron(sp.identity(geometry.n_lat), _lattice_laplacian(1, geometry.n_lon, h_lon),
-                 format="csr")
-         + sp.kron(_lattice_laplacian(geometry.n_lat, 1, h_lat), sp.identity(geometry.n_lon),
-                   format="csr"))
+    L = _lattice_laplacian(geometry.n_lat, geometry.n_lon, h_lat, h_lon)
     kappa2 = params.kappa ** 2
     M = kappa2 * sp.identity(L.shape[0], format="csr") - L
     Q_space = (params.tau / (4.0 * math.pi * kappa2)) * (h_lon * h_lat) * (M.T @ M)

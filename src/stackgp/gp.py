@@ -11,11 +11,10 @@ cos(reference latitude) and measured in degrees. A GP's reference latitude is
 its training points' mean latitude (_ref_lat), which a fitted model derives
 from its own train_points, so fit, fold re-conditioning and prediction share
 one geometry. One function, _factor_s, forms S = K + sigma_e2 I and factors
-it by Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6 of the
-mean diagonal, then a hard numerical error): numpy's Cholesky when
-conditioning, scipy's LAPACK potrf (_potrf) in a fit, where it is the faster
-of the two. The lattice GMRF precision form of the same field lives in
-gmrf.py.
+it by numpy's Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6
+of the mean diagonal, then a hard numerical error), for every likelihood,
+conditioning and GLS solve. The lattice GMRF precision form of the same
+field lives in gmrf.py.
 
 Hyperparameters are fitted by L-BFGS-B on the analytic gradient of the log
 marginal likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen &
@@ -30,10 +29,11 @@ Prediction conditions each fitted GP once over all its prediction points,
 whatever months they span, and evaluates the Matern once per (training
 point, distinct prediction location); only the AR(1) factor differs between
 months. The conditioning reads the cross-covariance in column blocks of
-about BLOCK_ENTRIES entries, so for n training points predict memory is
-O(n x sites + n x block + points), not O(n x points). Each predicted point's
-mean and variance have the same bytes whatever block holds it: the solve
-and the sums down the training rows treat every column alike.
+about BLOCK_ENTRIES entries and at least n columns, so for n training points
+predict memory is O(n x sites + n x block + points), not O(n x points).
+Each predicted point's mean and variance have the same bytes whatever block
+holds it: the solve and the sums down the training rows treat every column
+alike.
 
 The stacked and the plain GP are one fitted model (_FittedGp, one predict
 function) that differ only in their mean: beta-weighted level-0 predictions,
@@ -415,23 +415,8 @@ def _fit_inputs(fit: str, y, mean, points, mean_name: str):
     return y, mean, pts
 
 
-def _potrf(S: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor by scipy's LAPACK potrf, the bytes of scipy.linalg.cholesky.
-
-    A fit's choice: at n = 250 it is about twice as fast as numpy's.
-    """
-    L, info = _this.lapack.dpotrf(S, lower=1, clean=1)
-    if info:
-        raise np.linalg.LinAlgError(f"potrf: leading minor {info} is not positive definite")
-    return L
-
-
-def _chol_with_jitter(S: np.ndarray, context: str, cholesky=np.linalg.cholesky):
-    """Lower Cholesky with a multiplicative jitter ladder; returns (L, jitter).
-
-    cholesky(A) returns A's lower factor or raises LinAlgError; numpy's by
-    default, so that conditioning and synth load no scipy.
-    """
+def _chol_with_jitter(S: np.ndarray, context: str):
+    """Lower Cholesky with a multiplicative jitter ladder; returns (L, jitter)."""
     scale = float(np.mean(np.diag(S)))
     if not np.isfinite(scale):
         raise NumericalError(f"{context}: non-finite covariance diagonal")
@@ -440,7 +425,7 @@ def _chol_with_jitter(S: np.ndarray, context: str, cholesky=np.linalg.cholesky):
     for level in JITTER_LADDER:
         jitter = level * max(scale, 1e-300)
         try:
-            L = cholesky(S + jitter * np.eye(len(S)) if jitter else S)
+            L = np.linalg.cholesky(S + jitter * np.eye(len(S)) if jitter else S)
             return L, jitter
         except np.linalg.LinAlgError:
             continue
@@ -450,12 +435,9 @@ def _chol_with_jitter(S: np.ndarray, context: str, cholesky=np.linalg.cholesky):
                          f"(condition estimate {cond:.3e}, min eig {eig[0]:.3e})")
 
 
-def _factor_s(K, sigma_e2: float, context: str, cholesky=np.linalg.cholesky):
-    """(L, jitter) of S = K + sigma_e2 I: every likelihood, conditioning and GLS solve.
-
-    Fits pass cholesky=_potrf; conditioning keeps numpy's.
-    """
-    return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context, cholesky)
+def _factor_s(K, sigma_e2: float, context: str):
+    """(L, jitter) of S = K + sigma_e2 I: every likelihood, conditioning and GLS solve."""
+    return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context)
 
 
 def _forward_solve(L: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -543,8 +525,7 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
     y = np.asarray(y, dtype=float)
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
-    L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood",
-                     _potrf)
+    L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
     alpha = _this.cho_solve((L, True), r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
@@ -728,7 +709,7 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     init = default_init(y, np.zeros((n, 1)), pts)
 
     def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
-        L, _ = _factor_s(K, sigma_e2, "fit_gp_linear_mean", _potrf)
+        L, _ = _factor_s(K, sigma_e2, "fit_gp_linear_mean")
         coef, *_ = np.linalg.lstsq(_this.solve_triangular(L, M, lower=True),
                                    _this.solve_triangular(L, y, lower=True),
                                    rcond=None)
@@ -754,9 +735,11 @@ BLOCK_ENTRIES = 1 << 16
 
 def _block_width(n: int) -> int:
     """Columns per cross-covariance block for n training points: BLOCK_ENTRIES / n,
-    and at least 64, since each block's solve LU-factors the n x n Cholesky factor
-    anew. Any width gives the same predictions (gp_condition_dense)."""
-    return max(64, BLOCK_ENTRIES // n)
+    and at least n. Each block's solve LU-factors the n x n Cholesky factor anew
+    (_forward_solve), n^3 / 3 multiply-adds, so at width n or more that is at most
+    a third of the solve itself. Any width gives the same predictions
+    (gp_condition_dense)."""
+    return max(n, BLOCK_ENTRIES // n)
 
 
 def _cross_blocks(model, pred_points):

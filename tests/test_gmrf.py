@@ -17,29 +17,24 @@ from stackgp.gp import GpHyperParams, cov_block
 
 # A loop build of the lattice Laplacian: the reference that the array code in
 # stackgp.gmrf must match byte for byte.
-def loop_lattice_laplacian(n_lat, n_lon, h):
+def loop_lattice_laplacian(n_lat, n_lon, h_lat, h_lon):
     n = n_lat * n_lon
     rows, cols, vals = [], [], []
-    inv_h2 = 1.0 / (h * h)
+    inv_lat2, inv_lon2 = 1.0 / (h_lat * h_lat), 1.0 / (h_lon * h_lon)
     for i in range(n_lat):
         for j in range(n_lon):
             site = i * n_lon + j
-            neighbours = []
-            if i > 0:
-                neighbours.append(site - n_lon)
-            if i < n_lat - 1:
-                neighbours.append(site + n_lon)
-            if j > 0:
-                neighbours.append(site - 1)
-            if j < n_lon - 1:
-                neighbours.append(site + 1)
+            lat_nbs = [nb for nb, ok in ((site - n_lon, i > 0), (site + n_lon, i < n_lat - 1))
+                       if ok]
+            lon_nbs = [nb for nb, ok in ((site - 1, j > 0), (site + 1, j < n_lon - 1)) if ok]
             rows.append(site)
             cols.append(site)
-            vals.append(-len(neighbours) * inv_h2)
-            for nb in neighbours:
-                rows.append(site)
-                cols.append(nb)
-                vals.append(inv_h2)
+            vals.append(-len(lon_nbs) * inv_lon2 - len(lat_nbs) * inv_lat2)
+            for nbs, inv_h2 in ((lat_nbs, inv_lat2), (lon_nbs, inv_lon2)):
+                for nb in nbs:
+                    rows.append(site)
+                    cols.append(nb)
+                    vals.append(inv_h2)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -54,8 +49,8 @@ class TestLoopOracles:
     @pytest.mark.parametrize("n_lat, n_lon", [(3, 3), (4, 5), (7, 3), (3, 9), (24, 24),
                                               (48, 48), (1, 5), (6, 1), (2, 2)])
     def test_laplacian_matches_the_loop(self, n_lat, n_lon):
-        ours = _lattice_laplacian(n_lat, n_lon, 0.1)
-        ref = loop_lattice_laplacian(n_lat, n_lon, 0.1)
+        ours = _lattice_laplacian(n_lat, n_lon, 0.07, 0.1)
+        ref = loop_lattice_laplacian(n_lat, n_lon, 0.07, 0.1)
         assert ours.nnz == ref.nnz
         assert not np.any(ours.data == 0.0)
         np.testing.assert_array_equal(ours.toarray(), ref.toarray())

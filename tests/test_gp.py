@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 import scipy.special
@@ -339,17 +338,6 @@ class TestCholeskyJitterLadder:
     def test_non_finite_diagonal_rejected(self):
         with pytest.raises(NumericalError):
             _chol_with_jitter(np.array([[np.nan, 0.0], [0.0, 1.0]]), "test")
-
-    def test_fit_factor_is_scipys_cholesky(self):
-        # fits factor S by scipy's LAPACK potrf, through the same jitter ladder
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(60, 60))
-        S = A @ A.T + 60 * np.eye(60)
-        L, jitter = _chol_with_jitter(S, "test", gp._potrf)
-        assert jitter == 0.0
-        assert L.tobytes() == scipy.linalg.cholesky(S, lower=True).tobytes()
-        with pytest.raises(NumericalError, match="condition estimate"):
-            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), "test", gp._potrf)
 
 
 class TestAr1Precision:
