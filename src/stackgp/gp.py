@@ -13,12 +13,14 @@ from its own train_points, so fit, fold re-conditioning and prediction share
 one geometry. One function, _factor_s, forms S = K + sigma_e2 I and factors
 it by numpy's Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6
 of the mean diagonal, then a hard numerical error), for every likelihood,
-conditioning and GLS solve. The lattice GMRF precision form of the same
-field lives in gmrf.py.
+conditioning and GLS solve. A fit forms S^-1, alpha and its GLS solves from
+one triangular inverse of that factor (_tri_inv). The lattice GMRF precision
+form of the same field lives in gmrf.py.
 
-Hyperparameters are fitted by L-BFGS-B on the analytic gradient of the log
-marginal likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen &
-Williams 2006, eq. 5.9), over unconstrained raw coordinates (log kappa,
+Hyperparameters are fitted by L-BFGS (lbfgs.minimize) on the analytic
+gradient of the log marginal likelihood,
+1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen & Williams 2006,
+eq. 5.9), over unconstrained raw coordinates (log kappa,
 log tau, log sigma_e^2, atanh phi, and softmax logits for the stacked-mean
 simplex weights, first logit pinned at zero). One table, _HYPERPARAMS, holds
 each scalar's raw transforms, their slope and valid range; pinned values are
@@ -39,17 +41,13 @@ The stacked and the plain GP are one fitted model (_FittedGp, one predict
 function) that differ only in their mean: beta-weighted level-0 predictions,
 or a GLS linear mean whose training-row values the model holds (mean_train).
 
-Only a hyperparameter fit loads scipy. K1 (_k1) and the conditioning run on
-numpy alone, so prediction and synth import no scipy; the likelihood, its
-K0 gradient, the GLS solve and the optimizer import theirs on first use,
-name by name (_LAZY). Importing this module loads no scipy.
+Everything here runs on numpy alone: K0 and K1 (_k0, _k1), the factor and
+its inverse, and the optimizer. No fit, prediction or synth loads scipy.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,28 +55,7 @@ import numpy as np
 from .config import check_keys, check_values, finite_real
 from .cwm import on_simplex
 from .errors import DataError, NumericalError, SchemaError
-
-# scipy names this module imports on first use (PEP 562 __getattr__): only a
-# hyperparameter fit reaches them, so prediction and synth load no scipy.
-# __getattr__ is not consulted for bare global names, so call sites look them
-# up on the module, as _this.k0; a wrapper set on a module attribute then sees
-# every call.
-_LAZY = {
-    "minimize": "scipy.optimize",
-    "cho_solve": "scipy.linalg", "solve_triangular": "scipy.linalg", "lapack": "scipy.linalg",
-    "k0": "scipy.special",
-}
-_this = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    """Import a _LAZY name from its scipy module on first use and keep it in the globals."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LAZY[name]), name)
-    globals()[name] = value
-    return value
-
+from .lbfgs import minimize
 
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -195,28 +172,43 @@ class GpPosterior:
         return np.sqrt(np.maximum(var, 0.0))
 
 
-def _k1_series_coefficients() -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients, highest power first, of K1's ascending series in t = x^2 / 4.
+def _series_coefficients() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, highest power first, of K0's and K1's ascending series in t = x^2 / 4.
 
-    K1(x) = 1/x + (x/2) (ln(x/2) sum_k a_k t^k - sum_k b_k t^k) with
-    a_k = 1 / (k! (k+1)!) and b_k = a_k (H_k + 1 / (2 (k+1)) - gamma), H_k the
-    k-th harmonic number (Abramowitz & Stegun 9.6.11). It keeps k = 0..12: for
-    x <= 2 (t <= 1) the first term left out is below 1e-20.
+    With H_k the k-th harmonic number (Abramowitz & Stegun 9.6.13, 9.6.11):
+    K0(x) = sum_k d_k t^k - ln(x/2) sum_k c_k t^k, c_k = 1 / k!^2 and
+    d_k = c_k (H_k - gamma); K1(x) = 1/x + (x/2) (ln(x/2) sum_k a_k t^k -
+    sum_k b_k t^k), a_k = 1 / (k! (k+1)!) and b_k = a_k (H_k + 1 / (2 (k+1)) -
+    gamma). They keep k = 0..12: for x <= 2 (t <= 1) the first term left out
+    is below 1e-19.
     """
     euler_gamma = 0.5772156649015329
+    harmonic = [math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(13)]
+    c = [1.0 / math.factorial(k) ** 2 for k in range(13)]
+    d = [c[k] * (harmonic[k] - euler_gamma) for k in range(13)]
     a = [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(13)]
-    b = [a[k] * (math.fsum(1.0 / j for j in range(1, k + 1)) + 0.5 / (k + 1) - euler_gamma)
-         for k in range(13)]
-    return np.array(a[::-1]), np.array(b[::-1])
+    b = [a[k] * (harmonic[k] + 0.5 / (k + 1) - euler_gamma) for k in range(13)]
+    return tuple(np.array(coef[::-1]) for coef in (c, d, a, b))
 
 
-_K1_SERIES = _k1_series_coefficients()
-# Chebyshev coefficients c_0..c_25 of sqrt(x) e^x K1(x) in u = 4/x - 1, for
+_K0_SERIES_C, _K0_SERIES_D, _K1_SERIES_A, _K1_SERIES_B = _series_coefficients()
+# Chebyshev coefficients c_0..c_25 of sqrt(x) e^x K_nu(x) in u = 4/x - 1, for
 # x > 2 (u in (-1, 1)); |c_26| < 1e-18. Computed with mpmath at 40 digits:
 # c_j = (2 - [j == 0]) / M sum_k f(cos th_k) cos(j th_k) with
 # th_k = pi (k + 1/2) / M over M = 96 Chebyshev nodes and
-# f(u) = sqrt(x) exp(x) besselk(1, x) at x = 4 / (u + 1), each rounded to
+# f(u) = sqrt(x) exp(x) besselk(nu, x) at x = 4 / (u + 1), each rounded to
 # the nearest double. mpmath is not a dependency: the literals are the result.
+_K0_CHEB = (
+    1.2201515410329777, -0.0314481013119645, 0.0015698838857300533,
+    -0.00012849549581627802, 1.39498137188765e-05, -1.8317555227191195e-06,
+    2.766813639445015e-07, -4.660489897687948e-08, 8.574034017414225e-09,
+    -1.6975345093890614e-09, 3.5773972814003283e-10, -7.957489244477396e-11,
+    1.8559491149549264e-11, -4.514597883374519e-12, 1.1403405882073441e-12,
+    -2.9800969231481784e-13, 8.032890775068375e-14, -2.2275133267462965e-14,
+    6.340076476276646e-15, -1.848593377920907e-15, 5.5120559994043335e-16,
+    -1.6782311257549006e-16, 5.2103917776435543e-17, -1.6475805939842632e-17,
+    5.3004337711773354e-18, -1.7331712005821001e-18,
+)
 _K1_CHEB = (
     1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
     0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
@@ -230,60 +222,79 @@ _K1_CHEB = (
 )
 
 
-_K1_CHUNK = 1 << 13     # entries per pass of _k1, so that its temporaries stay small
+_K_CHUNK = 1 << 13     # entries per pass of _bessel_k, so that its temporaries stay small
+
+
+def _k0(x) -> np.ndarray:
+    """Modified Bessel function K0 of an array of x > 0, in numpy alone (_bessel_k)."""
+    return _bessel_k(x, _k0_series_sum, _K0_CHEB)
 
 
 def _k1(x) -> np.ndarray:
-    """Modified Bessel function K1 of an array of x > 0, in numpy alone.
+    """Modified Bessel function K1 of an array of x > 0, in numpy alone (_bessel_k)."""
+    return _bessel_k(x, _k1_series_sum, _K1_CHEB)
 
-    The ascending series for x <= 2 and the Chebyshev series of
-    sqrt(x) e^x K1(x) above; within a few ulp of scipy.special.k1. It works
-    through _K1_CHUNK entries at a time, and each branch gathers its entries
-    into a fresh contiguous array, so an entry's bytes depend only on its x,
-    not on the array around it: numpy's exp and log round some strided
+
+def _bessel_k(x, series, cheb) -> np.ndarray:
+    """K_nu of an array of x > 0: series(x) for x <= 2, the Chebyshev series cheb
+    of sqrt(x) e^x K_nu(x) above; within 5e-15 relative of scipy.special's.
+
+    It works through _K_CHUNK entries at a time, and each branch gathers its
+    entries into a fresh contiguous array, so an entry's bytes depend only on
+    its x, not on the array around it: numpy's exp and log round some strided
     entries differently.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _K1_CHUNK):
-        chunk = flat[start:start + _K1_CHUNK]
+    for start in range(0, flat.size, _K_CHUNK):
+        chunk = flat[start:start + _K_CHUNK]
         small = chunk <= 2.0
         lo, hi = np.flatnonzero(small), np.flatnonzero(~small)
-        part = out[start:start + _K1_CHUNK]
-        part.put(lo, _k1_series_sum(chunk.take(lo)))
-        part.put(hi, _k1_cheb_sum(chunk.take(hi)))
+        part = out[start:start + _K_CHUNK]
+        part.put(lo, series(chunk.take(lo)))
+        part.put(hi, _cheb_sum(chunk.take(hi), cheb))
     return out.reshape(x.shape)
 
 
-def _k1_series_sum(x: np.ndarray) -> np.ndarray:
-    """K1 of x <= 2 by its ascending series (_K1_SERIES)."""
+def _horner(t: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients coef (highest power first) at t."""
+    out = np.full(t.shape, coef[0])
+    for c in coef[1:]:
+        out *= t
+        out += c
+    return out
+
+
+def _k0_series_sum(x: np.ndarray) -> np.ndarray:
+    """K0 of x <= 2 by its ascending series (_K0_SERIES_C, _K0_SERIES_D)."""
     t = 0.25 * x * x
-    a_coef, b_coef = _K1_SERIES
-    pa, pb = np.full(x.shape, a_coef[0]), np.full(x.shape, b_coef[0])
-    for a, b in zip(a_coef[1:], b_coef[1:]):
-        pa *= t
-        pa += a
-        pb *= t
-        pb += b
     out = np.log(0.5 * x)
-    out *= pa
-    out -= pb
+    out *= _horner(t, _K0_SERIES_C)
+    return _horner(t, _K0_SERIES_D) - out
+
+
+def _k1_series_sum(x: np.ndarray) -> np.ndarray:
+    """K1 of x <= 2 by its ascending series (_K1_SERIES_A, _K1_SERIES_B)."""
+    t = 0.25 * x * x
+    out = np.log(0.5 * x)
+    out *= _horner(t, _K1_SERIES_A)
+    out -= _horner(t, _K1_SERIES_B)
     out *= 0.5 * x
     out += 1.0 / x
     return out
 
 
-def _k1_cheb_sum(x: np.ndarray) -> np.ndarray:
-    """K1 of x > 2 by Clenshaw's recurrence over _K1_CHEB in 2u = 8/x - 2."""
+def _cheb_sum(x: np.ndarray, cheb) -> np.ndarray:
+    """K_nu of x > 2 by Clenshaw's recurrence over cheb in 2u = 8/x - 2."""
     y2 = 8.0 / x - 2.0
     b0, b1, b2 = np.empty(x.shape), np.zeros(x.shape), np.zeros(x.shape)
-    for c in _K1_CHEB[:0:-1]:
+    for c in cheb[:0:-1]:
         np.multiply(y2, b1, out=b0)
         b0 -= b2
         b0 += c
         b0, b1, b2 = b2, b0, b1
-    out = 0.5 * y2 * b1 - b2 + _K1_CHEB[0]
+    out = 0.5 * y2 * b1 - b2 + cheb[0]
     out *= np.exp(-x) / np.sqrt(x)
     return out
 
@@ -297,6 +308,9 @@ def matern1_matrix(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     return np.where(x > 0, vals, 1.0 / tau)
 
 
+k0 = _k0     # the name the fits call K0 by, so that a wrapper set on it sees every call
+
+
 def _matern1_dlog_kappa(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     """d matern1_matrix / d log kappa: -(x^2 / tau) K0(x) with x = kappa d, 0 at d = 0.
 
@@ -304,7 +318,7 @@ def _matern1_dlog_kappa(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     """
     x = kappa * np.asarray(D, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = -(x / tau) * (x * _this.k0(np.where(x > 0, x, 1.0)))
+        vals = -(x / tau) * (x * k0(np.where(x > 0, x, 1.0)))
     return np.where(x > 0, vals, 0.0)
 
 
@@ -440,6 +454,27 @@ def _factor_s(K, sigma_e2: float, context: str):
     return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context)
 
 
+_TRI_INV_LEAF = 32     # _tri_inv inverts blocks up to this size by LU
+
+
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L, recursively by 2 x 2 blocks:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].
+
+    It costs n^3 / 3 multiply-adds, mostly in matrix products, where
+    np.linalg.inv's LU costs three times as much.
+    """
+    n = len(L)
+    if n <= _TRI_INV_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = _tri_inv(L[:h, :h])
+    out[h:, h:] = _tri_inv(L[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
+    return out
+
+
 def _forward_solve(L: np.ndarray, block: np.ndarray) -> np.ndarray:
     """L^-1 block by np.linalg.solve, one column's bytes whatever block holds it.
 
@@ -526,15 +561,14 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
     L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
-    alpha = _this.cho_solve((L, True), r)
+    L_inv = _tri_inv(L)
+    alpha = L_inv.T @ (L_inv @ r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
     if dS is None:
         return lml
-    S_inv, _ = _this.lapack.dpotri(L, lower=1)        # lower triangle; L's upper is zero
     W = np.outer(alpha, alpha)
-    W -= S_inv
-    W -= np.tril(S_inv, -1).T
+    W -= L_inv.T @ L_inv
     grad = np.array([0.5 * np.vdot(W, block) for block in dS])
     return lml, grad, alpha
 
@@ -636,11 +670,13 @@ def default_init(y, mean_basis, points) -> GpHyperParams:
 
 def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
               max_iter: int, seed: int) -> np.ndarray:
-    """L-BFGS-B from x0, then from restarts - 1 jittered starts; best raw point.
+    """L-BFGS from x0, then from restarts - 1 jittered starts; best raw point.
 
-    objective returns a float and jac its gradient; each run stops at scipy's
-    default tolerances or after max_iter iterations. The objective must be
-    finite at x0; an empty x0 is returned unoptimised.
+    objective returns a float and jac its gradient. Each run stops once the
+    gradient's max-norm is at most 1e-5 or an iteration lowers the objective
+    by at most 2.2e-9 of its size (scipy's L-BFGS-B defaults, lbfgs.GTOL and
+    lbfgs.FTOL), or after max_iter iterations. The objective must be finite
+    at x0; an empty x0 is returned unoptimised.
     """
     f0 = objective(x0)
     if not np.isfinite(f0) or f0 >= PENALTY:
@@ -650,8 +686,7 @@ def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
     best_raw, best_val = x0, f0
     for attempt in range(max(restarts, 1) if x0.size else 0):
         start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
-        res = _this.minimize(objective, start, method="L-BFGS-B", jac=jac,
-                             options={"maxiter": max_iter})
+        res = minimize(objective, start, jac=jac, max_iter=max_iter)
         if res.fun < best_val:
             best_raw, best_val = res.x, float(res.fun)
     return best_raw
@@ -709,10 +744,8 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     init = default_init(y, np.zeros((n, 1)), pts)
 
     def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
-        L, _ = _factor_s(K, sigma_e2, "fit_gp_linear_mean")
-        coef, *_ = np.linalg.lstsq(_this.solve_triangular(L, M, lower=True),
-                                   _this.solve_triangular(L, y, lower=True),
-                                   rcond=None)
+        L_inv = _tri_inv(_factor_s(K, sigma_e2, "fit_gp_linear_mean")[0])
+        coef, *_ = np.linalg.lstsq(L_inv @ M, L_inv @ y, rcond=None)
         return coef
 
     def evaluate(params: GpHyperParams):

@@ -104,12 +104,12 @@ class TestBesselK1:
     def test_entries_do_not_depend_on_the_array_around_them(self):
         rng = np.random.default_rng(71)
         # two and a bit of _k1's passes
-        x = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), size=2 * gp._K1_CHUNK + 3))
+        x = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), size=2 * gp._K_CHUNK + 3))
         whole = gp._k1(x)
         assert gp._k1(x[::-1])[::-1].tobytes() == whole.tobytes()
         assert gp._k1(x[1::3]).tobytes() == whole[1::3].tobytes()
         assert gp._k1(x.reshape(-1, 1)).reshape(-1).tobytes() == whole.tobytes()
-        for lo in [*range(0, 64, 5), gp._K1_CHUNK - 7, 2 * gp._K1_CHUNK - 1]:
+        for lo in [*range(0, 64, 5), gp._K_CHUNK - 7, 2 * gp._K_CHUNK - 1]:
             piece = slice(lo, lo + int(rng.integers(1, 20)))
             assert gp._k1(x[piece]).tobytes() == whole[piece].tobytes(), piece
         assert all(gp._k1(np.array([v]))[0] == w for v, w in zip(x[:50], whole[:50]))
@@ -122,6 +122,45 @@ class TestBesselK1:
         np.testing.assert_allclose(vals, scipy.special.k1(x), rtol=5e-15, atol=0)
         # the two sides of the seam meet to within their accuracy
         assert abs(vals[2] - vals[1]) <= 5e-15 * vals[1]
+
+
+class TestBesselK0:
+    """gp._k0, the numpy K0 behind the fits' kappa gradient, against scipy's."""
+
+    def test_within_5e_15_relative_of_scipy_on_a_log_grid(self):
+        x = np.geomspace(1e-10, 700.0, 20001)
+        want = scipy.special.k0(x)
+        rel = np.abs(gp._k0(x) - want) / want
+        assert rel.max() <= 5e-15, f"worst at x = {x[np.argmax(rel)]!r}: {rel.max():.2e}"
+
+    def test_entries_do_not_depend_on_the_array_around_them(self):
+        rng = np.random.default_rng(72)
+        x = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), size=2 * gp._K_CHUNK + 3))
+        whole = gp._k0(x)
+        assert gp._k0(x[::-1])[::-1].tobytes() == whole.tobytes()
+        assert gp._k0(x[1::3]).tobytes() == whole[1::3].tobytes()
+        assert gp._k0(x.reshape(-1, 1)).reshape(-1).tobytes() == whole.tobytes()
+        for lo in [*range(0, 64, 5), gp._K_CHUNK - 7, 2 * gp._K_CHUNK - 1]:
+            piece = slice(lo, lo + int(rng.integers(1, 20)))
+            assert gp._k0(x[piece]).tobytes() == whole[piece].tobytes(), piece
+        assert all(gp._k0(np.array([v]))[0] == w for v, w in zip(x[:50], whole[:50]))
+
+    def test_finite_positive_and_continuous_across_the_series_seam(self):
+        seam = np.array([np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])
+        x = np.concatenate([seam, 2.0 + np.linspace(-1e-6, 1e-6, 21)])
+        vals = gp._k0(x)
+        assert np.isfinite(vals).all() and (vals > 0).all()
+        np.testing.assert_allclose(vals, scipy.special.k0(x), rtol=5e-15, atol=0)
+        assert abs(vals[2] - vals[1]) <= 5e-15 * vals[1]
+
+    def test_the_fits_call_it_by_the_module_name_k0(self, monkeypatch):
+        # test_fits_call_module_kernel_and_optimizer_once_per_distinct_distance
+        # wraps gp.k0 to count the fits' K0 entries
+        assert gp.k0 is gp._k0
+        seen = []
+        monkeypatch.setattr(gp, "k0", lambda x: seen.append(np.size(x)) or gp._k0(x))
+        gp._matern1_dlog_kappa(np.array([0.0, 0.3, 2.5]), 1.7, 0.8)
+        assert seen == [3]
 
 
 class TestPlanarDistance:
@@ -861,6 +900,31 @@ class TestLmlGradient:
             assert len(runs) == 2, fit.__name__
             assert all(run.success for run in runs), [run.message for run in runs]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fits_reach_scipys_lbfgsb_optimum(self, monkeypatch, seed):
+        # scipy is the oracle here only; the fits run gp.minimize (lbfgs.minimize)
+        y, basis, pts, _ = self.problem(n=40, seed=seed)
+
+        def scipy_lbfgsb(fun, x0, jac, max_iter):
+            return scipy.optimize.minimize(fun, x0, jac=jac, method="L-BFGS-B",
+                                           options={"maxiter": max_iter})
+
+        def best_neg_lml(fit, minimize):
+            runs = []
+
+            def recording(*args, **kwargs):
+                runs.append(minimize(*args, **kwargs))
+                return runs[-1]
+            monkeypatch.setattr(gp, "minimize", recording)
+            fit(y, basis, pts)
+            assert all(run.success for run in runs), fit.__name__
+            return min(run.fun for run in runs)
+
+        ours = gp.minimize
+        for fit in (fit_hyperparams, fit_gp_linear_mean):
+            theirs = best_neg_lml(fit, scipy_lbfgsb)
+            assert best_neg_lml(fit, ours) <= theirs + 1e-6, fit.__name__
+
 
 class TestLinearMeanGp:
     def test_recovers_linear_trend_exactly_with_fixed_kernel(self):
@@ -1372,7 +1436,7 @@ def _cli_in_fresh_python(tmp_path, name: str, config: dict) -> set:
 
 
 class TestImportBoundary:
-    """Only a GP hyperparameter fit loads scipy, and it loads scipy.optimize."""
+    """No stackgp command loads scipy, GP fits and GP cv included."""
 
     def test_cli_loads_no_scipy(self):
         code = ("import sys, stackgp.cli; print(sorted(m for m in sys.modules "
@@ -1408,6 +1472,9 @@ class TestImportBoundary:
                                          "learners": [{"kind": "enet"}, {"kind": "gam"}]},
                             "gp": gp_options},
             "fit-plain": {"stacking": {"design": "plain-gp"}, "gp": gp_options},
+            "cv-gp": {"stacking": {"v": 3, "learners": [{"kind": "enet"}, {"kind": "mars"}]},
+                      "cv": {"repeats": 1, "methods": ["gp-stack", "plain-gp"]},
+                      "gp": gp_options},
         }
         for fit in ("gp", "design2", "plain"):
             runs[f"predict-{fit}"] = {"predict": {
@@ -1425,18 +1492,12 @@ class TestImportBoundary:
     def test_gp_predicts_and_synth_load_no_scipy(self, loaded, command):
         assert loaded[command] == set()
 
-    def test_gp_fit_loads_linalg_special_and_optimize(self, loaded):
-        assert {"scipy.linalg", "scipy.special", "scipy.optimize"} <= loaded["fit-gp"]
+    @pytest.mark.parametrize("command", ["fit-gp", "fit-design2", "fit-plain", "cv-gp"])
+    def test_gp_fits_and_gp_cv_load_no_scipy(self, loaded, command):
+        assert loaded[command] == set()
 
     def test_no_command_loads_interpolate(self, loaded):
         assert not any("scipy.interpolate" in modules for modules in loaded.values())
-
-    def test_minimize_resolves_to_scipys_on_first_access(self):
-        code = ("import sys, stackgp.gp as gp; before = 'minimize' in vars(gp); "
-                "import scipy.optimize; "
-                "print(before, gp.minimize is scipy.optimize.minimize, 'minimize' in vars(gp))")
-        assert _fresh_python(code) == "False True True"
-        assert gp.minimize is scipy.optimize.minimize
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -1447,7 +1508,7 @@ class TestImportBoundary:
         calls = []
 
         def fake(fun, x0, **kwargs):
-            calls.append(kwargs["method"])
+            calls.append(kwargs["max_iter"])
             return OptimizeResult(x=np.asarray(x0), fun=fun(x0) - 1.0)
 
         monkeypatch.setattr(gp, "minimize", fake)
@@ -1456,4 +1517,4 @@ class TestImportBoundary:
         basis = rng.normal(size=(20, 2))
         gp.fit_hyperparams(basis @ [0.5, 0.5] + rng.normal(size=20) * 0.2, basis, pts,
                            restarts=2, max_iter=5)
-        assert calls == ["L-BFGS-B", "L-BFGS-B"]
+        assert calls == [5, 5]
