@@ -137,7 +137,8 @@ def _mean_sd(model, design, points) -> tuple:
 
 def cmd_predict(config: dict, seed: int, outdir: Path) -> None:
     model_path, months = require(config, "predict", "model", "months")
-    covariates = load_stack_manifest(require(config, "data", "stack"))
+    # only the covariate slices that the months, less the lags, read
+    covariates = load_stack_manifest(require(config, "data", "stack"), months)
     geometry = covariates[0].geometry
     model = load_model(model_path)
 

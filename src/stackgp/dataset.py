@@ -48,6 +48,7 @@ from .errors import DataError, SchemaError
 EMPIRICAL_LOGIT_C = 0.5
 MONTHLY_LAGS = (0, 2, 4, 6)
 KINDS = ("static", "synoptic", "dynamic-monthly", "dynamic-annual")
+MONTHS_PER_SLICE = {"dynamic-monthly": 1, "dynamic-annual": 12}
 SURVEY_HEADER = ["lon", "lat", "t", "n_tested", "n_positive"]
 
 
@@ -203,8 +204,7 @@ class Covariate:
         if outside.size:
             i = outside[0]
             raise PointError(i, f"month {t[i]} outside [{self.t_start}, {self.t_end}]")
-        months_per_slice = 1 if self.kind == "dynamic-monthly" else 12
-        return self.slices[(t - self.t_start) // months_per_slice, row, col]
+        return self.slices[(t - self.t_start) // MONTHS_PER_SLICE[self.kind], row, col]
 
 
 def _path_template(v) -> bool:
@@ -224,8 +224,20 @@ _ENTRY_FIELDS = {
 }
 
 
-def load_stack_manifest(path) -> list[Covariate]:
-    """Load every covariate referenced by a stack manifest; fails loudly on gaps."""
+def _lags(kind: str) -> tuple[int, ...]:
+    """The month lags of a covariate kind's design columns."""
+    return MONTHLY_LAGS if kind == "dynamic-monthly" else (0,)
+
+
+def load_stack_manifest(path, months=None) -> list[Covariate]:
+    """Load every covariate referenced by a stack manifest; fails loudly on gaps.
+
+    months, if given, are the months a prediction grid will be assembled at:
+    a dynamic covariate then reads only the slices that those months minus
+    its lags reach inside [t_start, t_end], and its other slices hold NaN,
+    which the design matrix refuses if a point ever reads one. Months outside
+    the range are left for assemble_at to refuse with its usual message.
+    """
     path = Path(path)
     try:
         spec = yaml.load(path.read_text(encoding="utf-8"), Loader=YamlLoader)
@@ -262,9 +274,16 @@ def load_stack_manifest(path) -> list[Covariate]:
         t_start, t_end, template = found.values()
         if t_end < t_start:
             raise SchemaError(f"{path}: covariate '{name}': t_end < t_start")
-        n_slices = (t_end - t_start + 1) if kind == "dynamic-monthly" else (t_end - t_start) // 12 + 1
-        slices = np.stack([load_grid_csv(base / template.format(t=s), geometry)
-                           for s in range(n_slices)])
+        per = MONTHS_PER_SLICE[kind]
+        n_slices = (t_end - t_start) // per + 1
+        if months is None:
+            wanted = range(n_slices)
+        else:
+            reached = [m - lag for m in np.atleast_1d(months).tolist() for lag in _lags(kind)]
+            wanted = sorted({(t - t_start) // per for t in reached if t_start <= t <= t_end})
+        slices = np.full((n_slices, geometry.n_lat, geometry.n_lon), np.nan)
+        for s in wanted:
+            slices[s] = load_grid_csv(base / template.format(t=s), geometry)
         covariates.append(Covariate(name, kind, geometry, slices, t_start, t_end))
     if not covariates:
         raise SchemaError(f"{path}: manifest lists no covariates")
@@ -314,7 +333,7 @@ class CovariateMatrix:
 
 def design_columns(covariates) -> list[tuple[ColumnInfo, "Covariate"]]:
     return [(ColumnInfo(cov.name, lag, cov.kind), cov) for cov in covariates
-            for lag in (MONTHLY_LAGS if cov.kind == "dynamic-monthly" else (0,))]
+            for lag in _lags(cov.kind)]
 
 
 def assemble_at(points, covariates) -> CovariateMatrix:

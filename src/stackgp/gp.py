@@ -13,9 +13,11 @@ from its own train_points, so fit, fold re-conditioning and prediction share
 one geometry. One function, _factor_s, forms S = K + sigma_e2 I and factors
 it by numpy's Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6
 of the mean diagonal, then a hard numerical error), for every likelihood,
-conditioning and GLS solve. A fit forms S^-1, alpha and its GLS solves from
-one triangular inverse of that factor (_tri_inv). The lattice GMRF precision
-form of the same field lives in gmrf.py.
+conditioning and GLS solve. Each evaluation and each conditioning factors S
+once and inverts that factor once (_tri_inv): a fit forms S^-1, alpha and
+the plain GP's GLS solves from the inverse, a conditioning alpha and the
+predictive variances. The lattice GMRF precision form of the same field
+lives in gmrf.py.
 
 Hyperparameters are fitted by L-BFGS (lbfgs.minimize) on the analytic
 gradient of the log marginal likelihood,
@@ -31,11 +33,11 @@ Prediction conditions each fitted GP once over all its prediction points,
 whatever months they span, and evaluates the Matern once per (training
 point, distinct prediction location); only the AR(1) factor differs between
 months. The conditioning reads the cross-covariance in column blocks of
-about BLOCK_ENTRIES entries and at least n columns, so for n training points
-predict memory is O(n x sites + n x block + points), not O(n x points).
-Each predicted point's mean and variance have the same bytes whatever block
-holds it: the solve and the sums down the training rows treat every column
-alike.
+about BLOCK_ENTRIES entries, so for n training points predict memory is
+O(n x sites + n x block + points), not O(n x points). Each predicted
+point's mean and variance have the same bytes whatever block holds it: the
+mean sums down the training rows column by column, and the variance is
+formed over slabs of SLAB columns whose edges fall at fixed point indices.
 
 The stacked and the plain GP are one fitted model (_FittedGp, one predict
 function) that differ only in their mean: beta-weighted level-0 predictions,
@@ -475,40 +477,42 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_solve(L: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """L^-1 block by np.linalg.solve, one column's bytes whatever block holds it.
-
-    np.linalg.solve gives a column the same bytes in any block of two or more
-    columns, but solves a lone column by another path; so a 1-column block is
-    solved as two copies of itself.
-    """
-    if block.shape[1] == 1:
-        return np.linalg.solve(L, np.repeat(block, 2, axis=1))[:, :1]
-    return np.linalg.solve(L, block)
-
-
 def _column_sums(A: np.ndarray) -> np.ndarray:
     """Sums down axis 0, added strictly in row order: a column's sum never
     depends on the columns beside it, as a matrix-vector product's does."""
     return A.cumsum(axis=0)[-1]
 
 
+SLAB = 64     # columns of one variance product in gp_condition_dense
+
+
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
                        sigma_e2: float, *, full_cov: bool = False) -> GpPosterior:
-    """Predictive conditioning from covariance blocks, all solves against
-    K_train's Cholesky factor.
+    """Predictive conditioning from covariance blocks against one factor of S.
+
+    S = K_train + sigma_e2 I is factored once and its Cholesky factor L
+    inverted once (_tri_inv), as in Rasmussen & Williams (2006, Alg. 2.1):
+    alpha = L^-T L^-1 (y - mean_train), and a point's variance subtracts the
+    squared column of L^-1 k_* from its prior.
 
     K_cross is the (n_train, n_pred) cross-covariance: one array, or an
-    iterable of (n_train, b) column blocks in prediction-point order. K_train
-    is factored once; each block is read once and can be dropped once its
-    slices of the mean and variance are written, so with blocks of width b
-    memory is O(n_train^2 + n_train * b + n_pred); prediction's blocks
-    (_cross_blocks) make it O(n x sites + n x block + points) beyond the
-    n x n factor. A point's mean and variance have the same bytes however
-    K_cross is cut into blocks (_forward_solve, _column_sums). With full_cov
-    False (default) sigma_star is the predictive variance vector; K_pred may
-    then be a full matrix or just its diagonal. full_cov needs K_cross as one
-    array.
+    iterable of (n_train, b) column blocks in prediction-point order. Each
+    block is read once and can be dropped once its slices of the mean and
+    variance are written, so with blocks of width b memory is O(n_train^2 +
+    n_train * (b + SLAB) + n_pred); prediction's blocks (_cross_blocks) make
+    it O(n x sites + n x block + points) beyond the n x n factor.
+
+    A point's mean and variance have the same bytes however K_cross is cut
+    into blocks. The mean sums down the training rows (_column_sums). The
+    variance copies the columns, in point order, into slabs of a fixed SLAB
+    columns, the last one zero-padded, and forms L^-1 slab by one matrix
+    product each. A product's column can round differently with the product's
+    width, and with the BLAS kernel, with its position in it, but never with
+    the other columns' values; slab k always holds points [SLAB k,
+    SLAB (k + 1)), so a point's width and position are fixed whatever the
+    blocks. With full_cov False
+    (default) sigma_star is the predictive variance vector; K_pred may then be
+    a full matrix or just its diagonal. full_cov needs K_cross as one array.
     """
     y = np.asarray(y, dtype=float)
     mean_train = np.asarray(mean_train, dtype=float)
@@ -527,9 +531,18 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
         raise DataError("gp_condition_dense: full_cov needs K_cross as one array")
 
     L, jitter = _factor_s(K_train, sigma_e2, "gp_condition_dense")
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y - mean_train))
+    L_inv = _tri_inv(L)
+    alpha = L_inv.T @ (L_inv @ (y - mean_train))
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
     mu_star, sigma_star = np.empty(p), np.empty(p)
+    slab = np.zeros((n, SLAB))
+
+    def slab_variance(first: int, count: int) -> None:
+        """Variances of points [first, first + count) from the slab's leading columns."""
+        V = L_inv @ slab
+        sigma_star[first:first + count] = (prior_diag[first:first + count]
+                                           - _column_sums(V * V)[:count])
+
     stop = 0
     for block in [K_cross] if one_array else K_cross:
         block = np.asarray(block, dtype=float)
@@ -537,31 +550,46 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
             raise DataError("gp_condition_dense: non-conformal shapes")
         start, stop = stop, stop + block.shape[1]
         mu_star[start:stop] = mean_pred[start:stop] + _column_sums(block * alpha[:, None])
-        V = _forward_solve(L, block)
-        sigma_star[start:stop] = prior_diag[start:stop] - _column_sums(V * V)
+        col = start
+        while col < stop:       # copy up to the next slab edge or the block's end
+            edge = min(stop, (col // SLAB + 1) * SLAB)
+            at = col % SLAB
+            slab[:, at:at + edge - col] = block[:, col - start:edge - start]
+            if edge % SLAB == 0:
+                slab_variance(edge - SLAB, SLAB)
+            col = edge
     if stop != p:
         raise DataError("gp_condition_dense: non-conformal shapes")
+    if p % SLAB:
+        slab[:, p % SLAB:] = 0.0
+        slab_variance(p - p % SLAB, p % SLAB)
     if full_cov:
+        V = L_inv @ K_cross
         sigma_star = K_pred - V.T @ V
         sigma_star = 0.5 * (sigma_star + sigma_star.T)
     return GpPosterior(mu_star=mu_star, sigma_star=sigma_star, diag_only=not full_cov,
                        train={"jitter": jitter})
 
 
-def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None):
+def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None, *,
+                            factor=None):
     """Gaussian log marginal likelihood of y under S = K_train + sigma_e2 I.
 
     Without dS it returns the float. dS is an iterable of symmetric blocks
     dS/dtheta_i, read one at a time; with it the result is (lml, grad, alpha),
     where grad[i] = 1/2 tr((alpha alpha^T - S^-1) dS/dtheta_i) (Rasmussen &
     Williams 2006, eq. 5.9) and alpha = S^-1 (y - mean_train), so that the
-    gradient in the coefficients of a mean H b is H^T alpha.
+    gradient in the coefficients of a mean H b is H^T alpha. factor is
+    (L, L^-1) of this S where the caller has already factored it (_factor_s,
+    _tri_inv); K_train is then not read.
     """
     y = np.asarray(y, dtype=float)
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
-    L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
-    L_inv = _tri_inv(L)
+    if factor is None:
+        L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
+        factor = L, _tri_inv(L)
+    L, L_inv = factor
     alpha = L_inv.T @ (L_inv @ r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
@@ -743,21 +771,24 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     codec = _RawCodec(1, fixed)
     init = default_init(y, np.zeros((n, 1)), pts)
 
-    def gls_coef(K: np.ndarray, sigma_e2: float) -> np.ndarray:
-        L_inv = _tri_inv(_factor_s(K, sigma_e2, "fit_gp_linear_mean")[0])
+    def gls_mean(K: np.ndarray, sigma_e2: float):
+        """(GLS coefficients, (L, L^-1)) of the mean under S = K + sigma_e2 I."""
+        L = _factor_s(K, sigma_e2, "fit_gp_linear_mean")[0]
+        L_inv = _tri_inv(L)
         coef, *_ = np.linalg.lstsq(L_inv @ M, L_inv @ y, rcond=None)
-        return coef
+        return coef, (L, L_inv)
 
     def evaluate(params: GpHyperParams):
         K, dS = kernel(params)
-        ll, grad, _ = log_marginal_likelihood(y, M @ gls_coef(K, params.sigma_e2), K,
-                                              params.sigma_e2, map(dS, codec.free))
+        coef, factor = gls_mean(K, params.sigma_e2)
+        ll, grad, _ = log_marginal_likelihood(y, M @ coef, K, params.sigma_e2,
+                                              map(dS, codec.free), factor=factor)
         return ll, grad, None
 
     params = codec.unpack(_optimize(*codec.objective(evaluate), codec.pack(init),
                                     "fit_gp_linear_mean", restarts=restarts,
                                     max_iter=max_iter, seed=seed))
-    coef = gls_coef(kernel(params)[0], params.sigma_e2)
+    coef = gls_mean(kernel(params)[0], params.sigma_e2)[0]
     mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
     return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X, y=y)
 
@@ -768,11 +799,11 @@ BLOCK_ENTRIES = 1 << 16
 
 def _block_width(n: int) -> int:
     """Columns per cross-covariance block for n training points: BLOCK_ENTRIES / n,
-    and at least n. Each block's solve LU-factors the n x n Cholesky factor anew
-    (_forward_solve), n^3 / 3 multiply-adds, so at width n or more that is at most
-    a third of the solve itself. Any width gives the same predictions
+    and at least 1. The conditioning factors S once for all blocks and forms
+    the variances over slabs of SLAB columns whatever the block width, so a
+    narrow block costs no extra solve, and any width gives the same predictions
     (gp_condition_dense)."""
-    return max(n, BLOCK_ENTRIES // n)
+    return max(1, BLOCK_ENTRIES // n)
 
 
 def _cross_blocks(model, pred_points):

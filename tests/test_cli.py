@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -511,6 +512,41 @@ class TestFitAndPredict:
         assert self.predict_into(scenario, path, tmp_path) == 3
         err = capsys.readouterr().err
         assert f"{path}: malformed model file" in err and f"{key} must be" in err
+
+    @staticmethod
+    def copied_scenario(scenario, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(scenario, data)
+        return data
+
+    def test_grid_files_outside_the_months_are_never_read(self, scenario, gp_fit, tmp_path):
+        # month 6 at lags 0, 2, 4 and 6 reads cov01 slices 6, 4, 2 and 0 only
+        whole, window = tmp_path / "whole", tmp_path / "window"
+        whole.mkdir(), window.mkdir()
+        data = self.copied_scenario(scenario, tmp_path)
+        for t in (1, 3, 5, 7):
+            (data / "grids" / f"cov01_{t}.csv").unlink()
+        assert self.predict_into(scenario, gp_fit / "model.json", whole) == 0
+        assert self.predict_into(data, gp_fit / "model.json", window) == 0
+        assert (window / "predictions.csv").read_bytes() == (whole / "predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["delete", "garble"])
+    def test_a_needed_grid_file_that_fails_exits_3_naming_it(self, scenario, cwm_fit, tmp_path,
+                                                              capsys, damage):
+        data = self.copied_scenario(scenario, tmp_path)
+        needed = data / "grids" / "cov01_4.csv"
+        if damage == "delete":
+            needed.unlink()
+        else:
+            needed.write_text("1.0,2.0\n", encoding="utf-8")
+        assert self.predict_into(data, cwm_fit / "model.json", tmp_path) == 3
+        assert str(needed) in capsys.readouterr().err
+
+    def test_month_past_the_stack_exits_3_with_the_month(self, scenario, cwm_fit, tmp_path,
+                                                         capsys):
+        assert self.predict_into(scenario, cwm_fit / "model.json", tmp_path, months=(8,)) == 3
+        assert ("category=data: row 0: covariate 'cov01': month 8 outside [0, 7]"
+                in capsys.readouterr().err)
 
     def test_bad_month_rejected(self, scenario, cwm_fit, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "predict.yaml", {

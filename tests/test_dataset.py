@@ -362,6 +362,37 @@ class TestManifest:
             assert np.array_equal(grid.design.values[:, 0].reshape(3, 3), blocks[block])
         with pytest.raises(DataError, match=r"row 0: covariate 'pop'.*month 24 outside \[0, 23\]"):
             build_prediction_grid(geo, 24, covs)
+        # month 13 reads block 1 alone
+        (grids / "pop_0.csv").unlink()
+        grid = build_prediction_grid(geo, 13, load_stack_manifest(manifest, months=[13]))
+        assert np.array_equal(grid.design.values[:, 0].reshape(3, 3), blocks[1])
+
+    def test_months_read_only_the_slices_their_lags_reach(self, tmp_path, rng):
+        manifest, _, geo = self._write_scenario(tmp_path, rng)
+        whole = build_prediction_grid(geo, [9, 7], load_stack_manifest(manifest))
+        # months 9 and 7 at lags 0, 2, 4, 6 read rain 1, 3, 5, 7 and 9 only
+        for t in (0, 2, 4, 6, 8):
+            (tmp_path / "grids" / f"rain_{t}.csv").unlink()
+        covs = load_stack_manifest(manifest, months=[9, 7])
+        assert np.isnan(covs[1].slices[[0, 2, 4, 6, 8]]).all()
+        window = build_prediction_grid(geo, [9, 7], covs)
+        assert window.design.values.tobytes() == whole.design.values.tobytes()
+        with pytest.raises(OSError, match="rain_2.csv"):     # month 8 reads 2, 4, 6 and 8
+            load_stack_manifest(manifest, months=[8])
+        with pytest.raises(OSError, match="rain_0.csv"):
+            load_stack_manifest(manifest)
+
+    def test_a_read_outside_the_window_is_refused(self, tmp_path, rng):
+        manifest, _, geo = self._write_scenario(tmp_path, rng)
+        covs = load_stack_manifest(manifest, months=[9])
+        with pytest.raises(DataError, match="non-finite"):
+            build_prediction_grid(geo, 8, covs)
+
+    def test_month_past_the_range_keeps_its_message(self, tmp_path, rng):
+        manifest, _, geo = self._write_scenario(tmp_path, rng)
+        covs = load_stack_manifest(manifest, months=[12])
+        with pytest.raises(DataError, match=r"row 0: covariate 'rain'.*month 12 outside \[0, 9\]"):
+            build_prediction_grid(geo, 12, covs)
 
     def test_exponent_floats_in_grid(self, tmp_path, rng):
         manifest, _, geo = self._write_scenario(tmp_path, rng)

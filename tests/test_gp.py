@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 import scipy.special
@@ -569,6 +570,28 @@ class TestDenseConditioning:
                                     np.diag(K_p), s2)
         np.testing.assert_allclose(blocks.mu_star, whole.mu_star, rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocks.sigma_star, whole.sigma_star, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma_e2", [1e-2, 1e-4, 1e-6])
+    def test_matches_scipys_cholesky_solves(self, sigma_e2):
+        # nuggets down to 1e-6, near the sigma_e2 -> 0 boundary a GP member can fit
+        rng = np.random.default_rng(int(-math.log10(sigma_e2)))
+        n, p = 150, 260
+        for _ in range(3):
+            train, pred = random_points(rng, n), random_points(rng, p)
+            prm = params_of(kappa=float(rng.uniform(1.0, 6.0)), tau=float(rng.uniform(0.3, 3.0)),
+                            sigma_e2=sigma_e2, phi=float(rng.uniform(-0.9, 0.9)))
+            ref = float(train[:, 1].mean())
+            y, mean_pred = rng.normal(size=n), rng.normal(size=p)
+            K, K_cross = cov_block(train, train, prm, ref), cov_block(train, pred, prm, ref)
+            prior = np.full(p, 1.0 / prm.tau)
+            post = gp_condition_dense(y, 0.3 * y, mean_pred, K, K_cross, prior, sigma_e2)
+            S = K + (sigma_e2 + post.train["jitter"]) * np.eye(n)
+            factor = scipy.linalg.cho_factor(S, lower=True)
+            mu = mean_pred + K_cross.T @ scipy.linalg.cho_solve(factor, 0.7 * y)
+            V = scipy.linalg.solve_triangular(np.tril(factor[0]), K_cross, lower=True)
+            var = prior - np.sum(V * V, axis=0)
+            assert np.max(np.abs(post.mu_star - mu)) <= 1e-11 * np.max(np.abs(mu))
+            assert np.max(np.abs(post.sigma_star - var)) <= 1e-13 / prm.tau
 
     def test_full_cov_refuses_blocks(self):
         args = {**self.CONFORMAL, "K_cross": [np.zeros((3, 4))], "K_pred": np.eye(4)}
@@ -1175,6 +1198,64 @@ class TestOneFactorOfS:
             assert calls["_factor_s"] > 0, name
             assert calls["_factor_s"] == calls["_chol_with_jitter"], (name, calls)
 
+    @staticmethod
+    def count_calls(monkeypatch, *names, n=None):
+        """Calls of each gp function in names; _tri_inv counts only n x n inverses,
+        not the halves it recurses into."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _real=getattr(gp, name), _name=name, **kwargs):
+                if _name != "_tri_inv" or len(args[0]) == n:
+                    calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(gp, name, counting)
+        return calls
+
+    def test_conditioning_factors_and_inverts_once_and_solves_nothing(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        n, p = 90, 300
+        train, pred = random_points(rng, n), random_points(rng, p)
+        P = rng.normal(size=(n, 2))
+        model = StackedGpModel(params=params_of(kappa=2.5, tau=0.8, sigma_e2=0.2, phi=0.6,
+                                                beta=(0.4, 0.6)),
+                               train_points=train, P_train=P, y=P[:, 0])
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(gp, "BLOCK_ENTRIES", n * 50)       # six blocks of 50 points
+        calls = self.count_calls(monkeypatch, "_factor_s", "_tri_inv", "gp_condition_dense", n=n)
+        gp_stacked_predict(model, rng.normal(size=(p, 2)), pred)
+        assert calls == {"_factor_s": 1, "_tri_inv": 1, "gp_condition_dense": 1}
+
+    def test_plain_gp_factors_s_once_per_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        n = 40
+        pts = random_points(rng, n)
+        X = rng.normal(size=(n, 2))
+        y = X @ [0.6, 0.4] + rng.normal(size=n) * 0.3
+        calls = self.count_calls(monkeypatch, "_factor_s", "log_marginal_likelihood")
+        fit_gp_linear_mean(y, X, pts, restarts=1, max_iter=5)
+        # one factor per evaluation, and one for the GLS mean at the optimum
+        assert calls["log_marginal_likelihood"] > 1
+        assert calls["_factor_s"] == calls["log_marginal_likelihood"] + 1
+
+    def test_a_passed_factor_gives_the_likelihood_bytes(self):
+        rng = np.random.default_rng(83)
+        n = 50
+        pts = random_points(rng, n)
+        prm = params_of(kappa=2.0, tau=0.9, sigma_e2=0.3, phi=0.4)
+        K, dS = _train_kernel(pts)(prm)
+        y, mean = rng.normal(size=n), rng.normal(size=n)
+        L = gp._factor_s(K, prm.sigma_e2, "test")[0]
+        keys = ("log_kappa", "log_tau", "sigma_e2", "phi")
+        own = log_marginal_likelihood(y, mean, K, prm.sigma_e2, map(dS, keys))
+        passed = log_marginal_likelihood(y, mean, K, prm.sigma_e2, map(dS, keys),
+                                         factor=(L, gp._tri_inv(L)))
+        assert own[0] == passed[0]
+        assert own[1].tobytes() == passed[1].tobytes()
+        assert own[2].tobytes() == passed[2].tobytes()
+
 
 class TestOnePredictFunction:
     """The stacked and the plain GP predict through one function, gp._gp_predict."""
@@ -1298,11 +1379,13 @@ class TestPredictOverMonths:
 class TestBlockCuts:
     """gp_condition_dense gives each point the same bytes however K_cross is cut."""
 
-    def test_random_cuts_give_the_one_array_bytes(self):
-        rng = np.random.default_rng(67)
+    @staticmethod
+    def differing_cuts(rng, cases: int, n_range, p_range, cuts_of) -> list:
+        """The random problems whose conditioning over np.split(K_cross, cuts_of(case, p))
+        differs in any byte from the one array's; every third case's blocks are views."""
         differ = []
-        for case in range(150):
-            n, p = int(rng.integers(5, 130)), int(rng.integers(2, 120))
+        for case in range(cases):
+            n, p = int(rng.integers(*n_range)), int(rng.integers(*p_range))
             train, pred = random_points(rng, n), random_points(rng, p)
             prm = params_of(kappa=float(rng.uniform(0.5, 8.0)), tau=float(rng.uniform(0.3, 3.0)),
                             sigma_e2=float(rng.uniform(0.01, 0.5)),
@@ -1313,18 +1396,37 @@ class TestBlockCuts:
             K_cross = cov_block(train, pred, prm, ref)
             prior = np.full(p, 1.0 / prm.tau)
             whole = gp_condition_dense(*args, K_cross, prior, prm.sigma_e2)
-            # every other case ends in a 1-column block
-            cuts = np.sort(rng.choice(np.arange(1, p), size=int(rng.integers(1, min(p, 6))),
-                                      replace=False))
-            if case % 2:
-                cuts = np.union1d(cuts, [p - 1])
+            cuts = cuts_of(case, p)
             blocks = [np.ascontiguousarray(b) if case % 3 else b
                       for b in np.split(K_cross, cuts, axis=1)]
             cut = gp_condition_dense(*args, iter(blocks), prior, prm.sigma_e2)
             if (cut.mu_star.tobytes() != whole.mu_star.tobytes()
                     or cut.sigma_star.tobytes() != whole.sigma_star.tobytes()):
                 differ.append((case, n, p, cuts.tolist()))
+        return differ
+
+    def test_random_cuts_give_the_one_array_bytes(self):
+        rng = np.random.default_rng(67)
+
+        def cuts_of(case, p):
+            cuts = np.sort(rng.choice(np.arange(1, p), size=int(rng.integers(1, min(p, 6))),
+                                      replace=False))
+            # every other case ends in a 1-column block
+            return np.union1d(cuts, [p - 1]) if case % 2 else cuts
+        differ = self.differing_cuts(rng, 150, (5, 130), (2, 120), cuts_of)
         assert not differ, f"{len(differ)} of 150 cuts differ: {differ[:5]}"
+
+    def test_cuts_across_slab_edges_give_the_one_array_bytes(self):
+        # n past one slab's width and p over four slabs, cut at and beside slab edges
+        rng = np.random.default_rng(71)
+        edges = [e + d for e in range(gp.SLAB, 300, gp.SLAB) for d in (-1, 0, 1)]
+
+        def cuts_of(case, p):
+            near = [e for e in edges if e < p]
+            return np.union1d(rng.choice(near, size=int(rng.integers(1, 5)), replace=False),
+                              rng.integers(1, p, size=int(rng.integers(0, 4))))
+        differ = self.differing_cuts(rng, 40, (gp.SLAB + 1, 160), (200, 300), cuts_of)
+        assert not differ, f"{len(differ)} of 40 cuts differ: {differ[:5]}"
 
     def test_any_block_width_gives_the_same_prediction(self, monkeypatch):
         rng = np.random.default_rng(69)
