@@ -32,12 +32,11 @@ terms once per distinct training distance, not once per matrix entry.
 Prediction conditions each fitted GP once over all its prediction points,
 whatever months they span, and evaluates the Matern once per (training
 point, distinct prediction location); only the AR(1) factor differs between
-months. The conditioning reads the cross-covariance in column blocks of
-about BLOCK_ENTRIES entries, so for n training points predict memory is
-O(n x sites + n x block + points), not O(n x points). Each predicted
-point's mean and variance have the same bytes whatever block holds it: the
-mean sums down the training rows column by column, and the variance is
-formed over slabs of SLAB columns whose edges fall at fixed point indices.
+months. The conditioning reads the cross-covariance in column blocks of SLAB
+points each, so for n training points predict memory is
+O(n x sites + n x SLAB + points), not O(n x points). Block k holds points
+[SLAB k, SLAB (k + 1)), so each predicted point's mean and variance have the
+same bytes whether the cross-covariance is passed as one array or in blocks.
 
 The stacked and the plain GP are one fitted model (_FittedGp, one predict
 function) that differ only in their mean: beta-weighted level-0 predictions,
@@ -310,9 +309,6 @@ def matern1_matrix(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     return np.where(x > 0, vals, 1.0 / tau)
 
 
-k0 = _k0     # the name the fits call K0 by, so that a wrapper set on it sees every call
-
-
 def _matern1_dlog_kappa(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     """d matern1_matrix / d log kappa: -(x^2 / tau) K0(x) with x = kappa d, 0 at d = 0.
 
@@ -320,7 +316,7 @@ def _matern1_dlog_kappa(D: np.ndarray, kappa: float, tau: float) -> np.ndarray:
     """
     x = kappa * np.asarray(D, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = -(x / tau) * (x * k0(np.where(x > 0, x, 1.0)))
+        vals = -(x / tau) * (x * _k0(np.where(x > 0, x, 1.0)))
     return np.where(x > 0, vals, 0.0)
 
 
@@ -381,7 +377,7 @@ def _train_kernel(points):
     The geometry is fixed for a whole fit, so the Matern and its kappa
     derivative are evaluated once per distinct distance and phi^lag once per
     month lag, then gathered back to n x n. All work element by element, so
-    every entry of K has the bytes cov_block gives. matern1_matrix and k0 are
+    every entry of K has the bytes cov_block gives. matern1_matrix and _k0 are
     looked up at call time, so a wrapper set on this module's attribute sees
     every evaluation.
     """
@@ -483,7 +479,7 @@ def _column_sums(A: np.ndarray) -> np.ndarray:
     return A.cumsum(axis=0)[-1]
 
 
-SLAB = 64     # columns of one variance product in gp_condition_dense
+SLAB = 64     # columns of one prediction block: the cut of gp_condition_dense and _cross_blocks
 
 
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
@@ -496,23 +492,20 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     squared column of L^-1 k_* from its prior.
 
     K_cross is the (n_train, n_pred) cross-covariance: one array, or an
-    iterable of (n_train, b) column blocks in prediction-point order. Each
-    block is read once and can be dropped once its slices of the mean and
-    variance are written, so with blocks of width b memory is O(n_train^2 +
-    n_train * (b + SLAB) + n_pred); prediction's blocks (_cross_blocks) make
-    it O(n x sites + n x block + points) beyond the n x n factor.
+    iterable of (n_train, SLAB) column blocks in prediction-point order, the
+    last one narrower where n_pred is not a multiple of SLAB (_cross_blocks).
+    Each block is read once and can be dropped once its slices of the mean and
+    variance are written, so memory is O(n_train^2 + n_train x SLAB + n_pred).
 
-    A point's mean and variance have the same bytes however K_cross is cut
-    into blocks. The mean sums down the training rows (_column_sums). The
-    variance copies the columns, in point order, into slabs of a fixed SLAB
-    columns, the last one zero-padded, and forms L^-1 slab by one matrix
-    product each. A product's column can round differently with the product's
-    width, and with the BLAS kernel, with its position in it, but never with
-    the other columns' values; slab k always holds points [SLAB k,
-    SLAB (k + 1)), so a point's width and position are fixed whatever the
-    blocks. With full_cov False
-    (default) sigma_star is the predictive variance vector; K_pred may then be
-    a full matrix or just its diagonal. full_cov needs K_cross as one array.
+    Block k holds points [SLAB k, SLAB (k + 1)), so each point's bytes are
+    the same for one array and for blocks. The mean sums down the training
+    rows (_column_sums). The variance forms L^-1 block by one matrix product
+    over a C-contiguous copy, the last one zero-padded to SLAB columns: a
+    product's column can round differently with the product's width and its
+    position in it, but never with the other columns' values. With full_cov
+    False (default) sigma_star is the predictive variance vector; K_pred may
+    then be a full matrix or just its diagonal. full_cov needs K_cross as one
+    array.
     """
     y = np.asarray(y, dtype=float)
     mean_train = np.asarray(mean_train, dtype=float)
@@ -521,12 +514,12 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     K_pred = np.asarray(K_pred, dtype=float)
     n = len(y) if y.ndim == 1 else -1
     p = len(mean_pred) if mean_pred.ndim == 1 else -1
+    one_array = isinstance(K_cross, np.ndarray)
     if (mean_train.shape != (n,) or K_train.shape != (n, n)
-            or K_pred.shape not in ((p,), (p, p))):
+            or K_pred.shape not in ((p,), (p, p)) or (one_array and K_cross.shape != (n, p))):
         raise DataError("gp_condition_dense: non-conformal shapes")
     if full_cov and K_pred.ndim != 2:
         raise DataError("full covariance requested but K_pred is not a matrix")
-    one_array = isinstance(K_cross, np.ndarray)
     if full_cov and not one_array:
         raise DataError("gp_condition_dense: full_cov needs K_cross as one array")
 
@@ -535,34 +528,26 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     alpha = L_inv.T @ (L_inv @ (y - mean_train))
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
     mu_star, sigma_star = np.empty(p), np.empty(p)
-    slab = np.zeros((n, SLAB))
-
-    def slab_variance(first: int, count: int) -> None:
-        """Variances of points [first, first + count) from the slab's leading columns."""
-        V = L_inv @ slab
-        sigma_star[first:first + count] = (prior_diag[first:first + count]
-                                           - _column_sums(V * V)[:count])
-
+    blocks = (K_cross[:, lo:lo + SLAB] for lo in range(0, p, SLAB)) if one_array else K_cross
     stop = 0
-    for block in [K_cross] if one_array else K_cross:
+    for block in blocks:
         block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != n or stop + block.shape[1] > p:
+        # every block but the last is SLAB wide
+        if (block.ndim != 2 or block.shape[0] != n or not 0 < block.shape[1] <= SLAB
+                or stop % SLAB or stop + block.shape[1] > p):
             raise DataError("gp_condition_dense: non-conformal shapes")
-        start, stop = stop, stop + block.shape[1]
+        width = block.shape[1]
+        start, stop = stop, stop + width
         mu_star[start:stop] = mean_pred[start:stop] + _column_sums(block * alpha[:, None])
-        col = start
-        while col < stop:       # copy up to the next slab edge or the block's end
-            edge = min(stop, (col // SLAB + 1) * SLAB)
-            at = col % SLAB
-            slab[:, at:at + edge - col] = block[:, col - start:edge - start]
-            if edge % SLAB == 0:
-                slab_variance(edge - SLAB, SLAB)
-            col = edge
+        if width == SLAB:
+            slab = np.ascontiguousarray(block)
+        else:       # the last block, zero-padded so that every product is SLAB wide
+            slab = np.zeros((n, SLAB))
+            slab[:, :width] = block
+        V = L_inv @ slab
+        sigma_star[start:stop] = prior_diag[start:stop] - _column_sums(V * V)[:width]
     if stop != p:
         raise DataError("gp_condition_dense: non-conformal shapes")
-    if p % SLAB:
-        slab[:, p % SLAB:] = 0.0
-        slab_variance(p - p % SLAB, p % SLAB)
     if full_cov:
         V = L_inv @ K_cross
         sigma_star = K_pred - V.T @ V
@@ -793,29 +778,17 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X, y=y)
 
 
-# Entries of one n x b block of the prediction cross-covariance; see _block_width.
-BLOCK_ENTRIES = 1 << 16
-
-
-def _block_width(n: int) -> int:
-    """Columns per cross-covariance block for n training points: BLOCK_ENTRIES / n,
-    and at least 1. The conditioning factors S once for all blocks and forms
-    the variances over slabs of SLAB columns whatever the block width, so a
-    narrow block costs no extra solve, and any width gives the same predictions
-    (gp_condition_dense)."""
-    return max(1, BLOCK_ENTRIES // n)
-
-
 def _cross_blocks(model, pred_points):
-    """cov_block(train_points, pred_points, ...) as an iterator of (n, b) column
-    blocks in point order.
+    """cov_block(train_points, pred_points, ...) as an iterator of (n, SLAB)
+    column blocks in point order, the last one narrower where the point count
+    is not a multiple of SLAB.
 
     The Matern, which does not depend on the month, is evaluated once per
-    (training point, distinct prediction location), in blocks of locations,
-    into one n x sites array; phi^lag once per (training point, distinct
-    month); both are built on the call. Each block is gathered as it is
-    read and multiplies the two factors entry by entry, so every entry has
-    the bytes cov_block gives.
+    (training point, distinct prediction location), in passes of SLAB
+    locations, into one n x sites array; phi^lag once per (training point,
+    distinct month); both are built on the call. Each block is gathered as it
+    is read and multiplies the two factors entry by entry, so every entry has
+    the bytes cov_block gives, and memory is O(n x sites + n x SLAB + points).
     """
     prm, ref_lat = model.params, model.ref_lat
     train_lonlat, train_t = _split_points(model.train_points)
@@ -823,20 +796,16 @@ def _cross_blocks(model, pred_points):
     sites, site_of = np.unique(lonlat, axis=0, return_inverse=True)
     months, month_of = np.unique(t, return_inverse=True)
     site_of, month_of = site_of.reshape(-1), month_of.reshape(-1)
-    width = _block_width(len(train_t))
     matern = np.empty((len(train_t), len(sites)))
-    for lo in range(0, len(sites), width):
-        D = pairwise_planar_dist(train_lonlat, sites[lo:lo + width], ref_lat)
-        matern[:, lo:lo + width] = matern1_matrix(D, prm.kappa, prm.tau)
+    for lo in range(0, len(sites), SLAB):
+        D = pairwise_planar_dist(train_lonlat, sites[lo:lo + SLAB], ref_lat)
+        matern[:, lo:lo + SLAB] = matern1_matrix(D, prm.kappa, prm.tau)
     ar1 = np.power(prm.phi, np.abs(train_t[:, None] - months[None, :]))
 
     def blocks():
-        for lo in range(0, len(t), width):
-            # np.take keeps the block C-ordered; the fancy index matern[:, i]
-            # would not, and the conditioning's products would then round
-            # differently
-            block = np.take(matern, site_of[lo:lo + width], axis=1)
-            block *= np.take(ar1, month_of[lo:lo + width], axis=1)
+        for lo in range(0, len(t), SLAB):
+            block = np.take(matern, site_of[lo:lo + SLAB], axis=1)
+            block *= np.take(ar1, month_of[lo:lo + SLAB], axis=1)
             yield block
     return blocks()
 
@@ -957,8 +926,9 @@ def _gp_predict(model: _FittedGp, design, pred_points) -> GpPosterior:
     the rows of design.
 
     One conditioning covers every month. It reads the cross-covariance in
-    column blocks (_cross_blocks), so memory is O(n x sites + n x block +
-    points); every prior variance is k(0) * phi^0 = 1/tau, so no p x p block.
+    column blocks of SLAB points (_cross_blocks), so memory is O(n x sites +
+    n x SLAB + points); every prior variance is k(0) * phi^0 = 1/tau, so no
+    p x p block.
     """
     mean_pred = model.mean(design)
     pred_points = np.asarray(pred_points, dtype=float)

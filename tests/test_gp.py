@@ -156,10 +156,9 @@ class TestBesselK0:
 
     def test_the_fits_call_it_by_the_module_name_k0(self, monkeypatch):
         # test_fits_call_module_kernel_and_optimizer_once_per_distinct_distance
-        # wraps gp.k0 to count the fits' K0 entries
-        assert gp.k0 is gp._k0
-        seen = []
-        monkeypatch.setattr(gp, "k0", lambda x: seen.append(np.size(x)) or gp._k0(x))
+        # wraps gp._k0 to count the fits' K0 entries
+        seen, real_k0 = [], gp._k0
+        monkeypatch.setattr(gp, "_k0", lambda x: seen.append(np.size(x)) or real_k0(x))
         gp._matern1_dlog_kappa(np.array([0.0, 0.3, 2.5]), 1.7, 0.8)
         assert seen == [3]
 
@@ -302,7 +301,7 @@ class TestTrainKernel:
                                                     float(pts[:, 1].mean()))).size
         assert n_distinct <= 29          # 8 sites: 28 site pairs and zero
         entries, k0_entries, optimizer_calls = [], [], []
-        real_minimize, real_k0 = gp.minimize, gp.k0
+        real_minimize, real_k0 = gp.minimize, gp._k0
 
         def counting_matern(D, kappa, tau):
             entries.append(np.size(D))
@@ -317,7 +316,7 @@ class TestTrainKernel:
             return real_minimize(*args, **kwargs)
 
         monkeypatch.setattr(gp, "matern1_matrix", counting_matern)
-        monkeypatch.setattr(gp, "k0", counting_k0)
+        monkeypatch.setattr(gp, "_k0", counting_k0)
         monkeypatch.setattr(gp, "minimize", counting_minimize)
         for fit in (fit_hyperparams, fit_gp_linear_mean):
             entries.clear()
@@ -562,11 +561,28 @@ class TestDenseConditioning:
         with pytest.raises(DataError, match="non-conformal shapes"):
             gp_condition_dense(**args, sigma_e2=0.1)
 
+    @pytest.mark.parametrize("widths", [
+        (gp.SLAB - 1, gp.SLAB, 1),          # a narrow block before the last
+        (gp.SLAB + 1, gp.SLAB - 1),         # a block wider than SLAB
+        2 * gp.SLAB + 1,                    # one array with an extra column
+    ])
+    def test_blocks_off_the_slab_cut_are_data_errors(self, widths):
+        # 2 SLAB points; the blocks' widths sum to that, so only the cut is wrong
+        p = 2 * gp.SLAB
+        K_cross = ([np.zeros((3, w)) for w in widths] if isinstance(widths, tuple)
+                   else np.zeros((3, widths)))
+        args = {**self.CONFORMAL, "mean_pred": np.zeros(p), "K_cross": K_cross,
+                "K_pred": np.ones(p)}
+        with pytest.raises(DataError, match="non-conformal shapes"):
+            gp_condition_dense(**args, sigma_e2=0.1)
+
     def test_blocks_concatenate_to_one_array(self):
         rng = np.random.default_rng(10)
-        y, mu_t, mu_p, K_t, K_c, K_p, s2 = self.random_problem(rng, 6, 9)
+        p = 2 * gp.SLAB + 9
+        y, mu_t, mu_p, K_t, K_c, K_p, s2 = self.random_problem(rng, 6, p)
         whole = gp_condition_dense(y, mu_t, mu_p, K_t, K_c, np.diag(K_p), s2)
-        blocks = gp_condition_dense(y, mu_t, mu_p, K_t, (K_c[:, :4], K_c[:, 4:]),
+        blocks = gp_condition_dense(y, mu_t, mu_p, K_t,
+                                    tuple(np.split(K_c, range(gp.SLAB, p, gp.SLAB), axis=1)),
                                     np.diag(K_p), s2)
         np.testing.assert_allclose(blocks.mu_star, whole.mu_star, rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocks.sigma_star, whole.sigma_star, rtol=0, atol=1e-12)
@@ -1213,7 +1229,7 @@ class TestOneFactorOfS:
 
     def test_conditioning_factors_and_inverts_once_and_solves_nothing(self, monkeypatch):
         rng = np.random.default_rng(73)
-        n, p = 90, 300
+        n, p = 90, 300      # five blocks of SLAB points
         train, pred = random_points(rng, n), random_points(rng, p)
         P = rng.normal(size=(n, 2))
         model = StackedGpModel(params=params_of(kappa=2.5, tau=0.8, sigma_e2=0.2, phi=0.6,
@@ -1223,7 +1239,6 @@ class TestOneFactorOfS:
         def no_solve(*args, **kwargs):
             raise AssertionError("np.linalg.solve called")
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        monkeypatch.setattr(gp, "BLOCK_ENTRIES", n * 50)       # six blocks of 50 points
         calls = self.count_calls(monkeypatch, "_factor_s", "_tri_inv", "gp_condition_dense", n=n)
         gp_stacked_predict(model, rng.normal(size=(p, 2)), pred)
         assert calls == {"_factor_s": 1, "_tri_inv": 1, "gp_condition_dense": 1}
@@ -1355,12 +1370,11 @@ class TestPredictOverMonths:
     @pytest.mark.parametrize("build", ["stacked", "plain"])
     def test_many_blocks_equal_one_array(self, build, monkeypatch):
         # 23 x 19 cells at 3 months: 1311 points, a multiple of neither 4 nor
-        # the block width, so the last point block and the last site block
-        # are both ragged
+        # SLAB, so the last point block and the last site pass are both ragged
         rng = np.random.default_rng(59)
         train, pred, cells = self.setup_case(rng, n_lon=23, n_lat=19, n_train=200,
                                               extent=2.3)
-        n, width = len(train), gp._block_width(len(train))
+        n, width = len(train), gp.SLAB
         assert len(pred) > 2 * width and cells > width
         assert len(pred) % 4 and len(pred) % width and cells % width
         predict, model, inputs, mean_train, mean_pred = getattr(self, build)(rng, train, pred)
@@ -1377,72 +1391,56 @@ class TestPredictOverMonths:
 
 
 class TestBlockCuts:
-    """gp_condition_dense gives each point the same bytes however K_cross is cut."""
+    """K_cross is cut once, into SLAB-wide blocks; each point has the same bytes
+    whether the conditioning gets one array or those blocks."""
 
     @staticmethod
-    def differing_cuts(rng, cases: int, n_range, p_range, cuts_of) -> list:
-        """The random problems whose conditioning over np.split(K_cross, cuts_of(case, p))
-        differs in any byte from the one array's; every third case's blocks are views."""
-        differ = []
-        for case in range(cases):
-            n, p = int(rng.integers(*n_range)), int(rng.integers(*p_range))
-            train, pred = random_points(rng, n), random_points(rng, p)
-            prm = params_of(kappa=float(rng.uniform(0.5, 8.0)), tau=float(rng.uniform(0.3, 3.0)),
-                            sigma_e2=float(rng.uniform(0.01, 0.5)),
-                            phi=float(rng.uniform(-0.9, 0.9)))
-            ref = float(train[:, 1].mean())
-            y, mean_pred = rng.normal(size=n), rng.normal(size=p)
-            args = (y, 0.3 * y, mean_pred, cov_block(train, train, prm, ref))
-            K_cross = cov_block(train, pred, prm, ref)
-            prior = np.full(p, 1.0 / prm.tau)
-            whole = gp_condition_dense(*args, K_cross, prior, prm.sigma_e2)
-            cuts = cuts_of(case, p)
-            blocks = [np.ascontiguousarray(b) if case % 3 else b
-                      for b in np.split(K_cross, cuts, axis=1)]
-            cut = gp_condition_dense(*args, iter(blocks), prior, prm.sigma_e2)
-            if (cut.mu_star.tobytes() != whole.mu_star.tobytes()
-                    or cut.sigma_star.tobytes() != whole.sigma_star.tobytes()):
-                differ.append((case, n, p, cuts.tolist()))
-        return differ
+    def problem(rng, n: int, p: int) -> tuple:
+        """gp_condition_dense's arguments for n training and p prediction points:
+        K_cross as one array, K_pred as the prior variances."""
+        train, pred = random_points(rng, n), random_points(rng, p)
+        prm = params_of(kappa=2.5, tau=0.8, sigma_e2=0.2, phi=0.6)
+        ref = float(train[:, 1].mean())
+        y = rng.normal(size=n)
+        return (y, 0.3 * y, rng.normal(size=p), cov_block(train, train, prm, ref),
+                cov_block(train, pred, prm, ref), np.full(p, 1.0 / prm.tau), prm.sigma_e2)
 
-    def test_random_cuts_give_the_one_array_bytes(self):
-        rng = np.random.default_rng(67)
+    @pytest.mark.parametrize("n", [20, gp.SLAB + 26])
+    @pytest.mark.parametrize("p", [37, 2 * gp.SLAB, 3 * gp.SLAB + 11])
+    def test_slab_blocks_give_the_one_array_bytes(self, n, p):
+        y, mean_train, mean_pred, K, K_cross, prior, s2 = self.problem(
+            np.random.default_rng(67 + n + p), n, p)
+        whole = gp_condition_dense(y, mean_train, mean_pred, K, K_cross, prior, s2)
+        views = np.split(K_cross, range(gp.SLAB, p, gp.SLAB), axis=1)
+        for blocks in (views, [np.ascontiguousarray(b) for b in views]):
+            cut = gp_condition_dense(y, mean_train, mean_pred, K, iter(blocks), prior, s2)
+            assert cut.mu_star.tobytes() == whole.mu_star.tobytes()
+            assert cut.sigma_star.tobytes() == whole.sigma_star.tobytes()
 
-        def cuts_of(case, p):
-            cuts = np.sort(rng.choice(np.arange(1, p), size=int(rng.integers(1, min(p, 6))),
-                                      replace=False))
-            # every other case ends in a 1-column block
-            return np.union1d(cuts, [p - 1]) if case % 2 else cuts
-        differ = self.differing_cuts(rng, 150, (5, 130), (2, 120), cuts_of)
-        assert not differ, f"{len(differ)} of 150 cuts differ: {differ[:5]}"
+    def test_a_point_has_the_same_bytes_however_many_points_follow_it(self):
+        # the last block's product is zero-padded to SLAB columns, so no point's
+        # product width depends on the number of points
+        p = 3 * gp.SLAB
+        y, mean_train, mean_pred, K, K_cross, prior, s2 = self.problem(
+            np.random.default_rng(71), gp.SLAB + 26, p)
+        whole = gp_condition_dense(y, mean_train, mean_pred, K, K_cross, prior, s2)
+        for q in (3, gp.SLAB + 10, 2 * gp.SLAB + 17, p - 1):
+            part = gp_condition_dense(y, mean_train, mean_pred[:q], K, K_cross[:, :q],
+                                      prior[:q], s2)
+            assert part.mu_star.tobytes() == whole.mu_star[:q].tobytes(), q
+            assert part.sigma_star.tobytes() == whole.sigma_star[:q].tobytes(), q
 
-    def test_cuts_across_slab_edges_give_the_one_array_bytes(self):
-        # n past one slab's width and p over four slabs, cut at and beside slab edges
-        rng = np.random.default_rng(71)
-        edges = [e + d for e in range(gp.SLAB, 300, gp.SLAB) for d in (-1, 0, 1)]
-
-        def cuts_of(case, p):
-            near = [e for e in edges if e < p]
-            return np.union1d(rng.choice(near, size=int(rng.integers(1, 5)), replace=False),
-                              rng.integers(1, p, size=int(rng.integers(0, 4))))
-        differ = self.differing_cuts(rng, 40, (gp.SLAB + 1, 160), (200, 300), cuts_of)
-        assert not differ, f"{len(differ)} of 40 cuts differ: {differ[:5]}"
-
-    def test_any_block_width_gives_the_same_prediction(self, monkeypatch):
+    def test_prediction_blocks_are_slab_wide_and_concatenate_to_cov_block(self):
         rng = np.random.default_rng(69)
-        train, pred = random_points(rng, 90), random_points(rng, 700)
-        P = rng.normal(size=(90, 2))
-        prm = params_of(kappa=2.5, tau=0.8, sigma_e2=0.2, phi=0.6, beta=(0.4, 0.6))
-        model = StackedGpModel(params=prm, train_points=train, P_train=P,
-                               y=P @ prm.beta + rng.normal(size=90) * 0.3)
-        P_pred = rng.normal(size=(700, 2))
-        posts = []
-        for entries in (1 << 16, 90 * 97, 90 * 64 + 1):
-            monkeypatch.setattr(gp, "BLOCK_ENTRIES", entries)
-            posts.append(gp_stacked_predict(model, P_pred, pred))
-        for post in posts[1:]:
-            assert post.mu_star.tobytes() == posts[0].mu_star.tobytes()
-            assert post.sigma_star.tobytes() == posts[0].sigma_star.tobytes()
+        train, pred = random_points(rng, 30), random_points(rng, 3 * gp.SLAB + 5)
+        pred[gp.SLAB:, :2] = pred[:-gp.SLAB, :2]        # repeated sites
+        P = rng.normal(size=(30, 2))
+        model = StackedGpModel(params=params_of(kappa=2.5, tau=0.8, phi=0.6, beta=(0.4, 0.6)),
+                               train_points=train, P_train=P, y=P[:, 0])
+        blocks = list(gp._cross_blocks(model, pred))
+        assert [b.shape[1] for b in blocks] == [gp.SLAB] * 3 + [5]
+        whole = cov_block(train, pred, model.params, model.ref_lat)
+        assert np.concatenate(blocks, axis=1).tobytes() == whole.tobytes()
 
 
 class TestPredictMemory:
