@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -210,9 +211,10 @@ def cmd_decompose(config: dict, seed: int, outdir: Path) -> None:
 
 
 def _read_table(path) -> dict:
-    """Read a CSV keyed by (lon, lat, t), one line per key; other columns stay strings."""
+    """Read a CSV keyed by finite (lon, lat, t), one line per key, as
+    key -> (line number, row); other columns stay strings."""
     path = Path(path)
-    out, first_line = {}, {}
+    out = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fieldnames = reader.fieldnames or []
@@ -222,12 +224,14 @@ def _read_table(path) -> dict:
         for lineno, row in enumerate(reader, start=2):
             try:
                 key = (float(row["lon"]), float(row["lat"]), int(row["t"]))
+                if not (math.isfinite(key[0]) and math.isfinite(key[1])):
+                    raise ValueError(f"(lon, lat) = {key[:2]} is not finite")
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: bad key fields: {exc}") from exc
             if key in out:
                 raise DataError(f"{path}:{lineno}: duplicate key (lon, lat, t) = {key}, "
-                                f"first seen on line {first_line[key]}")
-            out[key], first_line[key] = row, lineno
+                                f"first seen on line {out[key][0]}")
+            out[key] = lineno, row
     if not out:
         raise DataError(f"{path}: no data rows")
     return out
@@ -249,9 +253,18 @@ def cmd_eval(config: dict, seed: int, outdir: Path) -> None:
     def column(table, field_name, path):
         vals = []
         for k in keys:
-            if field_name not in table[k] or table[k][field_name] is None:
+            lineno, row = table[k]
+            text = row.get(field_name)
+            if text is None:
                 raise DataError(f"{path}: missing column '{field_name}'")
-            vals.append(float(table[k][field_name]))
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{lineno}: column '{field_name}' must be a finite "
+                                f"number, got {text!r}")
+            vals.append(value)
         return np.array(vals)
 
     yhat = column(pred, pred_field, pred_path)

@@ -10,24 +10,25 @@ Distances are planar equirectangular: longitude differences are shrunk by
 cos(reference latitude) and measured in degrees. A GP's reference latitude is
 its training points' mean latitude (_ref_lat), which a fitted model derives
 from its own train_points, so fit, fold re-conditioning and prediction share
-one geometry. One function, _factor_s, forms S = K + sigma_e2 I and factors
-it by numpy's Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6
-of the mean diagonal, then a hard numerical error), for every likelihood,
-conditioning and GLS solve. Each evaluation and each conditioning factors S
-once and inverts that factor once (_tri_inv): a fit forms S^-1, alpha and
-the plain GP's GLS solves from the inverse, a conditioning alpha and the
-predictive variances. The lattice GMRF precision form of the same field
-lives in gmrf.py.
+one geometry. One function, _factor_s, forms S = K + sigma_e2 I, factors it
+by numpy's Cholesky with a multiplicative jitter ladder (1e-10 up to 1e-6 of
+the mean diagonal, then a hard numerical error) and inverts the factor
+(_tri_inv); no other code factors S or inverts its factor. Each fit
+evaluation and each conditioning calls it once. The lattice GMRF precision
+form of the same field lives in gmrf.py.
 
-Hyperparameters are fitted by L-BFGS (lbfgs.minimize) on the analytic
-gradient of the log marginal likelihood,
-1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen & Williams 2006,
-eq. 5.9), over unconstrained raw coordinates (log kappa,
-log tau, log sigma_e^2, atanh phi, and softmax logits for the stacked-mean
-simplex weights, first logit pinned at zero). One table, _HYPERPARAMS, holds
-each scalar's raw transforms, their slope and valid range; pinned values are
-checked against it by check_fixed in every fit. Fits evaluate the Bessel
-terms once per distinct training distance, not once per matrix entry.
+The stacked and the plain GP share one fit body (_fit), which differs
+between them only in the mean at the training rows: beta-weighted level-0
+predictions, or the GLS-profiled linear mean. It runs L-BFGS
+(lbfgs.minimize) with restarts on the analytic gradient of the log marginal
+likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen & Williams
+2006, eq. 5.9), over unconstrained raw coordinates (log kappa, log tau,
+log sigma_e^2, atanh phi, and softmax logits for the stacked-mean simplex
+weights, first logit pinned at zero). One table, _HYPERPARAMS, holds each
+scalar's raw transforms, their slope and valid range; pinned values are
+checked against it by check_fixed, and a fully pinned point is still
+evaluated. Fits evaluate the Bessel terms once per distinct training
+distance, not once per matrix entry.
 
 Prediction conditions each fitted GP once over all its prediction points,
 whatever months they span, and evaluates the Matern once per (training
@@ -448,8 +449,10 @@ def _chol_with_jitter(S: np.ndarray, context: str):
 
 
 def _factor_s(K, sigma_e2: float, context: str):
-    """(L, jitter) of S = K + sigma_e2 I: every likelihood, conditioning and GLS solve."""
-    return _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context)
+    """(L, L^-1, jitter) of S = K + sigma_e2 I: the one place S is factored and its
+    factor inverted, for every likelihood, conditioning and GLS solve."""
+    L, jitter = _chol_with_jitter(K + sigma_e2 * np.eye(len(K)), context)
+    return L, _tri_inv(L), jitter
 
 
 _TRI_INV_LEAF = 32     # _tri_inv inverts blocks up to this size by LU
@@ -487,7 +490,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     """Predictive conditioning from covariance blocks against one factor of S.
 
     S = K_train + sigma_e2 I is factored once and its Cholesky factor L
-    inverted once (_tri_inv), as in Rasmussen & Williams (2006, Alg. 2.1):
+    inverted once (_factor_s), as in Rasmussen & Williams (2006, Alg. 2.1):
     alpha = L^-T L^-1 (y - mean_train), and a point's variance subtracts the
     squared column of L^-1 k_* from its prior.
 
@@ -523,8 +526,7 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     if full_cov and not one_array:
         raise DataError("gp_condition_dense: full_cov needs K_cross as one array")
 
-    L, jitter = _factor_s(K_train, sigma_e2, "gp_condition_dense")
-    L_inv = _tri_inv(L)
+    _, L_inv, jitter = _factor_s(K_train, sigma_e2, "gp_condition_dense")
     alpha = L_inv.T @ (L_inv @ (y - mean_train))
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
     mu_star, sigma_star = np.empty(p), np.empty(p)
@@ -565,16 +567,15 @@ def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None, *,
     where grad[i] = 1/2 tr((alpha alpha^T - S^-1) dS/dtheta_i) (Rasmussen &
     Williams 2006, eq. 5.9) and alpha = S^-1 (y - mean_train), so that the
     gradient in the coefficients of a mean H b is H^T alpha. factor is
-    (L, L^-1) of this S where the caller has already factored it (_factor_s,
-    _tri_inv); K_train is then not read.
+    _factor_s of this S where the caller has already factored it; K_train is
+    then not read.
     """
     y = np.asarray(y, dtype=float)
     r = y - np.asarray(mean_train, dtype=float)
     n = len(y)
     if factor is None:
-        L, _ = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
-        factor = L, _tri_inv(L)
-    L, L_inv = factor
+        factor = _factor_s(np.asarray(K_train, dtype=float), sigma_e2, "log_marginal_likelihood")
+    L, L_inv, _ = factor
     alpha = L_inv.T @ (L_inv @ r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     lml = float(-0.5 * (r @ alpha) - 0.5 * logdet - 0.5 * n * LOG_2PI)
@@ -661,15 +662,12 @@ class _RawCodec:
         return -ll, -grad
 
 
-def default_init(y, mean_basis, points) -> GpHyperParams:
-    """Data-driven starting point: range ~ a third of the extent, phi mild."""
+def default_init(y, start_mean, points, width: int) -> GpHyperParams:
+    """Data-driven starting point: range ~ a third of the extent, phi mild, the
+    variance of y - start_mean split between field and noise, and beta uniform
+    over width mean columns."""
     pts = np.asarray(points, dtype=float)
-    basis = np.asarray(mean_basis, dtype=float)
-    y = np.asarray(y, dtype=float)
-    L = basis.shape[1]
-    beta = np.ones(L) / L
-    resid = y - basis @ beta
-    var = float(resid.var())
+    var = float((np.asarray(y, dtype=float) - np.asarray(start_mean, dtype=float)).var())
     if not np.isfinite(var):
         raise NumericalError("response variance is not finite; rescale the response "
                              "or check the mean basis")
@@ -678,31 +676,44 @@ def default_init(y, mean_basis, points) -> GpHyperParams:
     rho = max(extent / 3.0, 1e-3)
     return GpHyperParams(log_kappa=math.log(math.sqrt(2.0) / rho),
                          log_tau=math.log(1.0 / var),
-                         sigma_e2=0.5 * var, phi=0.3, beta=beta)
+                         sigma_e2=0.5 * var, phi=0.3, beta=np.ones(width) / width)
 
 
-def _optimize(objective, jac, x0: np.ndarray, context: str, *, restarts: int,
-              max_iter: int, seed: int) -> np.ndarray:
-    """L-BFGS from x0, then from restarts - 1 jittered starts; best raw point.
+def _fit(fit: str, y, points, start_mean, width: int, basis, fixed, restarts: int,
+         max_iter: int, seed: int):
+    """The one GP fit body: the fitted parameters and the fit's kernel (_train_kernel).
 
-    objective returns a float and jac its gradient. Each run stops once the
-    gradient's max-norm is at most 1e-5 or an iteration lowers the objective
-    by at most 2.2e-9 of its size (scipy's L-BFGS-B defaults, lbfgs.GTOL and
-    lbfgs.FTOL), or after max_iter iterations. The objective must be finite
-    at x0; an empty x0 is returned unoptimised.
+    basis(factor) is the n x width matrix whose beta-weighted columns are the
+    mean at the training rows, given the factor of S (_factor_s) that each
+    evaluation forms once and hands to log_marginal_likelihood. L-BFGS
+    (lbfgs.minimize, at most max_iter iterations a run) runs from
+    default_init(y, start_mean, ...), then from restarts - 1 jittered starts;
+    the best raw point wins. The start must be evaluable, even with nothing free.
     """
-    f0 = objective(x0)
-    if not np.isfinite(f0) or f0 >= PENALTY:
-        raise NumericalError(f"{context}: objective non-finite at the initial point; "
+    kernel = _train_kernel(points)
+    codec = _RawCodec(width, fixed)
+
+    def evaluate(params: GpHyperParams):
+        K, dS = kernel(params)
+        factor = _factor_s(K, params.sigma_e2, fit)
+        H = basis(factor)
+        ll, grad, alpha = log_marginal_likelihood(y, H @ params.beta, K, params.sigma_e2,
+                                                  map(dS, codec.free), factor=factor)
+        return ll, grad, H.T @ alpha
+
+    objective, jac = codec.objective(evaluate)
+    x0 = codec.pack(default_init(y, start_mean, points, width))
+    best_raw, best_val = x0, objective(x0)
+    if best_val >= PENALTY:
+        raise NumericalError(f"{fit}: objective non-finite at the initial point; "
                              "rescale the response or check the mean")
     rng = np.random.default_rng(seed)
-    best_raw, best_val = x0, f0
     for attempt in range(max(restarts, 1) if x0.size else 0):
         start = x0 if attempt == 0 else x0 + rng.normal(scale=0.5, size=x0.size)
         res = minimize(objective, start, jac=jac, max_iter=max_iter)
         if res.fun < best_val:
             best_raw, best_val = res.x, float(res.fun)
-    return best_raw
+    return codec.unpack(best_raw), kernel
 
 
 def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restarts: int = 2,
@@ -715,23 +726,12 @@ def fit_hyperparams(y, mean_basis, points, *, fixed: dict | None = None, restart
     """
     y, basis, pts = _fit_inputs("fit_hyperparams", y, mean_basis, points,
                                 "mean_basis (n x L)")
-    if basis.shape[1] < 1:
+    L = basis.shape[1]
+    if L < 1:
         raise DataError(f"fit_hyperparams: mean_basis (n x L) needs L >= 1, "
                         f"got shape {basis.shape}")
-    kernel = _train_kernel(pts)
-    codec = _RawCodec(basis.shape[1], fixed)
-
-    def evaluate(params: GpHyperParams):
-        K, dS = kernel(params)
-        ll, grad, alpha = log_marginal_likelihood(y, basis @ params.beta, K, params.sigma_e2,
-                                                  map(dS, codec.free))
-        return ll, grad, basis.T @ alpha
-
-    x0 = codec.pack(default_init(y, basis, pts))
-    if codec.size() == 0:
-        return codec.unpack(x0)
-    return codec.unpack(_optimize(*codec.objective(evaluate), x0, "fit_hyperparams",
-                                  restarts=restarts, max_iter=max_iter, seed=seed))
+    return _fit("fit_hyperparams", y, pts, basis @ (np.ones(L) / L), L,
+                lambda factor: basis, fixed, restarts, max_iter, seed)[0]
 
 
 def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
@@ -745,36 +745,21 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
     and coefficients of its mean (PlainGpModel.mean).
     """
     y, X, pts = _fit_inputs("fit_gp_linear_mean", y, X, points, "X (n x p)")
-    kernel = _train_kernel(pts)
-    n = len(y)
-
     mu_x = X.mean(axis=0)
     sd_x = X.std(axis=0)
     sd_x[sd_x == 0] = 1.0
-    M = np.column_stack([np.ones(n), (X - mu_x) / sd_x])
+    M = np.column_stack([np.ones(len(y)), (X - mu_x) / sd_x])
 
-    codec = _RawCodec(1, fixed)
-    init = default_init(y, np.zeros((n, 1)), pts)
+    def gls(factor) -> np.ndarray:
+        """GLS coefficients of the mean under S, given its factor (_factor_s)."""
+        _, L_inv, _ = factor
+        return np.linalg.lstsq(L_inv @ M, L_inv @ y, rcond=None)[0]
 
-    def gls_mean(K: np.ndarray, sigma_e2: float):
-        """(GLS coefficients, (L, L^-1)) of the mean under S = K + sigma_e2 I."""
-        L = _factor_s(K, sigma_e2, "fit_gp_linear_mean")[0]
-        L_inv = _tri_inv(L)
-        coef, *_ = np.linalg.lstsq(L_inv @ M, L_inv @ y, rcond=None)
-        return coef, (L, L_inv)
-
-    def evaluate(params: GpHyperParams):
-        K, dS = kernel(params)
-        coef, factor = gls_mean(K, params.sigma_e2)
-        ll, grad, _ = log_marginal_likelihood(y, M @ coef, K, params.sigma_e2,
-                                              map(dS, codec.free), factor=factor)
-        return ll, grad, None
-
-    params = codec.unpack(_optimize(*codec.objective(evaluate), codec.pack(init),
-                                    "fit_gp_linear_mean", restarts=restarts,
-                                    max_iter=max_iter, seed=seed))
-    coef = gls_mean(kernel(params)[0], params.sigma_e2)[0]
-    mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": np.asarray(coef, dtype=float)}
+    params, kernel = _fit("fit_gp_linear_mean", y, pts, np.zeros(len(y)), 1,
+                          lambda factor: (M @ gls(factor))[:, None],
+                          fixed, restarts, max_iter, seed)
+    coef = gls(_factor_s(kernel(params)[0], params.sigma_e2, "fit_gp_linear_mean"))
+    mean_state = {"x_mean": mu_x, "x_sd": sd_x, "coef": coef}
     return PlainGpModel(params=params, mean_state=mean_state, train_points=pts, X_train=X, y=y)
 
 

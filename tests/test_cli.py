@@ -874,6 +874,27 @@ class TestEval:
         assert "first seen on line 2" in err
         assert not (out / "eval-summary.csv").exists()
 
+    @pytest.mark.parametrize("rows, line, named", [
+        ("30.0,-1.0,6,abc\n30.05,-1.0,6,1.0\n", 2, "column 'mean'"),   # once category=internal
+        ("30.0,-1.0,6,0.5\n30.05,-1.0,6,nan\n", 3, "column 'mean'"),   # once scored as mse=nan
+        ("30.0,-1.0,6,0.5\n30.05,-1.0,6,-inf\n", 3, "column 'mean'"),
+        ("nan,-1.0,6,0.5\n30.05,-1.0,6,1.0\n", 2, "bad key fields"),
+    ], ids=["text", "nan", "inf", "nan-key"])
+    def test_non_finite_value_exits_3_naming_its_line(self, tmp_path, capsys, rows, line, named):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("lon,lat,t,mean\n" + rows)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("lon,lat,t,latent\n30.0,-1.0,6,2.5\n30.05,-1.0,6,1.0\n")
+        out = tmp_path / "out"
+        cfg = write_yaml(tmp_path / "e.yaml", {
+            "eval": {"predictions": str(pred), "truth": str(truth)},
+            "output_dir": str(out),
+        })
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"category=data: {pred}:{line}: {named}" in err
+        assert not (out / "eval-summary.csv").exists()
+
     def test_repeated_predict_month_exits_2_before_predicting(self, scenario, cwm_fit, tmp_path,
                                                               capsys):
         out = tmp_path / "pred"

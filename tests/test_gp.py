@@ -759,7 +759,7 @@ class TestDefaultInit:
         pts = random_points(rng, 30, extent=0.9)
         basis = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        init = default_init(y, basis, pts)
+        init = default_init(y, basis @ [0.5, 0.5], pts, 2)
         assert 0 < init.sigma_e2
         assert abs(init.phi) < 1
         assert math.sqrt(2.0) / init.kappa == pytest.approx(0.3, rel=0.5)   # the range rho
@@ -768,9 +768,8 @@ class TestDefaultInit:
     def test_non_finite_variance_suggests_rescaling(self):
         pts = random_points(np.random.default_rng(14), 6)
         y = np.full(6, 1e200)
-        basis = np.ones((6, 1)) * -1e200
         with pytest.raises(NumericalError, match="rescale"):
-            default_init(y, basis, pts)
+            default_init(y, np.full(6, -1e200), pts, 1)
 
 
 class TestFitHyperparams:
@@ -802,12 +801,22 @@ class TestFitHyperparams:
         assert params.phi == 0.0
         assert params.log_kappa == 1.5
 
-    def test_fixed_everything_skips_optimiser(self):
+    @pytest.mark.parametrize("fit", [fit_hyperparams, fit_gp_linear_mean])
+    def test_fixed_everything_skips_optimiser(self, monkeypatch, fit):
         y, basis, pts = self.make_data()
-        params = fit_hyperparams(y, basis[:, :1], pts, fixed={
+
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("gp.minimize called")
+        monkeypatch.setattr(gp, "minimize", no_minimize)
+        fitted = fit(y, basis[:, :1], pts, fixed={
             "log_kappa": 0.5, "log_tau": 0.1, "sigma_e2": 0.2, "phi": 0.3})
+        params = fitted if fit is fit_hyperparams else fitted.params
         assert (params.log_kappa, params.log_tau) == (0.5, 0.1)
         assert (params.sigma_e2, params.phi) == (0.2, 0.3)
+        # kappa d / tau overflows at this pinned point, so it cannot be evaluated
+        with pytest.raises(NumericalError, match=rf"^{fit.__name__}: objective non-finite"):
+            fit(y, basis[:, :1], pts, fixed={
+                "log_kappa": 700.0, "log_tau": -20.0, "sigma_e2": 0.2, "phi": 0.3})
 
     @pytest.mark.parametrize("fit, fixed, key", [
         (fit_hyperparams, {"phi": 2.0}, "phi"),
@@ -840,7 +849,7 @@ class TestFitHyperparams:
 
     def test_improves_on_init(self):
         y, basis, pts = self.make_data()
-        init = default_init(y, basis, pts)
+        init = default_init(y, basis @ [0.5, 0.5], pts, 2)
         fitted = fit_hyperparams(y, basis, pts, restarts=1, max_iter=150)
 
         def ll(p):
@@ -1262,11 +1271,10 @@ class TestOneFactorOfS:
         prm = params_of(kappa=2.0, tau=0.9, sigma_e2=0.3, phi=0.4)
         K, dS = _train_kernel(pts)(prm)
         y, mean = rng.normal(size=n), rng.normal(size=n)
-        L = gp._factor_s(K, prm.sigma_e2, "test")[0]
         keys = ("log_kappa", "log_tau", "sigma_e2", "phi")
         own = log_marginal_likelihood(y, mean, K, prm.sigma_e2, map(dS, keys))
         passed = log_marginal_likelihood(y, mean, K, prm.sigma_e2, map(dS, keys),
-                                         factor=(L, gp._tri_inv(L)))
+                                         factor=gp._factor_s(K, prm.sigma_e2, "test"))
         assert own[0] == passed[0]
         assert own[1].tobytes() == passed[1].tobytes()
         assert own[2].tobytes() == passed[2].tobytes()
