@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import YamlLoader, check_values, int_at_least, text
+from .config import YamlLoader, check_values, finite_real, int_at_least, positive_real, text
 from .errors import DataError, SchemaError
 
 EMPIRICAL_LOGIT_C = 0.5
@@ -130,6 +130,14 @@ class PointError(DataError):
         self.index = int(index)
 
 
+# GridGeometry field -> (check, description); a synth scenario checks its grid by it too
+GRID_FIELDS = {
+    "n_lon": (int_at_least(1), "an integer >= 1"), "n_lat": (int_at_least(1), "an integer >= 1"),
+    "lon0": (finite_real, "a finite real"), "lat0": (finite_real, "a finite real"),
+    "d_lon": (positive_real, "a finite real > 0"), "d_lat": (positive_real, "a finite real > 0"),
+}
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Regular lon/lat lattice; (lon0, lat0) is the north-west cell centre."""
@@ -142,8 +150,7 @@ class GridGeometry:
     n_lat: int
 
     def __post_init__(self):
-        if self.n_lon < 1 or self.n_lat < 1 or self.d_lon <= 0 or self.d_lat <= 0:
-            raise DataError(f"invalid grid geometry {self}")
+        check_values("", vars(self), GRID_FIELDS, DataError)
 
     def cell_index(self, lon, lat):
         """Nearest cell (row, col) of each point; raises PointError for the first outside the extent."""
@@ -164,7 +171,10 @@ class GridGeometry:
 
 
 def load_grid_csv(path, geometry: GridGeometry) -> np.ndarray:
-    values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:       # a cell that is not a number, or a ragged row
+        raise DataError(f"{path}: {exc}") from exc
     if values.shape != (geometry.n_lat, geometry.n_lon):
         raise SchemaError(f"{path}: grid shape {values.shape} does not match geometry "
                           f"({geometry.n_lat}, {geometry.n_lon})")
@@ -262,7 +272,7 @@ def load_stack_manifest(path, months=None) -> list[Covariate]:
         seen.add(name)
         try:
             geometry = GridGeometry(**entry["grid"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, DataError) as exc:
             raise SchemaError(f"{path}: covariate '{name}': bad grid geometry: {exc}") from exc
         keys = ("path",) if kind in ("static", "synoptic") else ("t_start", "t_end", "path_template")
         found = check_values(f"{path}: covariate '{name}': ", {key: entry.get(key) for key in keys},

@@ -25,19 +25,21 @@ likelihood, 1/2 tr((alpha alpha^T - S^-1) dS/dtheta) (Rasmussen & Williams
 2006, eq. 5.9), over unconstrained raw coordinates (log kappa, log tau,
 log sigma_e^2, atanh phi, and softmax logits for the stacked-mean simplex
 weights, first logit pinned at zero). One table, _HYPERPARAMS, holds each
-scalar's raw transforms, their slope and valid range; pinned values are
-checked against it by check_fixed, and a fully pinned point is still
-evaluated. Fits evaluate the Bessel terms once per distinct training
-distance, not once per matrix entry.
+scalar's exact raw transforms, their slope and valid range; the range check
+is the only bound, so a raw point outside it is a failed evaluation
+(PENALTY). Pinned values are checked against it by check_fixed, and a fully
+pinned point is still evaluated. Fits evaluate the Bessel terms once per
+distinct training distance, not once per matrix entry.
 
 Prediction conditions each fitted GP once over all its prediction points,
 whatever months they span, and evaluates the Matern once per (training
 point, distinct prediction location); only the AR(1) factor differs between
-months. The conditioning reads the cross-covariance in column blocks of SLAB
-points each, so for n training points predict memory is
-O(n x sites + n x SLAB + points), not O(n x points). Block k holds points
-[SLAB k, SLAB (k + 1)), so each predicted point's mean and variance have the
-same bytes whether the cross-covariance is passed as one array or in blocks.
+months. The conditioning alone cuts the points, into blocks
+[SLAB k, SLAB (k + 1)), and asks for the cross-covariance one block at a
+time, so for n training points predict memory is
+O(n x sites + n x SLAB + points), not O(n x points), and each predicted
+point's mean and variance have the same bytes whether the cross-covariance
+is passed as one array or as a function of a column range.
 
 The stacked and the plain GP are one fitted model (_FittedGp, one predict
 function) that differ only in their mean: beta-weighted level-0 predictions,
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_keys, check_values, finite_real
+from .config import SECTION_KEYS, check_keys, check_values, finite_real
 from .cwm import on_simplex
 from .errors import DataError, NumericalError, SchemaError
 from .lbfgs import minimize
@@ -62,31 +64,21 @@ from .lbfgs import minimize
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 LOG_2PI = math.log(2.0 * math.pi)
 PENALTY = 1e30      # objective value of a failed likelihood evaluation
-LOG_CLAMP = 700.0   # |log kappa|, |log tau| beyond this would overflow exp
-
-
-def _log_clamped(x: float) -> float:
-    return min(max(x, -LOG_CLAMP), LOG_CLAMP)
-
-
-def _log_clamped_slope(x: float) -> float:
-    return 1.0 if abs(x) < LOG_CLAMP else 0.0
+LOG_SCALE_MAX = 700.0   # |log kappa|, |log tau| beyond this would overflow exp
 
 
 def _log_scale(v) -> bool:
-    return finite_real(v) and abs(v) <= LOG_CLAMP
+    return finite_real(v) and abs(v) <= LOG_SCALE_MAX
 
 
 # Each scalar hyperparameter, in raw-coordinate order -> (natural -> raw,
-# raw -> natural, d natural / d raw, range check, description). The raw ->
-# natural maps clamp so that exp cannot overflow; past a clamp the slope is 0.
+# raw -> natural, d natural / d raw, range check, description). The raw maps
+# are exact; a raw point whose natural value fails the range check, or
+# overflows exp, is a failed evaluation (_RawCodec._neg_lml).
 _HYPERPARAMS = {
-    "log_kappa": (float, _log_clamped, _log_clamped_slope, _log_scale,
-                  "a finite real in [-700, 700]"),
-    "log_tau": (float, _log_clamped, _log_clamped_slope, _log_scale,
-                "a finite real in [-700, 700]"),
-    "sigma_e2": (math.log, lambda x: math.exp(min(x, 700.0)),
-                 lambda x: math.exp(x) if x < 700.0 else 0.0,
+    "log_kappa": (float, float, lambda x: 1.0, _log_scale, "a finite real in [-700, 700]"),
+    "log_tau": (float, float, lambda x: 1.0, _log_scale, "a finite real in [-700, 700]"),
+    "sigma_e2": (math.log, math.exp, math.exp,
                  lambda v: finite_real(v) and v > 0, "a finite real > 0"),
     "phi": (math.atanh, math.tanh, lambda x: 1.0 - math.tanh(x) ** 2,
             lambda v: finite_real(v) and abs(v) < 1, "a finite real in (-1, 1)"),
@@ -113,16 +105,15 @@ def check_fixed(fixed, width: int, where: str = "gp.fixed") -> dict:
     return out
 
 
-_GP_OPTIONS = ("fixed", "restarts", "max_iter", "seed")    # fit_hyperparams' keywords
-
-
 def check_gp_options(gp_options, width: int) -> dict:
-    """check_fixed of gp_options["fixed"], once gp_options holds only _GP_OPTIONS keys.
+    """check_fixed of gp_options["fixed"], once gp_options holds only the config's
+    gp keys (SECTION_KEYS["gp"]: fit_hyperparams' keywords).
 
     Library fits call it before any level-0 fit, so that a misspelt option
     fails at once, not after every learner has been fitted.
     """
-    options = check_keys("gp_options", {} if gp_options is None else gp_options, _GP_OPTIONS)
+    options = check_keys("gp_options", {} if gp_options is None else gp_options,
+                         SECTION_KEYS["gp"])
     return check_fixed(options.get("fixed", {}), width)
 
 
@@ -161,16 +152,15 @@ class GpHyperParams:
 
 @dataclass
 class GpPosterior:
-    """Predictive mean and covariance (full matrix or just its diagonal)."""
+    """Predictive mean and covariance: a full matrix, or a vector of its diagonal."""
 
     mu_star: np.ndarray
     sigma_star: np.ndarray
-    diag_only: bool = True
     train: dict = field(repr=False, default_factory=dict)
 
     @property
     def sd(self) -> np.ndarray:
-        var = self.sigma_star if self.diag_only else np.diag(self.sigma_star)
+        var = self.sigma_star if self.sigma_star.ndim == 1 else np.diag(self.sigma_star)
         return np.sqrt(np.maximum(var, 0.0))
 
 
@@ -482,7 +472,7 @@ def _column_sums(A: np.ndarray) -> np.ndarray:
     return A.cumsum(axis=0)[-1]
 
 
-SLAB = 64     # columns of one prediction block: the cut of gp_condition_dense and _cross_blocks
+SLAB = 64     # points of one prediction block, which gp_condition_dense alone cuts
 
 
 def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
@@ -494,21 +484,21 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     alpha = L^-T L^-1 (y - mean_train), and a point's variance subtracts the
     squared column of L^-1 k_* from its prior.
 
-    K_cross is the (n_train, n_pred) cross-covariance: one array, or an
-    iterable of (n_train, SLAB) column blocks in prediction-point order, the
-    last one narrower where n_pred is not a multiple of SLAB (_cross_blocks).
-    Each block is read once and can be dropped once its slices of the mean and
+    K_cross is the (n_train, n_pred) cross-covariance: one array, or a
+    function cross(lo, hi) that returns its columns lo:hi (_cross_blocks).
+    The conditioning reads it in blocks of SLAB points, [0, SLAB),
+    [SLAB, 2 SLAB), ..., the last one narrower where n_pred is not a multiple
+    of SLAB; each block can be dropped once its slices of the mean and
     variance are written, so memory is O(n_train^2 + n_train x SLAB + n_pred).
 
-    Block k holds points [SLAB k, SLAB (k + 1)), so each point's bytes are
-    the same for one array and for blocks. The mean sums down the training
-    rows (_column_sums). The variance forms L^-1 block by one matrix product
-    over a C-contiguous copy, the last one zero-padded to SLAB columns: a
-    product's column can round differently with the product's width and its
-    position in it, but never with the other columns' values. With full_cov
-    False (default) sigma_star is the predictive variance vector; K_pred may
-    then be a full matrix or just its diagonal. full_cov needs K_cross as one
-    array.
+    The cut is the same for one array and for a function, so each point's
+    bytes are too. The mean sums down the training rows (_column_sums). The
+    variance forms L^-1 block by one matrix product over a C-contiguous copy,
+    the last one zero-padded to SLAB columns: a product's column can round
+    differently with the product's width and its position in it, but never
+    with the other columns' values. With full_cov False (default) sigma_star
+    is the predictive variance vector; K_pred may then be a full matrix or
+    just its diagonal. full_cov needs K_cross as one array.
     """
     y = np.asarray(y, dtype=float)
     mean_train = np.asarray(mean_train, dtype=float)
@@ -517,7 +507,8 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     K_pred = np.asarray(K_pred, dtype=float)
     n = len(y) if y.ndim == 1 else -1
     p = len(mean_pred) if mean_pred.ndim == 1 else -1
-    one_array = isinstance(K_cross, np.ndarray)
+    one_array = not callable(K_cross)
+    K_cross = np.asarray(K_cross, dtype=float) if one_array else K_cross
     if (mean_train.shape != (n,) or K_train.shape != (n, n)
             or K_pred.shape not in ((p,), (p, p)) or (one_array and K_cross.shape != (n, p))):
         raise DataError("gp_condition_dense: non-conformal shapes")
@@ -530,32 +521,24 @@ def gp_condition_dense(y, mean_train, mean_pred, K_train, K_cross, K_pred,
     alpha = L_inv.T @ (L_inv @ (y - mean_train))
     prior_diag = np.diag(K_pred) if K_pred.ndim == 2 else K_pred
     mu_star, sigma_star = np.empty(p), np.empty(p)
-    blocks = (K_cross[:, lo:lo + SLAB] for lo in range(0, p, SLAB)) if one_array else K_cross
-    stop = 0
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        # every block but the last is SLAB wide
-        if (block.ndim != 2 or block.shape[0] != n or not 0 < block.shape[1] <= SLAB
-                or stop % SLAB or stop + block.shape[1] > p):
+    for lo in range(0, p, SLAB):
+        hi = min(lo + SLAB, p)
+        block = K_cross[:, lo:hi] if one_array else np.asarray(K_cross(lo, hi), dtype=float)
+        if block.shape != (n, hi - lo):
             raise DataError("gp_condition_dense: non-conformal shapes")
-        width = block.shape[1]
-        start, stop = stop, stop + width
-        mu_star[start:stop] = mean_pred[start:stop] + _column_sums(block * alpha[:, None])
-        if width == SLAB:
+        mu_star[lo:hi] = mean_pred[lo:hi] + _column_sums(block * alpha[:, None])
+        if hi - lo == SLAB:
             slab = np.ascontiguousarray(block)
         else:       # the last block, zero-padded so that every product is SLAB wide
             slab = np.zeros((n, SLAB))
-            slab[:, :width] = block
+            slab[:, :hi - lo] = block
         V = L_inv @ slab
-        sigma_star[start:stop] = prior_diag[start:stop] - _column_sums(V * V)[:width]
-    if stop != p:
-        raise DataError("gp_condition_dense: non-conformal shapes")
+        sigma_star[lo:hi] = prior_diag[lo:hi] - _column_sums(V * V)[:hi - lo]
     if full_cov:
         V = L_inv @ K_cross
         sigma_star = K_pred - V.T @ V
         sigma_star = 0.5 * (sigma_star + sigma_star.T)
-    return GpPosterior(mu_star=mu_star, sigma_star=sigma_star, diag_only=not full_cov,
-                       train={"jitter": jitter})
+    return GpPosterior(mu_star=mu_star, sigma_star=sigma_star, train={"jitter": jitter})
 
 
 def log_marginal_likelihood(y, mean_train, K_train, sigma_e2: float, dS=None, *,
@@ -600,12 +583,8 @@ class _RawCodec:
 
     def __init__(self, L: int, fixed: dict | None):
         self.fixed = check_fixed({} if fixed is None else fixed, L)
-        self.L = L
         self.free: list[str] = [k for k in _HYPERPARAMS if k not in self.fixed]
         self.free_beta = L > 1 and "beta" not in self.fixed
-
-    def size(self) -> int:
-        return len(self.free) + (self.L - 1 if self.free_beta else 0)
 
     def pack(self, params: GpHyperParams) -> np.ndarray:
         out = [_HYPERPARAMS[key][0](getattr(params, key)) for key in self.free]
@@ -764,16 +743,15 @@ def fit_gp_linear_mean(y, X, points, *, fixed: dict | None = None,
 
 
 def _cross_blocks(model, pred_points):
-    """cov_block(train_points, pred_points, ...) as an iterator of (n, SLAB)
-    column blocks in point order, the last one narrower where the point count
-    is not a multiple of SLAB.
+    """cross(lo, hi): the columns lo:hi of cov_block(train_points, pred_points, ...),
+    for any column range; gp_condition_dense chooses the ranges.
 
     The Matern, which does not depend on the month, is evaluated once per
     (training point, distinct prediction location), in passes of SLAB
     locations, into one n x sites array; phi^lag once per (training point,
-    distinct month); both are built on the call. Each block is gathered as it
-    is read and multiplies the two factors entry by entry, so every entry has
-    the bytes cov_block gives, and memory is O(n x sites + n x SLAB + points).
+    distinct month); both are built on the call. Each call gathers its columns
+    and multiplies the two factors entry by entry, so every entry has the
+    bytes cov_block gives, and memory is O(n x sites + n x columns + points).
     """
     prm, ref_lat = model.params, model.ref_lat
     train_lonlat, train_t = _split_points(model.train_points)
@@ -787,12 +765,11 @@ def _cross_blocks(model, pred_points):
         matern[:, lo:lo + SLAB] = matern1_matrix(D, prm.kappa, prm.tau)
     ar1 = np.power(prm.phi, np.abs(train_t[:, None] - months[None, :]))
 
-    def blocks():
-        for lo in range(0, len(t), SLAB):
-            block = np.take(matern, site_of[lo:lo + SLAB], axis=1)
-            block *= np.take(ar1, month_of[lo:lo + SLAB], axis=1)
-            yield block
-    return blocks()
+    def cross(lo: int, hi: int) -> np.ndarray:
+        block = np.take(matern, site_of[lo:hi], axis=1)
+        block *= np.take(ar1, month_of[lo:hi], axis=1)
+        return block
+    return cross
 
 
 def _check_arrays(owner: str, **expected) -> None:
@@ -910,10 +887,10 @@ def _gp_predict(model: _FittedGp, design, pred_points) -> GpPosterior:
     """Condition a fitted GP on its data; marginal mean and variance at pred_points,
     the rows of design.
 
-    One conditioning covers every month. It reads the cross-covariance in
-    column blocks of SLAB points (_cross_blocks), so memory is O(n x sites +
-    n x SLAB + points); every prior variance is k(0) * phi^0 = 1/tau, so no
-    p x p block.
+    One conditioning covers every month. It asks _cross_blocks for the
+    cross-covariance one block of SLAB points at a time, so memory is
+    O(n x sites + n x SLAB + points); every prior variance is
+    k(0) * phi^0 = 1/tau, so no p x p block.
     """
     mean_pred = model.mean(design)
     pred_points = np.asarray(pred_points, dtype=float)

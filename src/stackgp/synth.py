@@ -34,7 +34,7 @@ import yaml
 
 from .config import (check_keys, check_values, finite_real, int_at_least, integer,
                      non_negative_real, positive_real)
-from .dataset import (MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
+from .dataset import (GRID_FIELDS, MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
                       SurveyRecord, assemble_at, save_grid_csv, save_surveys)
 from .gp import _chol_with_jitter, matern1_matrix
 
@@ -51,8 +51,7 @@ _POSITIVE = (positive_real, "a finite real > 0")
 # ScenarioConfig field -> (check, description)
 _FIELDS = {
     "n_surveys": _AT_LEAST_1, "m_covariates": _AT_LEAST_1,
-    "n_lon": _AT_LEAST_1, "n_lat": _AT_LEAST_1,
-    "lon0": _REAL, "lat0": _REAL, "d_lon": _POSITIVE, "d_lat": _POSITIVE,
+    **GRID_FIELDS,
     "n_months": (int_at_least(MAX_LAG + 1), f"an integer above the maximum lag {MAX_LAG}"),
     "regime": (lambda v: isinstance(v, str) and v in REGIME_SHARES,
                f"one of {sorted(REGIME_SHARES)}"),

@@ -542,6 +542,18 @@ class TestFitAndPredict:
         assert self.predict_into(data, cwm_fit / "model.json", tmp_path) == 3
         assert str(needed) in capsys.readouterr().err
 
+    def test_a_grid_cell_that_is_not_a_number_exits_3_naming_the_file(self, scenario, tmp_path,
+                                                                      capsys):
+        # np.loadtxt's ValueError used to exit 1 as category=internal
+        data = self.copied_scenario(scenario, tmp_path)
+        garbled = data / "grids" / "cov01_4.csv"
+        cells = garbled.read_text()
+        garbled.write_text("abc" + cells[cells.index(","):])      # the first cell
+        cfg = write_yaml(tmp_path / "fit.yaml", fit_config(data, tmp_path / "out"))
+        assert main(["fit", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"stackgp: error category=data: {garbled}: could not convert string 'abc'" in err
+
     def test_month_past_the_stack_exits_3_with_the_month(self, scenario, cwm_fit, tmp_path,
                                                          capsys):
         assert self.predict_into(scenario, cwm_fit / "model.json", tmp_path, months=(8,)) == 3

@@ -169,6 +169,17 @@ class TestGridIo:
         with pytest.raises(DataError):
             load_grid_csv(path, geo)
 
+    @pytest.mark.parametrize("text", ["1.0,abc\n3.0,4.0\n", "1.0,2.0,\n3.0,4.0,\n",
+                                      "1.0,2.0\n3.0\n"], ids=["text", "trailing-comma", "ragged"])
+    def test_cell_that_is_not_a_number_is_a_data_error_naming_the_file(self, tmp_path, text):
+        # np.loadtxt's ValueError escaped, and a command exited 1
+        geo = make_geometry(n_lon=2, n_lat=2)
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_grid_csv(path, geo)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestAssembly:
     def test_column_count_two_static_one_dynamic(self):
@@ -318,10 +329,17 @@ class TestManifest:
         ("rain_{t}", "rain_{t", ["rain", "path_template must be"]),
         ("rain_{t}", "rain_{t.foo}", ["rain", "path_template must be"]),
         ("rain_{t}", "rain_{t[0]}", ["rain", "path_template must be"]),
+        ("n_lon: 4", "n_lon: 4.0", ["elev", "n_lon must be an integer >= 1"]),
+        ("n_lat: 3", "n_lat: true", ["elev", "n_lat must be an integer >= 1"]),
+        ("lon0: 30.0", "lon0: .inf", ["elev", "lon0 must be a finite real"]),
+        ("lat0: -1.0", "lat0: abc", ["elev", "lat0 must be a finite real"]),
+        ("d_lon: 0.1", "d_lon: .nan", ["elev", "d_lon must be a finite real > 0"]),
+        ("d_lat: 0.1", "d_lat: 0", ["elev", "d_lat must be a finite real > 0"]),
     ], ids=["covariates-not-list", "entry-not-mapping", "no-path", "no-t_start", "no-t_end",
             "no-path_template", "negative-t_start", "float-t_start", "string-t_end",
             "template-other-field", "template-positional", "template-unclosed",
-            "template-attribute", "template-index"])
+            "template-attribute", "template-index", "grid-float-n_lon", "grid-bool-n_lat",
+            "grid-infinite-lon0", "grid-text-lat0", "grid-nan-d_lon", "grid-zero-d_lat"])
     def test_malformed_entry_named(self, tmp_path, rng, old, new, names):
         manifest, _, _ = self._write_scenario(tmp_path, rng)
         assert old in manifest.read_text()

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,14 @@ def brute_force_condition(y, mu_t, mu_p, K_t, K_c, K_p, sigma_e2):
     return mu_star, sigma_star
 
 
+def blocks_of_shape(shape):
+    """K_cross as a function whose block for columns lo:hi is zeros of shape(hi - lo).
+
+    It is a partial, which has no __name__, so pytest names a case by its index.
+    """
+    return partial(lambda lo, hi: np.zeros(shape(hi - lo)))
+
+
 class TestDenseConditioning:
     def random_problem(self, rng, n, p):
         pts = random_points(rng, n + p)
@@ -528,7 +537,7 @@ class TestDenseConditioning:
         y, mu_t, mu_p, K_t, K_c, K_p, s2 = self.random_problem(rng, 5, 4)
         full = gp_condition_dense(y, mu_t, mu_p, K_t, K_c, K_p, s2, full_cov=True)
         diag = gp_condition_dense(y, mu_t, mu_p, K_t, K_c, K_p, s2)
-        assert diag.diag_only and not full.diag_only
+        assert diag.sigma_star.shape == (4,) and full.sigma_star.shape == (4, 4)
         np.testing.assert_allclose(diag.sigma_star, np.diag(full.sigma_star), atol=1e-12)
         np.testing.assert_allclose(diag.sd, np.sqrt(np.maximum(np.diag(full.sigma_star), 0)),
                                    atol=1e-12)
@@ -548,10 +557,10 @@ class TestDenseConditioning:
     @pytest.mark.parametrize("key, value", [
         ("K_train", np.ones((3, 4))),
         ("K_cross", np.zeros(3)),                                   # 1-D
-        ("K_cross", [np.zeros((3, 2)), np.zeros(3)]),               # a 1-D block
-        ("K_cross", [np.zeros((3, 2)), np.zeros((2, 2))]),          # a block without n rows
-        ("K_cross", [np.zeros((3, 2)), np.zeros((3, 1))]),          # widths sum to 3, not 4
-        ("K_cross", [np.zeros((3, 3)), np.zeros((3, 2))]),          # widths sum to 5
+        ("K_cross", blocks_of_shape(lambda w: 3)),                  # a 1-D block
+        ("K_cross", blocks_of_shape(lambda w: (2, w))),             # a block without n rows
+        ("K_cross", blocks_of_shape(lambda w: (3, w - 1))),         # narrower than asked
+        ("K_cross", blocks_of_shape(lambda w: (3, w + 1))),         # wider than asked
         ("K_pred", np.ones(1)),                 # would broadcast to every point
         ("K_pred", np.ones(5)),
         ("K_pred", np.ones((4, 3))),
@@ -561,17 +570,14 @@ class TestDenseConditioning:
         with pytest.raises(DataError, match="non-conformal shapes"):
             gp_condition_dense(**args, sigma_e2=0.1)
 
-    @pytest.mark.parametrize("widths", [
-        (gp.SLAB - 1, gp.SLAB, 1),          # a narrow block before the last
-        (gp.SLAB + 1, gp.SLAB - 1),         # a block wider than SLAB
+    @pytest.mark.parametrize("width", [
         2 * gp.SLAB + 1,                    # one array with an extra column
     ])
-    def test_blocks_off_the_slab_cut_are_data_errors(self, widths):
-        # 2 SLAB points; the blocks' widths sum to that, so only the cut is wrong
+    def test_blocks_off_the_slab_cut_are_data_errors(self, width):
+        # 2 SLAB points; every SLAB-wide view of the array is conformal, so only
+        # the up-front check of the whole array can refuse it
         p = 2 * gp.SLAB
-        K_cross = ([np.zeros((3, w)) for w in widths] if isinstance(widths, tuple)
-                   else np.zeros((3, widths)))
-        args = {**self.CONFORMAL, "mean_pred": np.zeros(p), "K_cross": K_cross,
+        args = {**self.CONFORMAL, "mean_pred": np.zeros(p), "K_cross": np.zeros((3, width)),
                 "K_pred": np.ones(p)}
         with pytest.raises(DataError, match="non-conformal shapes"):
             gp_condition_dense(**args, sigma_e2=0.1)
@@ -581,8 +587,7 @@ class TestDenseConditioning:
         p = 2 * gp.SLAB + 9
         y, mu_t, mu_p, K_t, K_c, K_p, s2 = self.random_problem(rng, 6, p)
         whole = gp_condition_dense(y, mu_t, mu_p, K_t, K_c, np.diag(K_p), s2)
-        blocks = gp_condition_dense(y, mu_t, mu_p, K_t,
-                                    tuple(np.split(K_c, range(gp.SLAB, p, gp.SLAB), axis=1)),
+        blocks = gp_condition_dense(y, mu_t, mu_p, K_t, lambda lo, hi: K_c[:, lo:hi].copy(),
                                     np.diag(K_p), s2)
         np.testing.assert_allclose(blocks.mu_star, whole.mu_star, rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocks.sigma_star, whole.sigma_star, rtol=0, atol=1e-12)
@@ -610,9 +615,22 @@ class TestDenseConditioning:
             assert np.max(np.abs(post.sigma_star - var)) <= 1e-13 / prm.tau
 
     def test_full_cov_refuses_blocks(self):
-        args = {**self.CONFORMAL, "K_cross": [np.zeros((3, 4))], "K_pred": np.eye(4)}
+        args = {**self.CONFORMAL, "K_cross": lambda lo, hi: np.zeros((3, hi - lo)),
+                "K_pred": np.eye(4)}
         with pytest.raises(DataError, match="full_cov needs K_cross as one array"):
             gp_condition_dense(**args, sigma_e2=0.1, full_cov=True)
+
+    def test_the_conditioning_asks_for_slab_blocks_in_point_order(self):
+        rng = np.random.default_rng(11)
+        p = 137
+        y, mu_t, mu_p, K_t, K_c, K_p, s2 = self.random_problem(rng, 6, p)
+        asked = []
+
+        def cross(lo, hi):
+            asked.append((lo, hi))
+            return K_c[:, lo:hi]
+        gp_condition_dense(y, mu_t, mu_p, K_t, cross, np.diag(K_p), s2)
+        assert asked == [(0, 64), (64, 128), (128, 137)]
 
 
 class TestPrecisionConditioning:
@@ -737,16 +755,19 @@ class TestRawCodec:
         assert FIXABLE == ("log_kappa", "log_tau", "sigma_e2", "phi", "beta")
 
     @pytest.mark.parametrize("key", ["log_kappa", "log_tau"])
-    def test_log_scales_bounded_where_unpack_clamps(self, key):
-        # unpack clamps raw log scales to [-700, 700], so every fitted model
-        # passes, and kappa and tau stay finite in every model that does
+    def test_log_scales_bounded_at_700(self, key):
+        # the range check is the only bound on a raw log scale: unpack maps it
+        # exactly, and kappa and tau stay finite in every model that passes
         codec = _RawCodec(1, None)
-        raw = np.zeros(codec.size())
+        raw = codec.pack(params_of())
         for sign in (1.0, -1.0):
-            raw[codec.free.index(key)] = sign * 1e6
+            raw[codec.free.index(key)] = sign * 700.0
             params = codec.unpack(raw)
             assert getattr(params, key) == sign * 700.0
             assert np.isfinite([params.kappa, params.tau]).all()
+            raw[codec.free.index(key)] = sign * 1e6
+            with pytest.raises(DataError, match=rf"{key} must be a finite real in \[-700, 700\]"):
+                codec.unpack(raw)
             with pytest.raises(DataError, match=rf"{key} must be a finite real in \[-700, 700\]"):
                 replace(params, **{key: sign * 700.5})
         with pytest.raises(ConfigError, match=f"gp.fixed.{key}"):
@@ -924,6 +945,9 @@ class TestLmlGradient:
     @pytest.mark.parametrize("at", [
         {3: 40.0},                   # atanh phi: tanh rounds to phi = 1, off the range
         {0: 700.0, 1: -20.0},        # kappa d / tau overflows: inf * K1 = inf * 0 off the diagonal
+        {0: 700.5},                  # log kappa off its range
+        {1: -700.5},                 # log tau off its range
+        {2: 710.0},                  # exp(log sigma_e2) overflows
     ])
     def test_failed_evaluation_is_penalty_with_zero_gradient(self, monkeypatch, fit, at):
         y, basis, pts, _ = self.problem()
@@ -1399,8 +1423,8 @@ class TestPredictOverMonths:
 
 
 class TestBlockCuts:
-    """K_cross is cut once, into SLAB-wide blocks; each point has the same bytes
-    whether the conditioning gets one array or those blocks."""
+    """The conditioning cuts K_cross once, into SLAB-wide blocks; each point has
+    the same bytes whether it gets one array or a function of a column range."""
 
     @staticmethod
     def problem(rng, n: int, p: int) -> tuple:
@@ -1419,9 +1443,9 @@ class TestBlockCuts:
         y, mean_train, mean_pred, K, K_cross, prior, s2 = self.problem(
             np.random.default_rng(67 + n + p), n, p)
         whole = gp_condition_dense(y, mean_train, mean_pred, K, K_cross, prior, s2)
-        views = np.split(K_cross, range(gp.SLAB, p, gp.SLAB), axis=1)
-        for blocks in (views, [np.ascontiguousarray(b) for b in views]):
-            cut = gp_condition_dense(y, mean_train, mean_pred, K, iter(blocks), prior, s2)
+        for cross in (lambda lo, hi: K_cross[:, lo:hi],
+                      lambda lo, hi: np.ascontiguousarray(K_cross[:, lo:hi])):
+            cut = gp_condition_dense(y, mean_train, mean_pred, K, cross, prior, s2)
             assert cut.mu_star.tobytes() == whole.mu_star.tobytes()
             assert cut.sigma_star.tobytes() == whole.sigma_star.tobytes()
 
@@ -1445,10 +1469,13 @@ class TestBlockCuts:
         P = rng.normal(size=(30, 2))
         model = StackedGpModel(params=params_of(kappa=2.5, tau=0.8, phi=0.6, beta=(0.4, 0.6)),
                                train_points=train, P_train=P, y=P[:, 0])
-        blocks = list(gp._cross_blocks(model, pred))
-        assert [b.shape[1] for b in blocks] == [gp.SLAB] * 3 + [5]
+        cross = gp._cross_blocks(model, pred)
         whole = cov_block(train, pred, model.params, model.ref_lat)
-        assert np.concatenate(blocks, axis=1).tobytes() == whole.tobytes()
+        slabs = [cross(lo, min(lo + gp.SLAB, len(pred))) for lo in range(0, len(pred), gp.SLAB)]
+        assert [b.shape[1] for b in slabs] == [gp.SLAB] * 3 + [5]
+        assert np.concatenate(slabs, axis=1).tobytes() == whole.tobytes()
+        for lo, hi in [(0, 1), (5, 70), (63, 197), (196, 197), (0, len(pred))]:     # ragged
+            assert cross(lo, hi).tobytes() == np.ascontiguousarray(whole[:, lo:hi]).tobytes()
 
 
 class TestPredictMemory:
