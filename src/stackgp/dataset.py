@@ -1,5 +1,9 @@
 """Survey ingestion, empirical-logit transform, and design-matrix assembly.
 
+This module owns every input format: the survey CSV, the covariate stack
+manifest with its grid files (``save_stack_manifest`` writes what
+``load_stack_manifest`` reads) and the prediction lattice's point order.
+
 File formats
 ------------
 Survey CSV: header ``lon,lat,t,n_tested,n_positive``, UTF-8, ``.`` decimal
@@ -22,13 +26,13 @@ Covariate stack manifest (YAML)::
 
 Grid file: plain CSV of n_lat rows x n_lon columns of reals, row 0 being the
 northernmost row; ``lon0``/``lat0`` are the centre of the north-west cell.
-Paths are resolved relative to the manifest file. Dynamic-annual covariates
-store one slice per 12-month block from ``t_start``; ``{t}`` in their
-``path_template`` is the block index.
+A grid file with no rows is a data error. Paths are resolved relative to the
+manifest file. Dynamic-annual covariates store one slice per 12-month block
+from ``t_start``; ``{t}`` in their ``path_template`` is the block index.
 
-Assembly expands every dynamic-monthly covariate into lagged columns at 0, 2,
-4 and 6 months; static, synoptic and dynamic-annual covariates contribute one
-column each. Lookups are nearest-cell (round-half-even on the fractional cell
+Assembly (``KINDS``) expands every dynamic-monthly covariate into lagged
+columns at 0, 2, 4 and 6 months; static, synoptic and dynamic-annual
+covariates contribute one column each. Lookups are nearest-cell (round-half-even on the fractional cell
 coordinate), no interpolation.
 """
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,9 +51,13 @@ from .config import YamlLoader, check_values, finite_real, int_at_least, positiv
 from .errors import DataError, SchemaError
 
 EMPIRICAL_LOGIT_C = 0.5
-MONTHLY_LAGS = (0, 2, 4, 6)
-KINDS = ("static", "synoptic", "dynamic-monthly", "dynamic-annual")
-MONTHS_PER_SLICE = {"dynamic-monthly": 1, "dynamic-annual": 12}
+# covariate kind -> (months per slice, or None for one slice; the month lags of its columns)
+KINDS = {
+    "static": (None, (0,)),
+    "synoptic": (None, (0,)),
+    "dynamic-monthly": (1, (0, 2, 4, 6)),
+    "dynamic-annual": (12, (0,)),
+}
 SURVEY_HEADER = ["lon", "lat", "t", "n_tested", "n_positive"]
 
 
@@ -172,9 +181,13 @@ class GridGeometry:
 
 def load_grid_csv(path, geometry: GridGeometry) -> np.ndarray:
     try:
-        values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # "no data": refused below
+            values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:       # a cell that is not a number, or a ragged row
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {str(exc).partition('; use `usecols`')[0]}") from exc
+    if values.size == 0:
+        raise DataError(f"{path}: no grid rows")
     if values.shape != (geometry.n_lat, geometry.n_lon):
         raise SchemaError(f"{path}: grid shape {values.shape} does not match geometry "
                           f"({geometry.n_lat}, {geometry.n_lon})")
@@ -207,14 +220,14 @@ class Covariate:
         first month outside [t_start, t_end].
         """
         row, col = self.geometry.cell_index(lon, lat)
-        if self.kind in ("static", "synoptic"):
+        if (per := KINDS[self.kind][0]) is None:
             return self.slices[0, row, col]
         t = np.asarray(t)
         outside = np.flatnonzero((t < self.t_start) | (t > self.t_end))
         if outside.size:
             i = outside[0]
             raise PointError(i, f"month {t[i]} outside [{self.t_start}, {self.t_end}]")
-        return self.slices[(t - self.t_start) // MONTHS_PER_SLICE[self.kind], row, col]
+        return self.slices[(t - self.t_start) // per, row, col]
 
 
 def _path_template(v) -> bool:
@@ -232,11 +245,6 @@ _ENTRY_FIELDS = {
     "t_end": (int_at_least(0), "a non-negative integer"),
     "path_template": (_path_template, "a path template string whose only field is {t}"),
 }
-
-
-def _lags(kind: str) -> tuple[int, ...]:
-    """The month lags of a covariate kind's design columns."""
-    return MONTHLY_LAGS if kind == "dynamic-monthly" else (0,)
 
 
 def load_stack_manifest(path, months=None) -> list[Covariate]:
@@ -265,8 +273,9 @@ def load_stack_manifest(path, months=None) -> list[Covariate]:
             raise SchemaError(f"{path}: covariate entry {i} must be a mapping, got {entry!r}")
         name = entry.get("name")
         kind = entry.get("kind")
-        if not text(name) or kind not in KINDS:
-            raise SchemaError(f"{path}: covariate entry needs a name and kind in {KINDS}, got {entry!r}")
+        if not text(name) or not isinstance(kind, str) or kind not in KINDS:
+            raise SchemaError(f"{path}: covariate entry needs a name and kind in "
+                              f"{tuple(KINDS)}, got {entry!r}")
         if name in seen:
             raise SchemaError(f"{path}: duplicate covariate name '{name}'")
         seen.add(name)
@@ -274,7 +283,8 @@ def load_stack_manifest(path, months=None) -> list[Covariate]:
             geometry = GridGeometry(**entry["grid"])
         except (KeyError, TypeError, DataError) as exc:
             raise SchemaError(f"{path}: covariate '{name}': bad grid geometry: {exc}") from exc
-        keys = ("path",) if kind in ("static", "synoptic") else ("t_start", "t_end", "path_template")
+        per, lags = KINDS[kind]
+        keys = ("path",) if per is None else ("t_start", "t_end", "path_template")
         found = check_values(f"{path}: covariate '{name}': ", {key: entry.get(key) for key in keys},
                              _ENTRY_FIELDS, SchemaError)
         if "path" in found:
@@ -284,12 +294,11 @@ def load_stack_manifest(path, months=None) -> list[Covariate]:
         t_start, t_end, template = found.values()
         if t_end < t_start:
             raise SchemaError(f"{path}: covariate '{name}': t_end < t_start")
-        per = MONTHS_PER_SLICE[kind]
         n_slices = (t_end - t_start) // per + 1
         if months is None:
             wanted = range(n_slices)
         else:
-            reached = [m - lag for m in np.atleast_1d(months).tolist() for lag in _lags(kind)]
+            reached = [m - lag for m in np.atleast_1d(months).tolist() for lag in lags]
             wanted = sorted({(t - t_start) // per for t in reached if t_start <= t <= t_end})
         slices = np.full((n_slices, geometry.n_lat, geometry.n_lon), np.nan)
         for s in wanted:
@@ -298,6 +307,27 @@ def load_stack_manifest(path, months=None) -> list[Covariate]:
     if not covariates:
         raise SchemaError(f"{path}: manifest lists no covariates")
     return covariates
+
+
+def save_stack_manifest(covariates, outdir) -> Path:
+    """Write covariates as outdir/stack.yaml plus their grids/*.csv; returns the manifest path."""
+    outdir = Path(outdir)
+    (outdir / "grids").mkdir(parents=True, exist_ok=True)
+    entries = []
+    for cov in covariates:
+        entry = {"name": cov.name, "kind": cov.kind, "grid": dict(vars(cov.geometry))}
+        if KINDS[cov.kind][0] is None:
+            entry["path"] = f"grids/{cov.name}.csv"
+            save_grid_csv(cov.slices[0], outdir / entry["path"])
+        else:
+            entry.update(t_start=cov.t_start, t_end=cov.t_end,
+                         path_template=f"grids/{cov.name}_{{t}}.csv")
+            for s, values in enumerate(cov.slices):
+                save_grid_csv(values, outdir / f"grids/{cov.name}_{s}.csv")
+        entries.append(entry)
+    path = outdir / "stack.yaml"
+    path.write_text(yaml.safe_dump({"covariates": entries}, sort_keys=False), encoding="utf-8")
+    return path
 
 
 @dataclass(frozen=True)
@@ -343,7 +373,7 @@ class CovariateMatrix:
 
 def design_columns(covariates) -> list[tuple[ColumnInfo, "Covariate"]]:
     return [(ColumnInfo(cov.name, lag, cov.kind), cov) for cov in covariates
-            for lag in _lags(cov.kind)]
+            for lag in KINDS[cov.kind][1]]
 
 
 def assemble_at(points, covariates) -> CovariateMatrix:

@@ -31,46 +31,42 @@ def _lambda_grid(v):
     return bool(values) and all(non_negative_real(x) for x in values)
 
 
-# kind -> {param: (default, check, description)}
-PARAM_SCHEMAS = {
-    "gbt": {
+# kind -> (fit, model type, {param: (default, check, description)})
+KINDS = {
+    "gbt": (fit_gbt, GbtModel, {
         "n_rounds": (150, int_at_least(0), "an integer >= 0"),
         "learning_rate": (0.1, positive_real, "a finite real > 0"),
         "max_depth": (3, int_at_least(1), "an integer >= 1"),
         "min_samples_leaf": (5, int_at_least(1), "an integer >= 1"),
         "subsample_rows": (0.8, fraction, "a real in (0, 1]"),
         "subsample_cols": (1.0, fraction, "a real in (0, 1]"),
-    },
-    "rf": {
+    }),
+    "rf": (fit_rf, ForestModel, {
         "n_trees": (60, int_at_least(1), "an integer >= 1"),
         "max_depth": (12, optional(int_at_least(1)), "an integer >= 1 or null"),
         "min_samples_leaf": (5, int_at_least(1), "an integer >= 1"),
         "max_features": (None, optional(int_at_least(1)), "an integer >= 1 or null (ceil(m/3))"),
         "bootstrap": (True, lambda v: isinstance(v, bool), "true or false"),
-    },
-    "enet": {
+    }),
+    "enet": (fit_enet, EnetModel, {
         "lambda1": (1.0, non_negative_real, "a finite real >= 0"),
         "lambda2": (1.0, non_negative_real, "a finite real >= 0"),
-    },
-    "gam": {
+    }),
+    "gam": (fit_gam, GamModel, {
         "n_splines": (8, int_at_least(4), "an integer >= 4"),
         "lambda_grid": (None, _lambda_grid, "a non-empty list of finite reals >= 0, or null"),
-    },
-    "mars": {
+    }),
+    "mars": (fit_mars, MarsModel, {
         "max_terms": (15, int_at_least(2), "an integer >= 2"),
         "max_degree": (2, int_at_least(1), "an integer >= 1"),
         "max_knots": (15, int_at_least(1), "an integer >= 1"),
         "gcv_penalty": (3.0, non_negative_real, "a finite real >= 0"),
-    },
+    }),
 }
 _SPEC_FIELDS = {"seed": (int_at_least(0), "a non-negative integer"),
                 "name": (lambda v: isinstance(v, str), "a string")}
 
-_FIT = {"gbt": fit_gbt, "rf": fit_rf, "enet": fit_enet, "gam": fit_gam, "mars": fit_mars}
-_MODEL_CLS = {"gbt": GbtModel, "rf": ForestModel, "enet": EnetModel, "gam": GamModel,
-              "mars": MarsModel}
-
-LEARNER_KINDS = tuple(PARAM_SCHEMAS)
+LEARNER_KINDS = tuple(KINDS)
 
 # parameters that older model files may still carry: the enet's from before
 # its active-set solve, the GAM's from before its one exact solve
@@ -85,11 +81,11 @@ class LearnerSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in PARAM_SCHEMAS:
-            raise ConfigError(f"unknown learner kind {self.kind!r}, expected one of {sorted(PARAM_SCHEMAS)}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ConfigError(f"unknown learner kind {self.kind!r}, expected one of {sorted(KINDS)}")
         where = f"learner '{self.kind}': "
         check_values(where, vars(self), _SPEC_FIELDS)
-        schema = PARAM_SCHEMAS[self.kind]
+        schema = KINDS[self.kind][2]
         check_keys(f"learner '{self.kind}' params", self.params, schema)
         object.__setattr__(self, "params", check_values(
             where, {key: self.params.get(key, default) for key, (default, *_) in schema.items()},
@@ -141,7 +137,7 @@ class LearnerModel:
             spec = {**spec, "params": {k: v for k, v in spec["params"].items()
                                        if k not in retired}}
         spec = LearnerSpec.from_dict(spec)
-        model = _MODEL_CLS[spec.kind].from_state(d["state"])
+        model = KINDS[spec.kind][1].from_state(d["state"])
         columns = d.get("columns")
         if columns is not None:
             columns = tuple(ColumnInfo(str(n), int(lag), str(k)) for n, lag, k in columns)
@@ -171,9 +167,7 @@ def fit_learner(spec: LearnerSpec, X, y, rng=None) -> LearnerModel:
         raise SchemaError("cannot fit a learner on zero rows")
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(y))):
         raise DataError(f"learner '{spec.name}': design or response contains non-finite values")
-    if spec.kind == "gbt" and len(y) < 2:
-        raise DataError("gbt requires at least 2 rows")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(spec.seed if rng is None else rng)
-    model = _FIT[spec.kind](values, y, spec.params, rng)
+    model = KINDS[spec.kind][0](values, y, spec.params, rng)
     return LearnerModel(spec=spec, model=model, columns=columns)

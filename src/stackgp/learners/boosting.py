@@ -69,6 +69,8 @@ def fit_gbt(X, y, params: dict, rng: np.random.Generator) -> GbtModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = X.shape
+    if n < 2:
+        raise DataError("gbt requires at least 2 rows")
     eta = params["learning_rate"]
     n_rows = max(1, int(round(params["subsample_rows"] * n)))
     n_cols = max(1, int(round(params["subsample_cols"] * m)))

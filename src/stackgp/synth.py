@@ -17,6 +17,8 @@ cell-centre extent and the latent value comes from the nearest cell, so the
 assembled design matrix reproduces g's inputs exactly. Surveys are binomial:
 N drawn from `n_tested_range`, N+ ~ Bin(N, logistic(latent)). Months are
 drawn from [6, n_months) so every lagged column stays inside the time range.
+Files are written in ``stackgp.dataset``'s formats, and the truth grid follows
+the point order of its ``build_prediction_grid``.
 
 The GP draw uses the Kronecker identity: with K = K_time (x) K_space and
 lower Cholesky factors L_t, L_s, the matrix F = L_t Z L_s^T for iid normal Z
@@ -30,12 +32,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .config import (check_keys, check_values, finite_real, int_at_least, integer,
                      non_negative_real, positive_real)
-from .dataset import (GRID_FIELDS, MONTHLY_LAGS, Covariate, CovariateMatrix, GridGeometry,
-                      SurveyRecord, assemble_at, save_grid_csv, save_surveys)
+from .dataset import (GRID_FIELDS, KINDS, Covariate, CovariateMatrix, GridGeometry,
+                      SurveyRecord, assemble_at, build_prediction_grid, save_stack_manifest,
+                      save_surveys)
 from .gp import _chol_with_jitter, matern1_matrix
 
 REGIME_SHARES = {
@@ -43,7 +45,7 @@ REGIME_SHARES = {
     "covariance-heavy": (0.2, 0.8),
     "balanced": (0.5, 0.5),
 }
-MAX_LAG = max(MONTHLY_LAGS)
+MAX_LAG = max(max(lags) for _, lags in KINDS.values())
 _AT_LEAST_1 = (int_at_least(1), "an integer >= 1")
 _AT_LEAST_0 = (int_at_least(0), "an integer >= 0")
 _REAL = (finite_real, "a finite real")
@@ -98,8 +100,7 @@ class ScenarioConfig:
 
     @property
     def geometry(self) -> GridGeometry:
-        return GridGeometry(lon0=self.lon0, lat0=self.lat0, d_lon=self.d_lon,
-                            d_lat=self.d_lat, n_lon=self.n_lon, n_lat=self.n_lat)
+        return GridGeometry(**{key: getattr(self, key) for key in GRID_FIELDS})
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -293,21 +294,15 @@ def truth_grid(bundle: SynthBundle) -> tuple[np.ndarray, dict]:
     snapped cell reproduces that survey's latent value minus its noise draw.
     """
     config = bundle.config
-    geometry = config.geometry
-    lons, lats = geometry.cell_centers()
-    months = np.arange(MAX_LAG, config.n_months)
-    t_col = np.repeat(months, len(lons))
-    cell = np.tile(np.arange(len(lons)), len(months))
-    points = np.column_stack([lons[cell], lats[cell], t_col])
-    design = assemble_at(points, bundle.covariates)
-    Z = (design.values - bundle.meta["col_mean"]) / bundle.meta["col_sd"]
+    grid = build_prediction_grid(config.geometry, np.arange(MAX_LAG, config.n_months),
+                                 bundle.covariates)
+    Z = (grid.design.values - bundle.meta["col_mean"]) / bundle.meta["col_sd"]
     g = (_apply_menu(bundle.meta["menu"], Z)
          - bundle.meta["g_center"]) * bundle.meta["g_scale"]
-    gp_vals = bundle.gp_field[t_col, cell]
+    gp_vals = bundle.gp_field[MAX_LAG:].ravel()
     latent = config.intercept + g + gp_vals
     prevalence = 1.0 / (1.0 + np.exp(-latent))
-    return points, {"g": g, "gp": gp_vals, "latent": latent,
-                    "prevalence": prevalence}
+    return grid.points, {"g": g, "gp": gp_vals, "latent": latent, "prevalence": prevalence}
 
 
 def _write_truth_csv(path: Path, points, columns: dict) -> None:
@@ -323,34 +318,9 @@ def _write_truth_csv(path: Path, points, columns: dict) -> None:
 def write_scenario(bundle: SynthBundle, outdir) -> dict:
     """Persist surveys, covariate stack, and truth; returns the file map."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    grids = outdir / "grids"
-    grids.mkdir(exist_ok=True)
-
+    manifest_path = save_stack_manifest(bundle.covariates, outdir)   # makes outdir
     surveys_path = outdir / "surveys.csv"
     save_surveys(bundle.records, surveys_path)
-
-    entries = []
-    for cov in bundle.covariates:
-        geometry = cov.geometry
-        entry = {"name": cov.name, "kind": cov.kind,
-                 "grid": {"lon0": geometry.lon0, "lat0": geometry.lat0,
-                          "d_lon": geometry.d_lon, "d_lat": geometry.d_lat,
-                          "n_lon": geometry.n_lon, "n_lat": geometry.n_lat}}
-        if cov.kind in ("static", "synoptic"):
-            rel = f"grids/{cov.name}.csv"
-            save_grid_csv(cov.slices[0], outdir / rel)
-            entry["path"] = rel
-        else:
-            entry["t_start"] = cov.t_start
-            entry["t_end"] = cov.t_end
-            entry["path_template"] = f"grids/{cov.name}_{{t}}.csv"
-            for s, values in enumerate(cov.slices):
-                save_grid_csv(values, outdir / f"grids/{cov.name}_{s}.csv")
-        entries.append(entry)
-    manifest_path = outdir / "stack.yaml"
-    manifest_path.write_text(yaml.safe_dump({"covariates": entries}, sort_keys=False),
-                             encoding="utf-8")
 
     truth_path = outdir / "truth.csv"
     _write_truth_csv(truth_path, [(r.lon, r.lat, r.t) for r in bundle.records], bundle.truth)

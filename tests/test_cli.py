@@ -542,6 +542,23 @@ class TestFitAndPredict:
         assert self.predict_into(data, cwm_fit / "model.json", tmp_path) == 3
         assert str(needed) in capsys.readouterr().err
 
+    def test_an_empty_needed_grid_file_exits_3_with_one_error_line(self, scenario, cwm_fit,
+                                                                    tmp_path):
+        # numpy's "input contained no data" warning reached stderr ahead of the error
+        data = self.copied_scenario(scenario, tmp_path)
+        needed = data / "grids" / "cov01_4.csv"
+        needed.write_text("", encoding="utf-8")
+        cfg = write_yaml(tmp_path / "predict.yaml", {
+            "data": {"stack": str(data / "stack.yaml")},
+            "predict": {"model": str(cwm_fit / "model.json"), "months": [6]},
+            "output_dir": str(tmp_path),
+        })
+        out = subprocess.run([sys.executable, "-m", "stackgp.cli", "predict", "--config", str(cfg)],
+                             capture_output=True, text=True, timeout=20,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.returncode == 3, out.stderr
+        assert out.stderr == f"stackgp: error category=data: {needed}: no grid rows\n"
+
     def test_a_grid_cell_that_is_not_a_number_exits_3_naming_the_file(self, scenario, tmp_path,
                                                                       capsys):
         # np.loadtxt's ValueError used to exit 1 as category=internal

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stackgp.dataset import (
     load_stack_manifest,
     load_surveys,
     save_grid_csv,
+    save_stack_manifest,
     save_surveys,
 )
 from stackgp.errors import DataError, SchemaError
@@ -169,16 +171,33 @@ class TestGridIo:
         with pytest.raises(DataError):
             load_grid_csv(path, geo)
 
-    @pytest.mark.parametrize("text", ["1.0,abc\n3.0,4.0\n", "1.0,2.0,\n3.0,4.0,\n",
-                                      "1.0,2.0\n3.0\n"], ids=["text", "trailing-comma", "ragged"])
-    def test_cell_that_is_not_a_number_is_a_data_error_naming_the_file(self, tmp_path, text):
-        # np.loadtxt's ValueError escaped, and a command exited 1
+    @pytest.mark.parametrize("text, clause", [
+        ("1.0,abc\n3.0,4.0\n", "could not convert string 'abc' to float64 at row 0, column 2."),
+        ("1.0,2.0,\n3.0,4.0,\n", "could not convert string '' to float64 at row 0, column 3."),
+        ("1.0,2.0\n3.0\n", "the number of columns changed from 2 to 1 at row 2"),
+    ], ids=["text", "trailing-comma", "ragged"])
+    def test_cell_that_is_not_a_number_is_a_data_error_naming_the_file(self, tmp_path, text,
+                                                                      clause):
+        # np.loadtxt's ValueError escaped, and a command exited 1; a ragged row's message
+        # then ended with numpy's advice to pass `usecols`
         geo = make_geometry(n_lon=2, n_lat=2)
         path = tmp_path / "g.csv"
         path.write_text(text)
         with pytest.raises(DataError) as info:
             load_grid_csv(path, geo)
-        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value) == f"{path}: {clause}"
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n"])
+    def test_empty_file_is_a_data_error_and_warns_nothing(self, tmp_path, text):
+        # numpy warned "input contained no data" before a SchemaError about shape (0, 1)
+        geo = make_geometry(n_lon=2, n_lat=2)
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as info:
+                load_grid_csv(path, geo)
+        assert str(info.value) == f"{path}: no grid rows"
 
 
 class TestAssembly:
@@ -310,9 +329,67 @@ class TestManifest:
 
     def test_unknown_kind_rejected(self, tmp_path, rng):
         manifest, _, _ = self._write_scenario(tmp_path, rng)
-        manifest.write_text(manifest.read_text().replace("kind: static", "kind: raster"))
-        with pytest.raises(SchemaError):
-            load_stack_manifest(manifest)
+        text = manifest.read_text()
+        for kind in ("raster", "[static]"):     # a list cannot be looked up in the kinds table
+            manifest.write_text(text.replace("kind: static", f"kind: {kind}"))
+            with pytest.raises(SchemaError) as info:
+                load_stack_manifest(manifest)
+            assert "kind in ('static', 'synoptic', 'dynamic-monthly', 'dynamic-annual')" in str(
+                info.value)
+
+    def test_save_then_load_is_the_identity_for_every_kind(self, tmp_path, rng):
+        geo = make_geometry(n_lon=4, n_lat=3)
+        other = make_geometry(n_lon=2, n_lat=5, lon0=31.5, lat0=0.25, d=0.2)
+        shape = (geo.n_lat, geo.n_lon)
+        covs = [
+            Covariate("elev", "static", geo, rng.normal(size=(1, *shape))),
+            Covariate("clim", "synoptic", other, rng.normal(size=(1, other.n_lat, other.n_lon))),
+            Covariate("rain", "dynamic-monthly", geo, rng.normal(size=(6, *shape)),
+                      t_start=2, t_end=7),
+            Covariate("pop", "dynamic-annual", geo, rng.normal(size=(3, *shape)),
+                      t_start=1, t_end=30),
+        ]
+        loaded = load_stack_manifest(save_stack_manifest(covs, tmp_path / "out"))
+        assert [(c.name, c.kind, c.geometry, c.t_start, c.t_end) for c in loaded] == \
+            [(c.name, c.kind, c.geometry, c.t_start, c.t_end) for c in covs]
+        for mine, theirs in zip(covs, loaded):
+            assert theirs.slices.shape == mine.slices.shape
+            assert theirs.slices.tobytes() == mine.slices.tobytes()
+
+    def test_saved_manifest_text_is_pinned(self, tmp_path):
+        geo = make_geometry(n_lon=2, n_lat=1, d=0.5)
+        covs = [Covariate("elev", "static", geo, np.array([[[1.0, 2.5]]])),
+                Covariate("rain", "dynamic-monthly", geo, np.zeros((2, 1, 2)),
+                          t_start=3, t_end=4)]
+        path = save_stack_manifest(covs, tmp_path)
+        assert path == tmp_path / "stack.yaml"
+        assert path.read_text(encoding="utf-8") == (
+            "covariates:\n"
+            "- name: elev\n"
+            "  kind: static\n"
+            "  grid:\n"
+            "    lon0: 30.0\n"
+            "    lat0: -1.0\n"
+            "    d_lon: 0.5\n"
+            "    d_lat: 0.5\n"
+            "    n_lon: 2\n"
+            "    n_lat: 1\n"
+            "  path: grids/elev.csv\n"
+            "- name: rain\n"
+            "  kind: dynamic-monthly\n"
+            "  grid:\n"
+            "    lon0: 30.0\n"
+            "    lat0: -1.0\n"
+            "    d_lon: 0.5\n"
+            "    d_lat: 0.5\n"
+            "    n_lon: 2\n"
+            "    n_lat: 1\n"
+            "  t_start: 3\n"
+            "  t_end: 4\n"
+            "  path_template: grids/rain_{t}.csv\n")
+        assert sorted(p.name for p in (tmp_path / "grids").iterdir()) == \
+            ["elev.csv", "rain_0.csv", "rain_1.csv"]
+        assert (tmp_path / "grids" / "elev.csv").read_text(encoding="utf-8") == "1.0,2.5\n"
 
     @pytest.mark.parametrize("old, new, names", [
         ("covariates:\n", "covariates: 5\nrest:\n", ["'covariates'"]),

@@ -484,8 +484,8 @@ class TestRepeatCvEvaluate:
 
         import stackgp.learners.base as base
         from stackgp.learners.mars import fit_mars
-        monkeypatch.setitem(base._FIT, "mars", lambda *a: dataclasses.replace(
-            fit_mars(*a), x_min=None, x_max=None))
+        monkeypatch.setitem(base.KINDS, "mars", (lambda *a: dataclasses.replace(
+            fit_mars(*a), x_min=None, x_max=None), *base.KINDS["mars"][1:]))
         bundle = generate(ScenarioConfig(
             regime="covariance-heavy", seed=5102, n_surveys=200, m_covariates=6, n_hinge=10,
             n_smooth=10, n_interactions=10, n_tested_range=(100, 400)))
