@@ -5,8 +5,10 @@ before any input file is read), optional ``--set key.path=value`` overrides,
 and ``--seed`` (mandatory for synth and cv, which are sampling commands).
 ``main`` resolves the seed, creates the output directory, runs the command's
 pipeline and then writes a ``resolved-config.yaml`` provenance copy next to
-its outputs. All floating-point CSV output uses 17 significant digits, so
-identical configs and inputs give byte-identical files.
+its outputs. The predict, cv, decompose and eval tables print floats with 17
+significant digits; synth's surveys, grid files and truth tables print them
+with Python's shortest round-trip ``repr``. Both reload to the same doubles,
+and identical configs and inputs give byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure, 1 anything unexpected. Failures print a single machine-parsable
@@ -37,7 +39,8 @@ from .synth import ScenarioConfig, generate, write_scenario
 
 
 def _fmt(x) -> str:
-    """17-significant-digit decimal, the fixed format for all CSV output."""
+    """17-significant-digit decimal, the float format of the predict, cv, decompose
+    and eval tables (synth writes its files with ``repr``)."""
     return format(float(x), ".17g")
 
 

@@ -358,14 +358,15 @@ class CovariateMatrix:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "columns", tuple(self.columns))
 
-    def check_layout(self, other: "CovariateMatrix") -> None:
-        """Raise SchemaError listing missing/extra columns when layouts differ."""
-        if self.columns == other.columns:
+    def check_layout(self, fitted: tuple) -> None:
+        """Raise SchemaError, listing the missing and extra columns, unless this
+        design's columns are exactly fitted, the layout a model was fitted on."""
+        if self.columns == fitted:
             return
         mine = {c.label for c in self.columns}
-        theirs = {c.label for c in other.columns}
-        missing = sorted(mine - theirs)
-        extra = sorted(theirs - mine)
+        theirs = {c.label for c in fitted}
+        missing = sorted(theirs - mine)
+        extra = sorted(mine - theirs)
         if missing or extra:
             raise SchemaError(f"column layout mismatch: missing {missing}, extra {extra}")
         raise SchemaError("column layout mismatch: same labels, different order or metadata")

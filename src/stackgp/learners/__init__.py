@@ -1,5 +1,5 @@
 """From-scratch level-0 learners and their common fitting interface."""
 
-from .base import LEARNER_KINDS, LearnerModel, LearnerSpec, fit_learner
+from .base import LearnerModel, LearnerSpec, fit_learner
 
-__all__ = ["LEARNER_KINDS", "LearnerModel", "LearnerSpec", "fit_learner"]
+__all__ = ["LearnerModel", "LearnerSpec", "fit_learner"]

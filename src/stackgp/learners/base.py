@@ -2,9 +2,16 @@
 
 A LearnerSpec is (kind, params). Params are validated strictly: unknown params
 and out-of-range values are configuration errors, not warnings, so a typo in
-a run config fails before any compute happens. fit_learner dispatches to the
-per-kind fit functions and wraps the result with the design-column layout it
-was trained on; predict refuses a design whose columns do not line up.
+a run config fails before any compute happens.
+
+This module owns the level-0 input contract: a design is an (n, m) array of
+finite floats, or a CovariateMatrix, which adds its column layout.
+fit_learner and LearnerModel.predict convert a design once, and the per-kind
+fit functions and model predicts take that float array as given. fit_learner
+stamps a CovariateMatrix's layout on its model, and predict then refuses a
+design whose columns do not line up; a model fitted on plain rows has no
+layout to check. In a stack only the saved full fits carry a layout, because
+stacking fits its folds on plain rows.
 """
 
 from __future__ import annotations
@@ -66,8 +73,6 @@ KINDS = {
 _SPEC_FIELDS = {"seed": (int_at_least(0), "a non-negative integer"),
                 "name": (lambda v: isinstance(v, str), "a string")}
 
-LEARNER_KINDS = tuple(KINDS)
-
 # parameters that older model files may still carry: the enet's from before
 # its active-set solve, the GAM's from before its one exact solve
 _RETIRED_PARAMS = {"enet": ("max_iter", "tol"), "gam": ("max_backfit", "tol")}
@@ -112,7 +117,7 @@ class LearnerModel:
     def predict(self, X) -> np.ndarray:
         if isinstance(X, CovariateMatrix):
             if self.columns is not None:
-                CovariateMatrix(np.zeros((0, len(self.columns))), self.columns).check_layout(X)
+                X.check_layout(self.columns)
             values = X.values
         else:
             values = np.asarray(X, dtype=float)

@@ -41,7 +41,6 @@ class GbtModel:
         return max((int(cols.max()) + 1 for cols in self.col_subsets if cols.size), default=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         out = np.full(X.shape[0], self.base)
         for tree, cols in zip(self.trees, self.col_subsets):
             out += self.learning_rate * tree.predict(X[:, cols])
@@ -66,8 +65,6 @@ class GbtModel:
 
 
 def fit_gbt(X, y, params: dict, rng: np.random.Generator) -> GbtModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, m = X.shape
     if n < 2:
         raise DataError("gbt requires at least 2 rows")

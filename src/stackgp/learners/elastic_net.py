@@ -31,7 +31,7 @@ class EnetModel:
     meta: dict = field(default_factory=dict)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coef + self.intercept
+        return X @ self.coef + self.intercept
 
     def state_dict(self) -> dict:
         return {
@@ -60,8 +60,6 @@ def _standardise(X):
 
 
 def fit_enet(X, y, params: dict, rng=None) -> EnetModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, m = X.shape
     lam1, lam2 = params["lambda1"], params["lambda2"]
 

@@ -26,7 +26,6 @@ class ForestModel:
         return max((tree.n_features for tree in self.trees), default=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         out = np.zeros(X.shape[0])
         for tree in self.trees:
             out += tree.predict(X)
@@ -41,8 +40,6 @@ class ForestModel:
 
 
 def fit_rf(X, y, params: dict, rng: np.random.Generator) -> ForestModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, m = X.shape
     mtry = params["max_features"]
     if mtry is None:

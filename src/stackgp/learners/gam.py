@@ -141,7 +141,6 @@ class GamModel:
     meta: dict = field(default_factory=dict)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         out = np.full(X.shape[0], self.intercept)
         for j, term in enumerate(self.terms):
             out += term.value(X[:, j])
@@ -241,8 +240,6 @@ def _gcv_scores(B: np.ndarray, root: np.ndarray, resid: np.ndarray, grid) -> np.
 
 
 def fit_gam(X, y, params: dict, rng=None) -> GamModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     grid = params["lambda_grid"]
     if grid is None:
         grid = np.logspace(-4.0, 4.0, 13)

@@ -69,7 +69,6 @@ class MarsModel:
     x_max: np.ndarray | None = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         if self.x_min is not None:
             if self.x_min.shape != (X.shape[1],) or self.x_max.shape != (X.shape[1],):
                 raise ValueError(f"MARS ranges cover {self.x_min.shape} columns, "
@@ -171,8 +170,6 @@ def _pair_reductions(cand: _Candidates, Q, resid):
 
 
 def fit_mars(X, y, params: dict, rng=None) -> MarsModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     n = X.shape[0]
     max_terms = params["max_terms"]
     max_degree = params["max_degree"]

@@ -106,7 +106,6 @@ class RegressionTree:
         return int(self.feature.max()) + 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0])
         stack = [(0, np.arange(X.shape[0]))]
         while stack:
@@ -156,8 +155,6 @@ def grow_tree(X, y, *, max_depth, min_samples_leaf, mtry=None, rng=None) -> Regr
     case); otherwise every feature is a candidate. Children are built left
     first, so rng draws are reproducible.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, m = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
     Xt = np.ascontiguousarray(X.T)

@@ -8,6 +8,12 @@ fitted against (y, H) so its weights never see a prediction made by a model
 trained on the target row, then bound to P for prediction without refitting.
 Cross-validation scores H only, so repeat_cv_evaluate makes no full fits.
 
+The design X follows the one level-0 input contract of learners.base: an
+array or a CovariateMatrix, converted once to floats. The full fits read X
+as passed, so only they, the models a StackState saves, carry its column
+layout; the fold fits read plain rows and are dropped once they have
+predicted their fold.
+
 Three designs:
   1: many level-0 learners -> one level-1 combiner (CWM or GP);
   2: each level-0 learner -> its own single-column GP level-1 -> CWM level-2;
@@ -134,14 +140,28 @@ class StackState:
         width = self.P.shape[1]
         if len(self.level0) != width:
             raise DataError(f"{len(self.level0)} level-0 models for the {width} columns of P")
+        if self.design not in (1, 2, 3):
+            raise DataError(f"stack design must be 1, 2 or 3, got {self.design!r}")
+        if isinstance(self.level1, Level2Stack) != (self.design != 1):
+            raise DataError(f"design {self.design} does not take a {self.level1_kind!r} level-1")
+        if self.design == 3 and width != 1:
+            raise DataError(f"design 3 has one level-0 column, got {width}")
         if isinstance(self.level1, Level2Stack):
             bad = [c for c in self.level1.member_columns if not 0 <= c < width]
             if bad:
                 raise DataError(f"member columns {bad} outside the {width} columns of P")
+            gps = [(f"level-2 member {k}", gp, [c]) for k, (gp, c) in
+                   enumerate(zip(self.level1.members, self.level1.member_columns))]
         else:
-            level1 = self.level1.params if isinstance(self.level1, StackedGpModel) else self.level1
-            if level1.beta.size != width:
-                raise DataError(f"level-1 has {level1.beta.size} weights for {width} columns of P")
+            gp = isinstance(self.level1, StackedGpModel)
+            beta = (self.level1.params if gp else self.level1).beta
+            if beta.size != width:
+                raise DataError(f"level-1 has {beta.size} weights for {width} columns of P")
+            gps = [("the GP level-1", self.level1, slice(None))] if gp else []
+        # a GP level-1 predicts from its columns of P, so it must have been trained on them
+        for who, gp, cols in gps:
+            if not np.array_equal(gp.P_train, self.P[:, cols]):
+                raise DataError(f"{who}'s P_train is not its columns of P")
 
     @property
     def level1_kind(self) -> str:
@@ -164,42 +184,43 @@ class StackState:
                    level1=LEVEL1_KINDS[kind].from_dict(d["level1"]), design=int(d["design"]))
 
 
-def _fit_level0(X, y, spec: LearnerSpec, plan: FoldPlan, key: int, columns):
-    """Fit on the complement of fold key (every row for key = plan.v); key joins the RNG stream."""
-    rows = np.flatnonzero(plan.assignment != key)
+def _fit_level0(X, y, spec: LearnerSpec, plan: FoldPlan, key: int) -> LearnerModel:
+    """Fit spec on the design X and response y of the rows outside fold key (every row,
+    for key = plan.v); key joins the RNG stream, and any error names the fit."""
     rng = np.random.default_rng([spec.seed, plan.seed, plan.repeat_index, key])
-    train = CovariateMatrix(X[rows], columns) if columns is not None else X[rows]
     try:
-        return fit_learner(spec, train, y[rows], rng=rng)
+        return fit_learner(spec, X, y, rng=rng)
     except StackGpError as exc:
         where = "full fit" if key == plan.v else f"fold {key}"
         raise type(exc)(f"learner '{spec.name}', {where}: {exc}") from exc
 
 
 def _level0_inputs(X, y, specs, plan: FoldPlan) -> tuple:
-    """(X as floats, its column layout, y as floats). A CovariateMatrix X stamps its
-    layout onto every fitted learner, so that predictions refuse misaligned designs."""
+    """(X's values, y) as floats, for learners specs and a plan covering y's rows.
+
+    X is a design under the one contract of learners.base: an array, or a
+    CovariateMatrix with its layout. Only the full fits, which a StackState
+    saves, read X as passed and carry that layout; fold fits read plain rows.
+    """
     if not specs:
         raise ConfigError("run_level0 needs at least one learner spec")
-    columns = None
-    if isinstance(X, CovariateMatrix):
-        columns = X.columns
-        X = X.values
     y = np.asarray(y, dtype=float)
     if plan.n != len(y):
         raise DataError(f"fold plan covers {plan.n} rows, data has {len(y)}")
-    return np.asarray(X, dtype=float), columns, y
+    values = X.values if isinstance(X, CovariateMatrix) else np.asarray(X, dtype=float)
+    return values, y
 
 
 def run_level0(X, y, specs, plan: FoldPlan) -> np.ndarray:
     """The out-of-fold matrix H: column i holds learner i's predictions of each
     fold from its fit on the other folds."""
-    X, columns, y = _level0_inputs(X, y, specs, plan)
+    X, y = _level0_inputs(X, y, specs, plan)
     H = np.empty((len(y), len(specs)))
     for i, spec in enumerate(specs):
         for j in range(plan.v):
             held = plan.fold_rows(j)
-            H[held, i] = _fit_level0(X, y, spec, plan, j, columns).predict(X[held])
+            train = np.flatnonzero(plan.assignment != j)
+            H[held, i] = _fit_level0(X[train], y[train], spec, plan, j).predict(X[held])
     return H
 
 
@@ -264,10 +285,10 @@ def fit_stack(design, X, y, locations, specs, plan: FoldPlan, *, level1=None,
     if design not in (1, 2, 3):
         raise ConfigError(f"fit_stack fits designs 1, 2 and 3, got {design!r}")
     check_stack(design, specs, level1, gp_variants, gp_options)
-    values, columns, y = _level0_inputs(X, y, specs, plan)
-    level0 = [_fit_level0(values, y, spec, plan, plan.v, columns) for spec in specs]
+    values, y = _level0_inputs(X, y, specs, plan)
+    level0 = [_fit_level0(X, y, spec, plan, plan.v) for spec in specs]
     P = np.column_stack([model.predict(values) for model in level0])
-    H = run_level0(X, y, specs, plan)
+    H = run_level0(values, y, specs, plan)
     if level1 == "cwm":
         return StackState(P=P, H=H, plan=plan, level0=level0, level1=fit_cwm(H, y))
     opts = dict(gp_options or {})
@@ -379,10 +400,8 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
     gp_options = dict(gp_options or {})
     fixed.pop("beta", None)    # the plain GP's mean is a GLS fit, not a stack
     plain_options = {**gp_options, "fixed": fixed}
-    if isinstance(X, CovariateMatrix):
-        X = X.values
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    plans = [make_folds(len(y), v, seed, repeat_index=r) for r in range(repeats)]
+    X, y = _level0_inputs(X, y, specs, plans[0])
     points = np.asarray(locations, dtype=float)
     result = CvResult()
 
@@ -394,8 +413,7 @@ def repeat_cv_evaluate(X, y, locations, specs, v: int = 5, repeats: int = 5,
 
     if CV_METHOD_PLAIN in methods:
         plain = fit_gp_linear_mean(y, X, points, **plain_options)
-    for r in range(repeats):
-        plan = make_folds(len(y), v, seed, repeat_index=r)
+    for r, plan in enumerate(plans):
         H = run_level0(X, y, specs, plan)
         if "level0" in methods:
             for i, spec in enumerate(specs):

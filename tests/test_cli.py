@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import shutil
@@ -79,6 +80,14 @@ def gp_fit(scenario, tmp_path_factory):
     cfg = write_yaml(out / "fit.yaml", fit_config(scenario, out, level1="gp"))
     assert main(["fit", "--config", str(cfg)]) == 0
     return out
+
+
+def test_console_script_is_cli_main():
+    # an installed `stackgp` runs the main every other test calls
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, attr = pyproject["project"]["scripts"]["stackgp"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestSynth:

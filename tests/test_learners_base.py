@@ -3,12 +3,8 @@ import pytest
 
 from stackgp.dataset import ColumnInfo, CovariateMatrix
 from stackgp.errors import ConfigError, DataError, SchemaError
-from stackgp.learners import (
-    LEARNER_KINDS,
-    LearnerModel,
-    LearnerSpec,
-    fit_learner,
-)
+from stackgp.learners import LearnerModel, LearnerSpec, fit_learner
+from stackgp.learners.base import KINDS
 
 
 def make_matrix(values, names=None):
@@ -75,7 +71,7 @@ class TestSpecValidation:
         assert clone == spec
 
     def test_all_kinds_constructible(self):
-        for kind in LEARNER_KINDS:
+        for kind in KINDS:
             LearnerSpec(kind=kind)
 
 
@@ -98,7 +94,7 @@ class TestFitContract:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        for kind in LEARNER_KINDS:
+        for kind in KINDS:
             params = {"n_rounds": 3} if kind == "gbt" else \
                      {"n_trees": 3} if kind == "rf" else {}
             model = fit_learner(LearnerSpec(kind=kind, params=params), X, y)
@@ -140,7 +136,7 @@ class TestFitContract:
 
 
 class TestModelRoundTrips:
-    @pytest.mark.parametrize("kind", LEARNER_KINDS)
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_round_trip_exact_predictions(self, kind):
         rng = np.random.default_rng(4)
         X = make_matrix(rng.normal(size=(40, 3)))

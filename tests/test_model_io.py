@@ -244,6 +244,11 @@ def narrow_gp(d):
     d["level1"]["P_train"] = [row[:1] for row in d["level1"]["P_train"]]
 
 
+def nudge_p_train(gp):
+    """Move one entry of a GP level-1's P_train off the stack's P."""
+    gp["P_train"][0][0] += 1.0
+
+
 class TestLevel1Shapes:
     @pytest.mark.parametrize("model, edit", [
         ("gp", lambda d: [row.append(0.0) for row in d["level1"]["P_train"]]),
@@ -254,9 +259,17 @@ class TestLevel1Shapes:
         ("cwm", lambda d: d["level0"].pop()),
         ("cwm", lambda d: d["level1"].update(beta=[1.0])),     # still on the simplex
         ("gp", narrow_gp),
+        ("cwm", lambda d: d.update(design=7)),
+        ("cwm", lambda d: d.update(design=2)),
+        ("design2", lambda d: d.update(design=1)),
+        ("design2", lambda d: d.update(design=3)),
+        ("gp", lambda d: nudge_p_train(d["level1"])),
+        ("design2", lambda d: nudge_p_train(d["level1"]["members"][1])),
     ], ids=["P_train-extra-column", "y-short", "plain-coef-short", "member-column-outside-P",
             "level2-weights-short", "level0-entry-dropped", "cwm-beta-short",
-            "gp-narrower-than-P"])
+            "gp-narrower-than-P", "design-outside-1-to-3", "cwm-labelled-design-2",
+            "level2-labelled-design-1", "three-columns-labelled-design-3",
+            "gp-P_train-off-P", "member-P_train-off-its-column"])
     def test_inconsistent_shapes_name_the_file(self, model_files, tmp_path, model, edit):
         d = json.loads(model_files[model].read_text())
         edit(d)

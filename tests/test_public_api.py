@@ -1,12 +1,13 @@
 """No public API that only tests reach.
 
-Every top-level public function or class in ``src/stackgp`` must be referenced
-by other source code there: as a name, an attribute or an imported name. A
-definition's own body does not count, so a function that only calls itself is
-still unreferenced. A public top-level assignment whose value is a function
-(found by importing the module) is a definition too, and one that gives a
-function a second name is refused outright: source can call the function by
-its own name, so only a test needs the alias.
+Every top-level public function, class or constant in ``src/stackgp`` must be
+referenced by other source code there: as a name, an attribute or an imported
+name. A definition's own body does not count, so a function that only calls
+itself is still unreferenced, and neither does a package ``__init__.py``
+re-export, which only makes a name reachable from outside. Every public
+top-level assignment is a definition, and one that gives a function a second
+name (found by importing the module) is refused outright: source can call the
+function by its own name, so only a test needs the alias.
 """
 
 import ast
@@ -43,14 +44,13 @@ def _module(path: Path):
     return importlib.import_module(name.removesuffix(".__init__"))
 
 
-def _defines(node, module) -> set:
-    """Names a top-level statement defines: a def, a class or a name assigned a function."""
+def _defines(node) -> set:
+    """Names a top-level statement defines: a def, a class or an assigned name."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return {node.name}
     targets = (node.targets if isinstance(node, ast.Assign)
                else [node.target] if isinstance(node, ast.AnnAssign) else [])
-    return {t.id for t in targets
-            if isinstance(t, ast.Name) and inspect.isfunction(getattr(module, t.id, None))}
+    return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
 def _scan():
@@ -60,7 +60,9 @@ def _scan():
     for path in sorted(SRC.rglob("*.py")):
         module = _module(path)
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = _defines(node, module)
+            if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                continue
+            names = _defines(node)
             for name in (n for n in names if not n.startswith("_")):
                 defined[name] = path.relative_to(SRC), getattr(module, name)
             used |= _referenced(node) - names

@@ -45,7 +45,7 @@ def linear_spec(seed=3, name=None):
 
 
 def refuse_fit(*args, **kwargs):
-    raise AssertionError("a level-0 learner was fitted")
+    raise AssertionError("a fit ran before the inputs were refused")
 
 
 def make_problem(seed=0, n=24):
@@ -173,13 +173,37 @@ class TestRunLevel0:
         with pytest.raises(ConfigError):
             run_level0(X, y, [], make_folds(10, 2, seed=0))
 
-    def test_covariate_matrix_stamps_layout(self):
+    def test_covariate_matrix_stamps_layout(self, monkeypatch, tmp_path):
+        # only the full fits, which the state saves, see the layout; fold fits take
+        # plain float rows, and the layout changes no number of the stack
+        import stackgp.stacking as stacking
         from stackgp.dataset import CovariateMatrix
+        from stackgp.model_io import save_model
+        fit, received = stacking.fit_learner, []
+
+        def recording_fit(spec, X, y, rng):
+            received.append(X)
+            return fit(spec, X, y, rng=rng)
+        monkeypatch.setattr(stacking, "fit_learner", recording_fit)
         X, y, loc = make_problem(seed=7, n=14)
         cm = CovariateMatrix(X, ["a", "b", "c"])
-        state = fit_stack(1, cm, y, loc, [linear_spec()], make_folds(14, 2, seed=1),
-                          level1="cwm")
-        assert tuple(state.level0[0].columns) == ("a", "b", "c")
+        plan, specs = make_folds(14, 2, seed=1), [linear_spec(), mean_spec()]
+        for level1 in ("cwm", "gp"):
+            received.clear()
+            state = fit_stack(1, cm, y, loc, specs, plan, level1=level1, gp_options=FAST_GP)
+            assert [m.columns for m in state.level0] == [("a", "b", "c")] * 2
+            full, folds = received[:len(specs)], received[len(specs):]
+            assert all(x is cm for x in full)
+            assert len(folds) == len(specs) * plan.v
+            assert all(type(x) is np.ndarray and x.dtype == float for x in folds)
+            plain = fit_stack(1, cm.values, y, loc, specs, plan, level1=level1,
+                              gp_options=FAST_GP)
+            assert [m.columns for m in plain.level0] == [None] * 2
+            for model in state.level0:
+                model.columns = None
+            for name, stack in (("matrix", state), ("values", plain)):
+                save_model(stack, tmp_path / f"{name}.json")
+            assert (tmp_path / "matrix.json").read_bytes() == (tmp_path / "values.json").read_bytes()
 
 
 class TestDesign1:
@@ -432,6 +456,15 @@ class TestRepeatCvEvaluate:
         with pytest.raises(ConfigError, match="unique") as info:
             repeat_cv_evaluate(X, y, loc, specs, v=2, repeats=1, gp_options=FAST_GP)
         assert clash in str(info.value)
+
+    @pytest.mark.parametrize("v, specs, message", [
+        (11, [mean_spec()], "fold count"), (2, [], "at least one learner")],
+        ids=["v-above-n", "no-learners"])
+    def test_inputs_refused_before_the_plain_gp_fit(self, monkeypatch, v, specs, message):
+        monkeypatch.setattr("stackgp.stacking.fit_gp_linear_mean", refuse_fit)
+        X, y, loc = make_problem(seed=27, n=10)
+        with pytest.raises(ConfigError, match=message):
+            repeat_cv_evaluate(X, y, loc, specs, v=v, repeats=1, methods=("plain-gp",))
 
     def test_plain_gp_fitted_once_per_call(self, monkeypatch):
         import stackgp.stacking as stacking
